@@ -86,3 +86,15 @@ def carbon_band(
         low_kg=low.embodied_kg,
         high_kg=high.embodied_kg,
     )
+
+
+def estimate_carbon(
+    metrics: StackMetrics,
+    design: DesignParams,
+    params: CarbonParams,
+    band: tuple[float, float] | None = None,
+) -> CarbonResult:
+    """Embodied carbon, with the low and high figures of ``band`` when given."""
+    if band is None:
+        return embodied_carbon(metrics, design, params)
+    return carbon_band(metrics, design, params, *band)

@@ -16,7 +16,7 @@ registered into a catalog instance without touching the built-ins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -47,24 +47,23 @@ class StepCounts:
     deposition: int = 0
 
     def __post_init__(self):
-        for name, value in self.as_dict().items():
+        for name, value in zip(_STEP_FIELDS, self.as_tuple()):
             if value < 0:
                 raise InvalidProcessError(
                     f"step count {name} must be >= 0, got {value}"
                 )
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "dry_etch": self.dry_etch,
-            "litho": self.litho,
-            "metallization": self.metallization,
-            "metrology": self.metrology,
-            "wet_etch": self.wet_etch,
-            "deposition": self.deposition,
-        }
+        return dict(zip(_STEP_FIELDS, self.as_tuple()))
 
     def total(self) -> int:
-        return sum(self.as_dict().values())
+        return sum(self.as_tuple())
+
+    def as_tuple(self) -> tuple[int, ...]:
+        return (
+            self.dry_etch, self.litho, self.metallization,
+            self.metrology, self.wet_etch, self.deposition,
+        )
 
     def __add__(self, other: "StepCounts") -> "StepCounts":
         return StepCounts(
@@ -75,6 +74,9 @@ class StepCounts:
             self.wet_etch + other.wet_etch,
             self.deposition + other.deposition,
         )
+
+
+_STEP_FIELDS = tuple(f.name for f in fields(StepCounts))
 
 
 @dataclass(frozen=True)

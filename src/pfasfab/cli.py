@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import report as rpt
@@ -22,7 +23,7 @@ from .config import (
     stack_to_dict,
 )
 from .engine import DesignParams, chip_pfas, stack_metrics
-from .carbon import carbon_band, embodied_carbon
+from .carbon import estimate_carbon
 from .errors import ConfigError, PfasfabError, StackValidationError
 from .scenarios import compare_stacks, compose_soc, normalize_trend, sweep_beol
 from .stack import StackSpec, validate_stack
@@ -95,35 +96,17 @@ def _resolve_carbon(args, cfg: ConfigDocument):
     return cfg.carbon, cfg.ci_band
 
 
-def _carbon_result(metrics, design, carbon_params, ci_band):
-    if carbon_params is None or design is None:
-        return None
-    if ci_band is not None:
-        return carbon_band(metrics, design, carbon_params, *ci_band)
-    return embodied_carbon(metrics, design, carbon_params)
-
-
-def _design_echo(design: DesignParams | None):
-    if design is None:
-        return None
-    return {"area_cm2": design.area_cm2, "yield": design.yield_fraction}
-
-
-def _weights_echo(weights):
-    return {"per_euv_mask": weights.per_euv_mask, "per_duv_mask": weights.per_duv_mask}
-
-
-def _carbon_echo(carbon_params, ci_band):
-    echo = None
-    if carbon_params is not None:
-        echo = {
-            "carbon_intensity": carbon_params.carbon_intensity,
-            "energy_per_unit_litho": carbon_params.energy_per_unit_litho,
-            "energy_per_area_base": carbon_params.energy_per_area_base,
-            "gas_per_area": carbon_params.gas_per_area,
-            "material_per_area": carbon_params.material_per_area,
-        }
-    return echo, (list(ci_band) if ci_band is not None else None)
+def _model_echo(design, weights, carbon_params, ci_band) -> dict:
+    """The design, energy-weight and carbon inputs, as every report echoes them."""
+    design_echo = None
+    if design is not None:
+        design_echo = {"area_cm2": design.area_cm2, "yield": design.yield_fraction}
+    return {
+        "design": design_echo,
+        "energy_weights": asdict(weights),
+        "carbon": asdict(carbon_params) if carbon_params is not None else None,
+        "ci_band": list(ci_band) if ci_band is not None else None,
+    }
 
 
 def _cmd_analyze(args) -> dict:
@@ -134,14 +117,12 @@ def _cmd_analyze(args) -> dict:
     carbon_params, ci_band = _resolve_carbon(args, cfg)
     metrics = stack_metrics(stack, DEFAULT_CATALOG, cfg.weights)
     chip = chip_pfas(metrics, design)
-    carbon = _carbon_result(metrics, design, carbon_params, ci_band)
-    carbon_echo, band_echo = _carbon_echo(carbon_params, ci_band)
+    carbon = None
+    if carbon_params is not None:
+        carbon = estimate_carbon(metrics, design, carbon_params, ci_band)
     inputs = {
         "stack": stack_to_dict(stack),
-        "design": _design_echo(design),
-        "energy_weights": _weights_echo(cfg.weights),
-        "carbon": carbon_echo,
-        "ci_band": band_echo,
+        **_model_echo(design, cfg.weights, carbon_params, ci_band),
     }
     result = {
         "stack_metrics": rpt.metrics_to_dict(stack, metrics),
@@ -170,7 +151,7 @@ def _cmd_compare(args) -> dict:
     inputs = {
         "stack_a": stack_to_dict(a),
         "stack_b": stack_to_dict(b),
-        "energy_weights": _weights_echo(cfg.weights),
+        "energy_weights": asdict(cfg.weights),
     }
     return rpt.build_report("compare", inputs, rpt.comparison_to_dict(comparison))
 
@@ -203,16 +184,12 @@ def _cmd_sweep(args) -> dict:
         carbon_params=carbon_params,
         ci_band=ci_band,
     )
-    carbon_echo, band_echo = _carbon_echo(carbon_params, ci_band)
     inputs = {
         "stack": stack_to_dict(stack),
         "targets": list(targets),
         "retain_power_grid": retain,
         "beol_only": beol_only,
-        "design": _design_echo(design),
-        "energy_weights": _weights_echo(cfg.weights),
-        "carbon": carbon_echo,
-        "ci_band": band_echo,
+        **_model_echo(design, cfg.weights, carbon_params, ci_band),
     }
     return rpt.build_report("sweep", inputs, rpt.sweep_to_dict(points, retain, beol_only))
 
@@ -239,7 +216,6 @@ def _cmd_soc(args) -> dict:
         carbon_params=carbon_params,
         ci_band=ci_band,
     )
-    carbon_echo, band_echo = _carbon_echo(carbon_params, ci_band)
     inputs = {
         "stack": stack_to_dict(stack),
         "blocks": [
@@ -253,10 +229,7 @@ def _cmd_soc(args) -> dict:
         ],
         "target_top": target,
         "retain_power_grid": retain,
-        "design": _design_echo(design),
-        "energy_weights": _weights_echo(cfg.weights),
-        "carbon": carbon_echo,
-        "ci_band": band_echo,
+        **_model_echo(design, cfg.weights, carbon_params, ci_band),
     }
     return rpt.build_report("soc", inputs, rpt.soc_to_dict(soc))
 

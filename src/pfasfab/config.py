@@ -95,6 +95,17 @@ class ConfigDocument:
     warnings: tuple[str, ...] = ()
 
 
+_NOT_FINITE = "must be a finite number within floating-point range"
+
+
+def _finite(value) -> bool:
+    """True for a finite number; an int too large for a float is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 class _Collector:
     """Accumulates (path, message) errors and unknown-key warnings."""
 
@@ -115,6 +126,14 @@ class _Collector:
                 else:
                     self.warnings.append(f"{path + '.' if path else ''}{key}: {note}")
 
+    def section(self, obj, known: set[str], path: str, what: str = "") -> bool:
+        """Whether ``obj`` is an object; its unknown keys are then checked."""
+        if not isinstance(obj, dict):
+            self.error(path, f"{what}must be an object, got {obj!r}")
+            return False
+        self.check_keys(obj, known, path)
+        return True
+
     def number(self, obj: dict, key: str, path: str, required=False):
         if key not in obj:
             if required:
@@ -123,6 +142,9 @@ class _Collector:
         value = obj[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             self.error(f"{path}.{key}", f"must be a number, got {value!r}")
+            return None
+        if not _finite(value):
+            self.error(f"{path}.{key}", _NOT_FINITE)
             return None
         return value
 
@@ -171,10 +193,8 @@ _STACK_KEYS = {"schema_version", "technology_node", "layers"}
 
 
 def _parse_layer(obj, path: str, col: _Collector) -> LayerSpec | None:
-    if not isinstance(obj, dict):
-        col.error(path, f"layer must be an object, got {obj!r}")
+    if not col.section(obj, _LAYER_KEYS, path, "layer "):
         return None
-    col.check_keys(obj, _LAYER_KEYS, path)
     name = col.string(obj, "name", path, required=True)
     region_name = col.string(obj, "region", path, required=True)
     region = None
@@ -189,6 +209,9 @@ def _parse_layer(obj, path: str, col: _Collector) -> LayerSpec | None:
     pitch = obj.get("pitch_nm")
     if pitch is not None and (isinstance(pitch, bool) or not isinstance(pitch, (int, float))):
         col.error(f"{path}.pitch_nm", f"must be a number or null, got {pitch!r}")
+        pitch = None
+    elif pitch is not None and not _finite(pitch):
+        col.error(f"{path}.pitch_nm", _NOT_FINITE)
         pitch = None
     processes = {}
     for key in ("metal_process", "via_process"):
@@ -220,10 +243,8 @@ def _parse_layer(obj, path: str, col: _Collector) -> LayerSpec | None:
 
 
 def stack_from_dict(obj: dict, path: str, col: _Collector) -> StackSpec | None:
-    if not isinstance(obj, dict):
-        col.error(path, f"stack document must be an object, got {obj!r}")
+    if not col.section(obj, _STACK_KEYS, path, "stack document "):
         return None
-    col.check_keys(obj, _STACK_KEYS, path)
     version = obj.get("schema_version")
     if version is not None and str(version) != SCHEMA_VERSION:
         col.error(f"{path}.schema_version", f"unsupported version {version!r}")
@@ -267,14 +288,12 @@ def _parse_stack_ref(value, path: str, col: _Collector) -> StackSpec | None:
 
 
 def _parse_design(obj, path: str, col: _Collector) -> DesignParams | None:
-    if not isinstance(obj, dict):
-        col.error(path, f"must be an object, got {obj!r}")
+    if not col.section(obj, {"area_cm2", "yield"}, path):
         return None
-    col.check_keys(obj, {"area_cm2", "yield"}, path)
     area = col.number(obj, "area_cm2", path, required=True)
     yield_fraction = col.number(obj, "yield", path, required=True)
     ok = True
-    if area is not None and not (math.isfinite(area) and area > 0):
+    if area is not None and not area > 0:
         col.error(f"{path}.area_cm2", f"must be finite and > 0, got {area}")
         ok = False
     if yield_fraction is not None and not 0 < yield_fraction <= 1:
@@ -299,14 +318,12 @@ _CARBON_KEYS = (
 
 
 def _parse_carbon(obj, path: str, col: _Collector) -> CarbonParams | None:
-    if not isinstance(obj, dict):
-        col.error(path, f"must be an object, got {obj!r}")
+    if not col.section(obj, set(_CARBON_KEYS), path):
         return None
-    col.check_keys(obj, set(_CARBON_KEYS), path)
     values = {}
     for key in _CARBON_KEYS:
         value = col.number(obj, key, path, required=True)
-        if value is not None and not (math.isfinite(value) and value >= 0):
+        if value is not None and value < 0:
             col.error(f"{path}.{key}", f"must be finite and >= 0, got {value}")
             value = None
         values[key] = value
@@ -316,15 +333,13 @@ def _parse_carbon(obj, path: str, col: _Collector) -> CarbonParams | None:
 
 
 def _parse_ci_band(obj, path: str, col: _Collector) -> tuple[float, float] | None:
-    if not isinstance(obj, dict):
-        col.error(path, f"must be an object, got {obj!r}")
+    if not col.section(obj, {"low", "high"}, path):
         return None
-    col.check_keys(obj, {"low", "high"}, path)
     low = col.number(obj, "low", path, required=True)
     high = col.number(obj, "high", path, required=True)
     if low is None or high is None:
         return None
-    if not (math.isfinite(low) and low >= 0 and math.isfinite(high) and high >= 0):
+    if not (low >= 0 and high >= 0):
         col.error(path, f"band bounds must be finite and >= 0, got {low}, {high}")
         return None
     if low > high:
@@ -337,23 +352,17 @@ def _parse_fab(obj, path: str, col: _Collector):
     weights = EnergyWeights()
     carbon = None
     ci_band = None
-    if not isinstance(obj, dict):
-        col.error(path, f"must be an object, got {obj!r}")
+    if not col.section(obj, {"energy_weights", "carbon", "ci_band"}, path):
         return weights, carbon, ci_band
-    col.check_keys(obj, {"energy_weights", "carbon", "ci_band"}, path)
-    if "energy_weights" in obj:
-        w = obj["energy_weights"]
-        if not isinstance(w, dict):
-            col.error(f"{path}.energy_weights", f"must be an object, got {w!r}")
-        else:
-            col.check_keys(w, {"per_euv_mask", "per_duv_mask"}, f"{path}.energy_weights")
-            euv = col.number(w, "per_euv_mask", f"{path}.energy_weights", required=True)
-            duv = col.number(w, "per_duv_mask", f"{path}.energy_weights", required=True)
-            if euv is not None and duv is not None:
-                if math.isfinite(euv) and euv > 0 and math.isfinite(duv) and duv > 0:
-                    weights = EnergyWeights(per_euv_mask=float(euv), per_duv_mask=float(duv))
-                else:
-                    col.error(f"{path}.energy_weights", "weights must be finite and > 0")
+    w, wpath = obj.get("energy_weights"), f"{path}.energy_weights"
+    if "energy_weights" in obj and col.section(w, {"per_euv_mask", "per_duv_mask"}, wpath):
+        euv = col.number(w, "per_euv_mask", wpath, required=True)
+        duv = col.number(w, "per_duv_mask", wpath, required=True)
+        if euv is not None and duv is not None:
+            if euv > 0 and duv > 0:
+                weights = EnergyWeights(per_euv_mask=float(euv), per_duv_mask=float(duv))
+            else:
+                col.error(wpath, "weights must be finite and > 0")
     if "carbon" in obj:
         carbon = _parse_carbon(obj["carbon"], f"{path}.carbon", col)
     if "ci_band" in obj:
@@ -362,10 +371,8 @@ def _parse_fab(obj, path: str, col: _Collector):
 
 
 def _parse_compare(obj, path: str, col: _Collector) -> CompareSection | None:
-    if not isinstance(obj, dict):
-        col.error(path, f"must be an object, got {obj!r}")
+    if not col.section(obj, {"stack_a", "stack_b"}, path):
         return None
-    col.check_keys(obj, {"stack_a", "stack_b"}, path)
     if "stack_a" not in obj or "stack_b" not in obj:
         col.error(path, "compare needs both stack_a and stack_b")
         return None
@@ -377,10 +384,8 @@ def _parse_compare(obj, path: str, col: _Collector) -> CompareSection | None:
 
 
 def _parse_sweep(obj, path: str, col: _Collector) -> SweepSection | None:
-    if not isinstance(obj, dict):
-        col.error(path, f"must be an object, got {obj!r}")
+    if not col.section(obj, {"targets", "retain_power_grid", "beol_only"}, path):
         return None
-    col.check_keys(obj, {"targets", "retain_power_grid", "beol_only"}, path)
     targets = obj.get("targets")
     if not isinstance(targets, list) or not all(isinstance(t, str) for t in targets) or not targets:
         col.error(f"{path}.targets", "required field must be a non-empty list of layer labels")
@@ -393,10 +398,8 @@ def _parse_sweep(obj, path: str, col: _Collector) -> SweepSection | None:
 
 
 def _parse_soc(obj, path: str, col: _Collector) -> SocSection | None:
-    if not isinstance(obj, dict):
-        col.error(path, f"must be an object, got {obj!r}")
+    if not col.section(obj, {"blocks", "target_top", "retain_power_grid"}, path):
         return None
-    col.check_keys(obj, {"blocks", "target_top", "retain_power_grid"}, path)
     target = col.string(obj, "target_top", path, required=True)
     raw_blocks = obj.get("blocks")
     if not isinstance(raw_blocks, list) or not raw_blocks:
@@ -405,10 +408,10 @@ def _parse_soc(obj, path: str, col: _Collector) -> SocSection | None:
     blocks = []
     for i, raw in enumerate(raw_blocks):
         bpath = f"{path}.blocks[{i}]"
-        if not isinstance(raw, dict):
-            col.error(bpath, f"block must be an object, got {raw!r}")
+        if not col.section(
+            raw, {"name", "area_cm2", "required_top", "area_overhead"}, bpath, "block "
+        ):
             continue
-        col.check_keys(raw, {"name", "area_cm2", "required_top", "area_overhead"}, bpath)
         name = col.string(raw, "name", bpath, required=True)
         area = col.number(raw, "area_cm2", bpath, required=True)
         required_top = col.string(raw, "required_top", bpath, required=True)
@@ -418,9 +421,12 @@ def _parse_soc(obj, path: str, col: _Collector) -> SocSection | None:
             overhead = {}
         factors = {}
         for label, factor in overhead.items():
-            if isinstance(factor, bool) or not isinstance(factor, (int, float)) or factor < 1:
+            if isinstance(factor, bool) or not isinstance(factor, (int, float)) or not (
+                _finite(factor) and factor >= 1
+            ):
                 col.error(
-                    f"{bpath}.area_overhead.{label}", f"factor must be a number >= 1, got {factor!r}"
+                    f"{bpath}.area_overhead.{label}",
+                    f"factor must be a finite number >= 1, got {factor!r}",
                 )
             else:
                 factors[label] = float(factor)
@@ -447,10 +453,8 @@ def _parse_soc(obj, path: str, col: _Collector) -> SocSection | None:
 
 
 def _parse_trend(obj, path: str, col: _Collector) -> TrendSection | None:
-    if not isinstance(obj, dict):
-        col.error(path, f"must be an object, got {obj!r}")
+    if not col.section(obj, {"series", "reference"}, path):
         return None
-    col.check_keys(obj, {"series", "reference"}, path)
     raw = obj.get("series")
     if not isinstance(raw, list) or not raw:
         col.error(f"{path}.series", "required field must be a non-empty list of [node, value] pairs")
@@ -463,8 +467,9 @@ def _parse_trend(obj, path: str, col: _Collector) -> TrendSection | None:
             or not isinstance(pair[0], str)
             or isinstance(pair[1], bool)
             or not isinstance(pair[1], (int, float))
+            or not _finite(pair[1])
         ):
-            col.error(f"{path}.series[{i}]", f"must be a [node, value] pair, got {pair!r}")
+            col.error(f"{path}.series[{i}]", f"must be a [node, finite number] pair, got {pair!r}")
         else:
             points.append((pair[0], float(pair[1])))
     if len(points) != len(raw):
@@ -515,30 +520,29 @@ def parse_config_dict(raw, strict: bool = False) -> ConfigDocument:
     )
 
 
+def _load_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            [(f"line {exc.lineno}, column {exc.colno}", f"invalid JSON: {exc.msg}")]
+        ) from None
+
+
 def parse_config(text: str, strict: bool = False) -> ConfigDocument:
     """Parse and validate a JSON config document.
 
     Raises ConfigError carrying every violation with its location; in
     lenient mode unknown keys surface as warnings on the returned document.
     """
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            [(f"line {exc.lineno}, column {exc.colno}", f"invalid JSON: {exc.msg}")]
-        ) from None
+    raw = _load_json(text)
     return parse_config_dict(raw, strict=strict)
 
 
 def parse_carbon_profile(text: str, strict: bool = False):
     """Parse a standalone carbon profile file: CarbonParams fields plus an
     optional ci_band. Returns (params, ci_band, warnings)."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            [(f"line {exc.lineno}, column {exc.colno}", f"invalid JSON: {exc.msg}")]
-        ) from None
+    raw = _load_json(text)
     col = _Collector(strict)
     if not isinstance(raw, dict):
         raise ConfigError([("<document>", "carbon profile must be a JSON object")])
@@ -552,12 +556,7 @@ def parse_carbon_profile(text: str, strict: bool = False):
 
 def load_stack_document(text: str, strict: bool = False) -> StackSpec:
     """Parse a standalone stack document or {"preset": name} reference."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            [(f"line {exc.lineno}, column {exc.colno}", f"invalid JSON: {exc.msg}")]
-        ) from None
+    raw = _load_json(text)
     col = _Collector(strict)
     stack = _parse_stack_ref(raw, "stack", col)
     if col.errors:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .catalog import (
     DEFAULT_CATALOG,
@@ -20,7 +21,7 @@ from .catalog import (
     StepCounts,
 )
 from .errors import DomainError
-from .stack import LayerMetrics, Region, StackSpec, derive_layer_metrics
+from .stack import LayerMetrics, LayerRow, Region, StackSpec, layer_table, row_totals
 
 
 @dataclass(frozen=True)
@@ -73,36 +74,31 @@ class ChipPfas:
     yield_fraction: float
 
 
-def stack_metrics(
-    stack: StackSpec,
-    catalog: ProcessCatalog = DEFAULT_CATALOG,
-    weights: EnergyWeights = DEFAULT_WEIGHTS,
-) -> StackMetrics:
-    """Totals and FEOL/MOL/BEOL and exposure-class breakdowns for a stack."""
-    per_layer = []
-    by_region = {region: 0 for region in Region}
-    by_exposure = {exposure: 0 for exposure in ExposureClass}
-    total_steps = StepCounts()
+def metrics_from_rows(technology_node: str, rows: Sequence[LayerRow]) -> StackMetrics:
+    """Totals and breakdowns summed over per-layer rows."""
     litho_energy = 0.0
-    for layer in stack.layers:
-        metrics = derive_layer_metrics(layer, catalog, weights)
-        per_layer.append(metrics)
-        by_region[layer.region] += metrics.pfas_layers
-        for pid in layer.process_ids():
-            proc = catalog.lookup(pid)
-            by_exposure[proc.exposure] += proc.masks
-        total_steps = total_steps + metrics.total_steps
-        litho_energy += metrics.litho_energy
+    for row in rows:  # in stack order, so the float sum is the layer-by-layer one
+        litho_energy += row.metrics.litho_energy
+    total_steps, by_region, by_exposure = row_totals(rows)
     return StackMetrics(
-        technology_node=stack.technology_node,
+        technology_node=technology_node,
         total_pfas_layers=sum(by_region.values()),
         by_region=by_region,
         by_exposure=by_exposure,
         total_steps=total_steps,
         total_litho_steps=total_steps.litho,
         total_litho_energy=litho_energy,
-        per_layer=tuple(per_layer),
+        per_layer=tuple([row.metrics for row in rows]),
     )
+
+
+def stack_metrics(
+    stack: StackSpec,
+    catalog: ProcessCatalog = DEFAULT_CATALOG,
+    weights: EnergyWeights = DEFAULT_WEIGHTS,
+) -> StackMetrics:
+    """Totals and FEOL/MOL/BEOL and exposure-class breakdowns for a stack."""
+    return metrics_from_rows(stack.technology_node, layer_table(stack, catalog, weights))
 
 
 def chip_pfas(metrics: StackMetrics, design: DesignParams) -> ChipPfas:
@@ -117,8 +113,4 @@ def chip_pfas(metrics: StackMetrics, design: DesignParams) -> ChipPfas:
 
 def step_totals(stack: StackSpec, catalog: ProcessCatalog = DEFAULT_CATALOG) -> StepCounts:
     """Category-wise step sums over every layer's metal and via processes."""
-    total = StepCounts()
-    for layer in stack.layers:
-        for pid in layer.process_ids():
-            total = total + catalog.lookup(pid).steps
-    return total
+    return stack_metrics(stack, catalog).total_steps

@@ -48,6 +48,10 @@ class UnknownTargetError(PfasfabError):
     """A sweep or SoC target does not name a BEOL layer of the stack."""
 
 
+class DuplicateTargetError(PfasfabError):
+    """A sweep lists the same target layer more than once."""
+
+
 class MissingOverheadError(PfasfabError):
     """A block is constrained below its table of area-overhead factors."""
 

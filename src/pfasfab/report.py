@@ -233,34 +233,14 @@ def _csv_rows(headers, rows) -> str:
     return buf.getvalue()
 
 
+_LAYER_KEYS = ("name", "region", "pitch_nm", "metal_process", "via_process")
+_LAYER_FIGURES = ("litho_steps", "litho_energy", "pfas_layers")
+
+
 def _layer_rows(result: dict):
     metrics = result["stack_metrics"]
-    rows = []
-    for pl in metrics["per_layer"]:
-        rows.append(
-            (
-                pl["name"],
-                pl["region"],
-                pl["pitch_nm"],
-                pl["metal_process"],
-                pl["via_process"],
-                pl["litho_steps"],
-                pl["litho_energy"],
-                pl["pfas_layers"],
-            )
-        )
-    rows.append(
-        (
-            "TOTAL",
-            None,
-            None,
-            None,
-            None,
-            metrics["total_litho_steps"],
-            metrics["total_litho_energy"],
-            metrics["total_pfas_layers"],
-        )
-    )
+    rows = [tuple(pl[k] for k in _LAYER_KEYS + _LAYER_FIGURES) for pl in metrics["per_layer"]]
+    rows.append(("TOTAL", None, None, None, None, *(metrics[f"total_{k}"] for k in _LAYER_FIGURES)))
     return rows
 
 
@@ -274,7 +254,7 @@ def _analyze_csv(report: dict) -> str:
     rows = []
     for pl in metrics["per_layer"]:
         rows.append(
-            [pl["name"], pl["region"], pl["pitch_nm"], pl["metal_process"], pl["via_process"]]
+            [pl[k] for k in _LAYER_KEYS]
             + [pl["steps"][k] for k in _STEP_KEYS]
             + [pl["masks"], pl["litho_steps"], pl["litho_energy"], pl["pfas_layers"]]
         )
@@ -289,6 +269,13 @@ def _analyze_csv(report: dict) -> str:
         ]
     )
     return _csv_rows(headers, rows)
+
+
+def _carbon_line(label: str, carbon: dict) -> str:
+    line = f"{label}: {_fmt_human(carbon['embodied_kg'])} kg CO2e"
+    if carbon["low_kg"] is not None:
+        line += f"  (band {_fmt_human(carbon['low_kg'])} to {_fmt_human(carbon['high_kg'])})"
+    return line
 
 
 def _analyze_table(report: dict) -> str:
@@ -312,10 +299,7 @@ def _analyze_table(report: dict) -> str:
         )
     carbon = result.get("carbon")
     if carbon is not None:
-        line = f"Embodied carbon: {_fmt_human(carbon['embodied_kg'])} kg CO2e"
-        if carbon["low_kg"] is not None:
-            line += f"  (band {_fmt_human(carbon['low_kg'])} to {_fmt_human(carbon['high_kg'])})"
-        parts.append(line)
+        parts.append(_carbon_line("Embodied carbon", carbon))
     return "\n".join(parts) + "\n"
 
 
@@ -365,22 +349,12 @@ def _compare_table(report: dict) -> str:
 def _sweep_rows(result: dict):
     rows = []
     for p in result["points"]:
-        m = p["metrics"]
-        chip = p["chip_pfas"]
-        carbon = p["carbon"]
-        rows.append(
-            (
-                p["top_routing_layer"],
-                m["total_pfas_layers"],
-                m["by_region"]["BEOL"],
-                m["total_litho_steps"],
-                m["total_litho_energy"],
-                chip["value"] if chip else None,
-                carbon["embodied_kg"] if carbon else None,
-                carbon["low_kg"] if carbon else None,
-                carbon["high_kg"] if carbon else None,
-            )
-        )
+        m, chip, carbon = p["metrics"], p["chip_pfas"], p["carbon"] or {}
+        rows.append((
+            p["top_routing_layer"], m["total_pfas_layers"], m["by_region"]["BEOL"],
+            m["total_litho_steps"], m["total_litho_energy"], chip["value"] if chip else None,
+            carbon.get("embodied_kg"), carbon.get("low_kg"), carbon.get("high_kg"),
+        ))
     return rows
 
 
@@ -409,18 +383,18 @@ def _sweep_table(report: dict) -> str:
     return head + "\n" + _table(_SWEEP_HEADERS, _sweep_rows(result)) + "\n"
 
 
+_SOC_BLOCK_KEYS = (
+    "name", "required_top", "baseline_area_cm2", "overhead_factor", "constrained_area_cm2",
+)
+
+
+def _soc_block_rows(result: dict):
+    return [tuple(r[k] for k in _SOC_BLOCK_KEYS) for r in result["blocks"]]
+
+
 def _soc_csv(report: dict) -> str:
     result = report["result"]
-    rows = [
-        (
-            r["name"],
-            r["required_top"],
-            r["baseline_area_cm2"],
-            r["overhead_factor"],
-            r["constrained_area_cm2"],
-        )
-        for r in result["blocks"]
-    ]
+    rows = _soc_block_rows(result)
     rows.append(
         (
             "TOTAL",
@@ -463,17 +437,7 @@ def _soc_table(report: dict) -> str:
         f"({'power grid retained' if result['retain_power_grid'] else 'power grid dropped'})"
     )
     blocks = _table(
-        ("Block", "Required", "Area cm^2", "Overhead", "Constrained cm^2"),
-        [
-            (
-                r["name"],
-                r["required_top"],
-                r["baseline_area_cm2"],
-                r["overhead_factor"],
-                r["constrained_area_cm2"],
-            )
-            for r in result["blocks"]
-        ],
+        ("Block", "Required", "Area cm^2", "Overhead", "Constrained cm^2"), _soc_block_rows(result)
     )
     summary = [
         f"Total area: {_fmt_human(result['baseline']['area_cm2'])} -> "
@@ -489,28 +453,22 @@ def _soc_table(report: dict) -> str:
     for side in ("baseline", "constrained"):
         carbon = result[side]["carbon"]
         if carbon is not None:
-            line = f"Embodied carbon ({side}): {_fmt_human(carbon['embodied_kg'])} kg CO2e"
-            if carbon["low_kg"] is not None:
-                line += f"  (band {_fmt_human(carbon['low_kg'])} to {_fmt_human(carbon['high_kg'])})"
-            summary.append(line)
+            summary.append(_carbon_line(f"Embodied carbon ({side})", carbon))
     return "\n".join([head, blocks, ""] + summary) + "\n"
 
 
+def _trend_rows(result: dict):
+    return [(p["node"], p["value"], p["normalized"]) for p in result["points"]]
+
+
 def _trend_csv(report: dict) -> str:
-    return _csv_rows(
-        ("node", "value", "normalized"),
-        [(p["node"], p["value"], p["normalized"]) for p in report["result"]["points"]],
-    )
+    return _csv_rows(("node", "value", "normalized"), _trend_rows(report["result"]))
 
 
 def _trend_table(report: dict) -> str:
     result = report["result"]
     head = f"Trend normalized to {result['reference']}"
-    body = _table(
-        ("Node", "Value", "Normalized"),
-        [(p["node"], p["value"], p["normalized"]) for p in result["points"]],
-    )
-    return head + "\n" + body + "\n"
+    return head + "\n" + _table(("Node", "Value", "Normalized"), _trend_rows(result)) + "\n"
 
 
 def _catalog_rows(result: dict):
@@ -540,22 +498,14 @@ def _catalog_table(report: dict) -> str:
     )
 
 
-_CSV_RENDERERS = {
-    "analyze": _analyze_csv,
-    "compare": _compare_csv,
-    "sweep": _sweep_csv,
-    "soc": _soc_csv,
-    "trend": _trend_csv,
-    "process_catalog": _catalog_csv,
-}
-
-_TABLE_RENDERERS = {
-    "analyze": _analyze_table,
-    "compare": _compare_table,
-    "sweep": _sweep_table,
-    "soc": _soc_table,
-    "trend": _trend_table,
-    "process_catalog": _catalog_table,
+# Command -> (CSV renderer, table renderer).
+_RENDERERS = {
+    "analyze": (_analyze_csv, _analyze_table),
+    "compare": (_compare_csv, _compare_table),
+    "sweep": (_sweep_csv, _sweep_table),
+    "soc": (_soc_csv, _soc_table),
+    "trend": (_trend_csv, _trend_table),
+    "process_catalog": (_catalog_csv, _catalog_table),
 }
 
 
@@ -565,7 +515,7 @@ def render(report: dict, fmt: str) -> str:
         return render_json(report)
     command = report.get("command") or report.get("kind")
     if fmt == "csv":
-        return _CSV_RENDERERS[command](report)
+        return _RENDERERS[command][0](report)
     if fmt == "table":
-        return _TABLE_RENDERERS[command](report)
+        return _RENDERERS[command][1](report)
     raise ValueError(f"unknown format {fmt!r}")

@@ -13,11 +13,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .carbon import CarbonParams, CarbonResult, carbon_band, embodied_carbon
+from .carbon import CarbonParams, CarbonResult, estimate_carbon
 from .catalog import DEFAULT_CATALOG, DEFAULT_WEIGHTS, EnergyWeights, ProcessCatalog
-from .engine import ChipPfas, DesignParams, StackMetrics, chip_pfas, stack_metrics
-from .errors import DomainError, MissingOverheadError, TrendReferenceError, UnknownTargetError
-from .stack import Region, StackSpec, beol_index, validate_stack
+from .engine import ChipPfas, DesignParams, StackMetrics, chip_pfas, metrics_from_rows
+from .engine import stack_metrics
+from .errors import DomainError, DuplicateTargetError, MissingOverheadError, TrendReferenceError
+from .errors import UnknownTargetError
+from .stack import LayerRow, Region, StackSpec, beol_index, layer_table, validate_stack
 
 
 def _ratio(a: float, b: float) -> float | None:
@@ -81,29 +83,39 @@ class SweepPoint:
     carbon: CarbonResult | None = None
 
 
-def _truncate_beol(stack: StackSpec, top_index: int | None, retain_power_grid: bool) -> StackSpec:
-    """Drop BEOL routing layers above ``top_index``; power-grid layers are
-    kept verbatim when retention is on and dropped entirely otherwise."""
-    kept = []
-    for layer in stack.layers:
-        if layer.region is not Region.BEOL:
-            kept.append(layer)
-        elif layer.is_power_grid:
-            if retain_power_grid:
-                kept.append(layer)
-        elif top_index is not None and beol_index(layer.name) <= top_index:
-            kept.append(layer)
-    return StackSpec(technology_node=stack.technology_node, layers=tuple(kept))
+def _cap_levels(rows: Sequence[LayerRow], retain_power_grid: bool) -> list[float]:
+    """The lowest routing cap that keeps each row: 0 for FEOL and MOL rows,
+    the BEOL index for routing rows, and 0 or infinity for power-grid rows,
+    which are kept verbatim when retention is on and dropped otherwise."""
+    power_grid = 0 if retain_power_grid else math.inf
+    return [
+        0 if row.spec.region is not Region.BEOL
+        else power_grid if row.spec.is_power_grid
+        else beol_index(row.spec.name)
+        for row in rows
+    ]
 
 
-def _resolve_target(stack: StackSpec, target: str) -> int:
-    names = [l.name for l in stack.beol_layers()]
-    if target not in names:
-        raise UnknownTargetError(
-            f"target {target!r} is not a BEOL layer of {stack.technology_node}; "
-            f"BEOL layers: {', '.join(names)}"
-        )
-    return beol_index(target)
+def _capped_rows(rows: Sequence[LayerRow], levels: list[float], top_index: int | None):
+    """The rows kept when BEOL routing is capped at ``top_index``."""
+    cap = top_index or 0
+    return [row for row, level in zip(rows, levels) if level <= cap]
+
+
+def _resolve_targets(stack: StackSpec, targets: Sequence[str]) -> dict[str, int]:
+    """BEOL index of each target label, which must name a BEOL layer once."""
+    indices = {l.name: beol_index(l.name) for l in stack.layers if l.region is Region.BEOL}
+    resolved = {}
+    for target in targets:
+        if target not in indices:
+            raise UnknownTargetError(
+                f"target {target!r} is not a BEOL layer of {stack.technology_node}; "
+                f"BEOL layers: {', '.join(indices)}"
+            )
+        if target in resolved:
+            raise DuplicateTargetError(f"target {target!r} is given more than once")
+        resolved[target] = indices[target]
+    return resolved
 
 
 def sweep_beol(
@@ -122,24 +134,26 @@ def sweep_beol(
     routing layer, which with power-grid retention on is the unmodified
     stack. Target points follow in descending layer order. Chip scaling
     and carbon are filled in when ``design`` / ``carbon_params`` are given.
+    Each layer is derived once; every point sums the rows it keeps.
     """
     validate_stack(stack, catalog)
+    resolved = _resolve_targets(stack, targets)
+    rows = layer_table(stack, catalog, weights)
+    levels = _cap_levels(rows, retain_power_grid)
+    node = stack.technology_node
 
     def point(label: str | None, top_index: int | None) -> SweepPoint:
-        variant = _truncate_beol(stack, top_index, retain_power_grid)
-        metrics = stack_metrics(variant, catalog, weights)
+        kept = _capped_rows(rows, levels, top_index)
+        metrics = metrics_from_rows(node, kept)
         chip = chip_pfas(metrics, design) if design is not None else None
         carbon = None
         if carbon_params is not None and design is not None:
-            if ci_band is not None:
-                carbon = carbon_band(metrics, design, carbon_params, *ci_band)
-            else:
-                carbon = embodied_carbon(metrics, design, carbon_params)
+            carbon = estimate_carbon(metrics, design, carbon_params, ci_band)
+        variant = StackSpec(technology_node=node, layers=tuple([row.spec for row in kept]))
         return SweepPoint(label, variant, metrics, chip, carbon)
 
     top = stack.top_routing_layer()
     points = [point(top, beol_index(top) if top is not None else None)]
-    resolved = {target: _resolve_target(stack, target) for target in targets}
     for target in sorted(resolved, key=resolved.get, reverse=True):
         points.append(point(target, resolved[target]))
     return points
@@ -235,7 +249,7 @@ def compose_soc(
     if not blocks:
         raise DomainError("compose_soc requires at least one block")
     validate_stack(chip_stack, catalog)
-    target_index = _resolve_target(chip_stack, target_top)
+    target_index = _resolve_targets(chip_stack, [target_top])[target_top]
     yield_fraction = design.yield_fraction if design is not None else 1.0
 
     block_results = []
@@ -255,10 +269,10 @@ def compose_soc(
 
     baseline_area = sum(b.baseline_area_cm2 for b in blocks)
     constrained_area = sum(r.constrained_area_cm2 for r in block_results)
-    constrained_stack = _truncate_beol(chip_stack, chip_top_index, retain_power_grid)
-
-    baseline_metrics = stack_metrics(chip_stack, catalog, weights)
-    constrained_metrics = stack_metrics(constrained_stack, catalog, weights)
+    rows = layer_table(chip_stack, catalog, weights)
+    baseline_metrics = metrics_from_rows(chip_stack.technology_node, rows)
+    kept = _capped_rows(rows, _cap_levels(rows, retain_power_grid), chip_top_index)
+    constrained_metrics = metrics_from_rows(chip_stack.technology_node, kept)
     baseline_design = DesignParams(baseline_area, yield_fraction)
     constrained_design = DesignParams(constrained_area, yield_fraction)
     baseline_chip = chip_pfas(baseline_metrics, baseline_design)
@@ -266,12 +280,10 @@ def compose_soc(
 
     baseline_carbon = constrained_carbon = None
     if carbon_params is not None:
-        if ci_band is not None:
-            baseline_carbon = carbon_band(baseline_metrics, baseline_design, carbon_params, *ci_band)
-            constrained_carbon = carbon_band(constrained_metrics, constrained_design, carbon_params, *ci_band)
-        else:
-            baseline_carbon = embodied_carbon(baseline_metrics, baseline_design, carbon_params)
-            constrained_carbon = embodied_carbon(constrained_metrics, constrained_design, carbon_params)
+        baseline_carbon = estimate_carbon(baseline_metrics, baseline_design, carbon_params, ci_band)
+        constrained_carbon = estimate_carbon(
+            constrained_metrics, constrained_design, carbon_params, ci_band
+        )
 
     return SocReport(
         target_top=target_top,

@@ -13,11 +13,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple, Sequence
 
 from .catalog import (
     DEFAULT_CATALOG,
     DEFAULT_WEIGHTS,
     EnergyWeights,
+    ExposureClass,
     ProcessCatalog,
     StepCounts,
 )
@@ -33,12 +35,9 @@ class Region(Enum):
     MOL = "MOL"
     BEOL = "BEOL"
 
-    @property
-    def rank(self) -> int:
-        return _REGION_RANK[self]
+    def __init__(self, value):
+        self.rank = len(type(self).__members__)  # 0, 1, 2 in stack order
 
-
-_REGION_RANK = {Region.FEOL: 0, Region.MOL: 1, Region.BEOL: 2}
 
 _BEOL_NAME = re.compile(r"M([1-9][0-9]*)\Z")
 
@@ -61,7 +60,7 @@ class LayerSpec:
     tags: frozenset[str] = frozenset()
 
     def process_ids(self) -> tuple[str, ...]:
-        return tuple(p for p in (self.metal_process, self.via_process) if p is not None)
+        return tuple([p for p in (self.metal_process, self.via_process) if p is not None])
 
     @property
     def is_power_grid(self) -> bool:
@@ -141,11 +140,12 @@ def stack_violations(stack: StackSpec, catalog: ProcessCatalog = DEFAULT_CATALOG
             )
         max_rank = max(max_rank, layer.region.rank)
 
-        if not layer.process_ids():
+        process_ids = layer.process_ids()
+        if not process_ids:
             violations.append(
                 Violation(layer.name, "missing-process", "neither metal_process nor via_process is set")
             )
-        for pid in layer.process_ids():
+        for pid in process_ids:
             if pid not in catalog:
                 violations.append(
                     Violation(
@@ -188,32 +188,75 @@ def validate_stack(stack: StackSpec, catalog: ProcessCatalog = DEFAULT_CATALOG) 
     return stack
 
 
+class LayerRow(NamedTuple):
+    """One layer of a stack's per-layer table. ``counts`` holds the layer's
+    integer figures as one vector, so that stack totals are column sums:
+    steps by category (StepCounts field order), then masks by Region, then
+    masks by ExposureClass (each in declaration order)."""
+
+    spec: LayerSpec
+    metrics: LayerMetrics
+    counts: tuple[int, ...]
+
+
+_REGIONS = tuple(Region)
+_EXPOSURES = tuple(ExposureClass)
+
+
+def layer_row(
+    layer: LayerSpec,
+    catalog: ProcessCatalog = DEFAULT_CATALOG,
+    weights: EnergyWeights = DEFAULT_WEIGHTS,
+) -> LayerRow:
+    """Look up each process of the layer once and derive its figures.
+
+    The PFAS-containing-layer count of a layer equals its total mask count:
+    an absent metal or via process contributes nothing.
+    """
+    processes = [catalog.lookup(pid) for pid in layer.process_ids()]
+    steps = StepCounts(*[sum(c) for c in zip(*[p.steps.as_tuple() for p in processes])])
+    masks = 0
+    energy = 0.0
+    by_region = [0] * len(_REGIONS)
+    by_exposure = [0] * len(_EXPOSURES)
+    for proc in processes:
+        masks += proc.masks
+        energy += proc.masks * weights.per_mask(proc.exposure)
+        by_exposure[_EXPOSURES.index(proc.exposure)] += proc.masks
+    by_region[layer.region.rank] = masks
+    metrics = LayerMetrics(layer.name, steps.litho, steps, masks, masks, energy)
+    counts = (*steps.as_tuple(), *by_region, *by_exposure)
+    return LayerRow(layer, metrics, counts)
+
+
+def row_totals(rows: Sequence[LayerRow]) -> tuple[StepCounts, dict, dict]:
+    """Column sums of the rows' counts: total steps, masks by region, and
+    masks by exposure class."""
+    columns = [sum(column) for column in zip(*[row.counts for row in rows])]
+    columns = columns or [0] * (6 + len(_REGIONS) + len(_EXPOSURES))
+    return (
+        StepCounts(*columns[:6]),
+        dict(zip(_REGIONS, columns[6:9])),
+        dict(zip(_EXPOSURES, columns[9:])),
+    )
+
+
+def layer_table(
+    stack: StackSpec,
+    catalog: ProcessCatalog = DEFAULT_CATALOG,
+    weights: EnergyWeights = DEFAULT_WEIGHTS,
+) -> tuple[LayerRow, ...]:
+    """The stack's rows, bottom-up, each layer derived once."""
+    return tuple([layer_row(layer, catalog, weights) for layer in stack.layers])
+
+
 def derive_layer_metrics(
     layer: LayerSpec,
     catalog: ProcessCatalog = DEFAULT_CATALOG,
     weights: EnergyWeights = DEFAULT_WEIGHTS,
 ) -> LayerMetrics:
-    """Masks, steps, and relative litho energy for one layer.
-
-    The PFAS-containing-layer count of a layer equals its total mask count:
-    an absent metal or via process contributes nothing.
-    """
-    steps = StepCounts()
-    masks = 0
-    energy = 0.0
-    for pid in layer.process_ids():
-        proc = catalog.lookup(pid)
-        steps = steps + proc.steps
-        masks += proc.masks
-        energy += proc.masks * weights.per_mask(proc.exposure)
-    return LayerMetrics(
-        name=layer.name,
-        litho_steps=steps.litho,
-        total_steps=steps,
-        masks=masks,
-        pfas_layers=masks,
-        litho_energy=energy,
-    )
+    """Masks, steps, and relative litho energy for one layer."""
+    return layer_row(layer, catalog, weights).metrics
 
 
 def _feol(name, pitch, metal):

@@ -13,6 +13,7 @@ from pfasfab import (
     asap7_preset,
     carbon_band,
     embodied_carbon,
+    estimate_carbon,
     n7_fixture,
     stack_metrics,
 )
@@ -25,6 +26,16 @@ LITHO_ONLY = CarbonParams(
     gas_per_area=0.0,
     material_per_area=0.0,
 )
+
+
+def test_estimate_carbon_adds_band_only_when_given(asap7):
+    metrics = stack_metrics(asap7)
+    design = DesignParams(2.0, 0.8)
+    params = CarbonParams(0.4, 0.05, 5.0, 0.3, 0.5)
+    assert estimate_carbon(metrics, design, params) == embodied_carbon(metrics, design, params)
+    assert estimate_carbon(metrics, design, params, (0.02, 0.82)) == carbon_band(
+        metrics, design, params, 0.02, 0.82
+    )
 
 
 def test_degenerate_params_isolate_litho_term(asap7):

@@ -205,6 +205,25 @@ def test_error_paths_exit_one_with_location(args, needle):
     assert proc.stdout == ""
 
 
+def test_sweep_duplicate_targets_exit_one():
+    proc = run_cli("sweep", "--stack", "asap7", "--targets", "M3,M3,M5")
+    assert proc.returncode == 1
+    assert proc.stderr == "error: target 'M3' is given more than once\n"
+    assert proc.stdout == ""
+
+
+def test_huge_config_number_exits_one_naming_field(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(
+        '{"stack": "asap7", "design": {"area_cm2": %s, "yield": 1}}' % ("9" * 400),
+        encoding="utf-8",
+    )
+    proc = run_cli("analyze", "--config", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: design.area_cm2: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_usage_error_exits_two():
     proc = run_cli("frobnicate")
     assert proc.returncode == 2

@@ -166,6 +166,52 @@ def test_non_finite_numbers_rejected():
         parse_config('{"trend": {"series": [["7nm", NaN]], "reference": "7nm"}}')
 
 
+def test_infinite_pitch_rejected_at_its_field():
+    document = {
+        "stack": {
+            "technology_node": "t",
+            "layers": [
+                {"name": "M1", "region": "BEOL", "metal_process": "EUV_LE", "pitch_nm": 36},
+                {"name": "M2", "region": "BEOL", "metal_process": "EUV_LE", "pitch_nm": 1e999},
+            ],
+        }
+    }
+    text = json.dumps(document)
+    assert '"pitch_nm": Infinity' in text
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text)
+    (location, message), = excinfo.value.entries
+    assert location == "stack.layers[1].pitch_nm"
+    assert "finite" in message
+
+
+HUGE = "9" * 400  # a JSON integer too large for a float
+
+
+@pytest.mark.parametrize(
+    "document, location",
+    [
+        ('{"stack": "asap7", "design": {"area_cm2": %s, "yield": 1}}', "design.area_cm2"),
+        (
+            '{"fab": {"carbon": {"carbon_intensity": 0.4, "energy_per_unit_litho": 0.05, '
+            '"energy_per_area_base": %s, "gas_per_area": 0.3, "material_per_area": 0.5}}}',
+            "fab.carbon.energy_per_area_base",
+        ),
+        (
+            '{"soc": {"target_top": "M4", "blocks": [{"name": "cpu", "area_cm2": 0.1, '
+            '"required_top": "M7", "area_overhead": {"M4": %s}}]}}',
+            "soc.blocks[0].area_overhead.M4",
+        ),
+        ('{"trend": {"series": [["7nm", %s]], "reference": "7nm"}}', "trend.series[0]"),
+    ],
+    ids=["design", "carbon", "overhead", "trend"],
+)
+def test_overflowing_integer_rejected_at_its_field(document, location):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(document % HUGE)
+    assert [loc for loc, _ in excinfo.value.entries] == [location]
+
+
 def test_scenario_sections_parse():
     document = {
         "stack": "asap7",

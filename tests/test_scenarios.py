@@ -5,23 +5,34 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pfasfab import (
+    DEFAULT_CATALOG,
     CarbonParams,
     DesignParams,
     DomainError,
+    DuplicateTargetError,
+    EnergyWeights,
+    ExposureClass,
+    LayerMetrics,
+    LayerSpec,
     MissingOverheadError,
     Region,
     SocBlock,
+    StackMetrics,
     StackSpec,
+    StepCounts,
     TrendReferenceError,
     TrendSeries,
     UnknownTargetError,
     asap7_preset,
+    beol_index,
     compare_stacks,
     compose_soc,
     n7_fixture,
     normalize_trend,
+    stack_metrics,
     sweep_beol,
 )
+from pfasfab.stack import TAG_POWER_GRID, TAG_ROUTING
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +116,11 @@ def test_sweep_unknown_target(asap7):
         sweep_beol(asap7, ["Fin"])
 
 
+def test_sweep_duplicate_target_rejected(asap7):
+    with pytest.raises(DuplicateTargetError, match="'M3'"):
+        sweep_beol(asap7, ["M3", "M3", "M5"])
+
+
 def test_sweep_power_grid_dropped_without_retention(asap7):
     points = sweep_beol(asap7, ["M7"], retain_power_grid=False)
     names = points[1].stack.names()
@@ -152,6 +168,102 @@ def test_sweep_fills_chip_and_carbon_when_given(asap7):
     target = points[1]
     assert target.chip.value == 17 * 2.0 / 0.8
     assert target.carbon.low_kg < target.carbon.embodied_kg < target.carbon.high_kg
+
+
+# ---------------------------------------------------------------------------
+# Sweep and SoC points equal a fresh layer-by-layer evaluation of their stack
+
+
+def _truncate_beol(stack, top_index, retain_power_grid):
+    """The capping rule: drop BEOL routing layers above ``top_index``; keep
+    power-grid layers only when retention is on."""
+    kept = []
+    for layer in stack.layers:
+        if layer.region is not Region.BEOL:
+            kept.append(layer)
+        elif layer.is_power_grid:
+            if retain_power_grid:
+                kept.append(layer)
+        elif top_index is not None and beol_index(layer.name) <= top_index:
+            kept.append(layer)
+    return StackSpec(technology_node=stack.technology_node, layers=tuple(kept))
+
+
+def _layer_by_layer(stack, weights):
+    """Stack metrics accumulated one layer and one process at a time."""
+    by_region = {region: 0 for region in Region}
+    by_exposure = {exposure: 0 for exposure in ExposureClass}
+    total_steps, energy, per_layer = StepCounts(), 0.0, []
+    for layer in stack.layers:
+        steps, masks, layer_energy = StepCounts(), 0, 0.0
+        for pid in layer.process_ids():
+            proc = DEFAULT_CATALOG.lookup(pid)
+            steps = steps + proc.steps
+            masks += proc.masks
+            layer_energy += proc.masks * weights.per_mask(proc.exposure)
+            by_exposure[proc.exposure] += proc.masks
+        per_layer.append(LayerMetrics(layer.name, steps.litho, steps, masks, masks, layer_energy))
+        by_region[layer.region] += masks
+        total_steps = total_steps + steps
+        energy += layer_energy
+    return StackMetrics(
+        stack.technology_node, sum(by_region.values()), by_region, by_exposure,
+        total_steps, total_steps.litho, energy, tuple(per_layer),
+    )
+
+
+def _assert_fresh(metrics, stack, weights):
+    # repr pins every float bit and every int/float type, not just equality
+    assert repr(metrics) == repr(stack_metrics(stack, DEFAULT_CATALOG, weights))
+    assert repr(metrics) == repr(_layer_by_layer(stack, weights))
+
+
+_PROCESSES = st.sampled_from(DEFAULT_CATALOG.ids())
+_NON_INTEGER = st.floats(min_value=0.1, max_value=40.0).filter(lambda w: w != int(w))
+
+
+@st.composite
+def _random_stacks(draw):
+    """Valid stacks with power-grid layers anywhere in the BEOL."""
+    layers = []
+    for region, most in ((Region.FEOL, 3), (Region.MOL, 2)):
+        for i in range(draw(st.integers(0, most))):
+            metal = draw(st.none() | _PROCESSES)
+            via = draw(_PROCESSES) if metal is None else draw(st.none() | _PROCESSES)
+            layers.append(LayerSpec(f"{region.value}{i}", region, None, metal, via))
+    for k in sorted(draw(st.sets(st.integers(1, 14), min_size=1, max_size=9))):
+        tag = draw(st.sampled_from((TAG_ROUTING, TAG_POWER_GRID)))
+        layers.append(LayerSpec(
+            f"M{k}", Region.BEOL, None, draw(_PROCESSES), draw(st.none() | _PROCESSES),
+            frozenset({tag}),
+        ))
+    return StackSpec("random", tuple(layers))
+
+
+@given(stack=_random_stacks(), retain=st.booleans(), data=st.data(),
+       weights=st.builds(EnergyWeights, _NON_INTEGER, _NON_INTEGER))
+def test_sweep_points_equal_fresh_evaluation(stack, retain, data, weights):
+    beol = [l.name for l in stack.beol_layers()]
+    targets = data.draw(st.lists(st.sampled_from(beol), min_size=1, unique=True))
+    points = sweep_beol(stack, targets, retain_power_grid=retain, weights=weights)
+    assert len(points) == len(targets) + 1
+    for point in points:
+        top = point.top_routing_layer
+        assert point.stack == _truncate_beol(stack, beol_index(top) if top else None, retain)
+        _assert_fresh(point.metrics, point.stack, weights)
+
+
+@given(stack=_random_stacks(), retain=st.booleans(), data=st.data(),
+       weights=st.builds(EnergyWeights, _NON_INTEGER, _NON_INTEGER))
+def test_soc_metrics_equal_fresh_evaluation(stack, retain, data, weights):
+    beol = [l.name for l in stack.beol_layers()]
+    target = data.draw(st.sampled_from(beol))
+    required = data.draw(st.lists(st.sampled_from(beol), min_size=1, max_size=3))
+    blocks = [SocBlock(f"b{i}", 0.25, top, {target: 1.5}) for i, top in enumerate(required)]
+    report = compose_soc(blocks, stack, target, retain_power_grid=retain, weights=weights)
+    chip_top = max(min(beol_index(top), beol_index(target)) for top in required)
+    _assert_fresh(report.baseline_metrics, stack, weights)
+    _assert_fresh(report.constrained_metrics, _truncate_beol(stack, chip_top, retain), weights)
 
 
 # ---------------------------------------------------------------------------
