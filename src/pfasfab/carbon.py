@@ -31,6 +31,7 @@ class CarbonParams:
     material_per_area: float  # kg CO2e per cm2, materials procurement
 
     def __post_init__(self):
+        failed = []
         for name, value in (
             ("carbon_intensity", self.carbon_intensity),
             ("energy_per_unit_litho", self.energy_per_unit_litho),
@@ -38,8 +39,10 @@ class CarbonParams:
             ("gas_per_area", self.gas_per_area),
             ("material_per_area", self.material_per_area),
         ):
-            if not (math.isfinite(value) and value >= 0):
-                raise DomainError(f"{name} must be finite and >= 0, got {value}")
+            if not 0 <= value < math.inf:
+                failed.append((name, f"{name} must be finite and >= 0, got {value}"))
+        if failed:
+            raise DomainError("; ".join(message for _, message in failed), failed)
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,21 @@ def embodied_carbon(
         + params.gas_per_area
         + params.material_per_area
     )
-    return CarbonResult(embodied_kg=design.area_cm2 / design.yield_fraction * per_cm2)
+    embodied_kg = design.area_cm2 / design.yield_fraction * per_cm2
+    if not math.isfinite(embodied_kg):
+        raise DomainError(f"embodied carbon overflows: {design.area_cm2} cm2 / yield "
+                          f"{design.yield_fraction} x {per_cm2} kg CO2e/cm2 is {embodied_kg}")
+    return CarbonResult(embodied_kg=embodied_kg)
+
+
+def validate_ci_band(low: float, high: float) -> tuple[float, float]:
+    """``(low, high)`` if both are finite and >= 0 and low <= high, else DomainError."""
+    if not (0 <= low < math.inf and 0 <= high < math.inf):
+        raise DomainError(
+            f"carbon-intensity band bounds must be finite and >= 0, got {low}, {high}")
+    if low > high:
+        raise DomainError(f"inverted carbon-intensity band: low {low} > high {high}")
+    return (low, high)
 
 
 def carbon_band(
@@ -74,10 +91,7 @@ def carbon_band(
 ) -> CarbonResult:
     """Embodied carbon at the profile's nominal carbon intensity, plus the
     band spanned between a low and a high grid intensity."""
-    if ci_low > ci_high:
-        raise DomainError(f"inverted carbon-intensity band: {ci_low} > {ci_high}")
-    if not (ci_low >= 0 and ci_high >= 0):
-        raise DomainError("carbon-intensity band bounds must be >= 0")
+    validate_ci_band(ci_low, ci_high)
     nominal = embodied_carbon(metrics, design, params)
     low = embodied_carbon(metrics, design, replace(params, carbon_intensity=ci_low))
     high = embodied_carbon(metrics, design, replace(params, carbon_intensity=ci_high))

@@ -108,9 +108,13 @@ class EnergyWeights:
     per_duv_mask: float = 1.0
 
     def __post_init__(self):
-        for value in (self.per_euv_mask, self.per_duv_mask):
-            if not (math.isfinite(value) and value > 0):
-                raise InvalidProcessError(f"energy weights must be finite and > 0, got {value}")
+        failed = []
+        for name, value in (("per_euv_mask", self.per_euv_mask),
+                            ("per_duv_mask", self.per_duv_mask)):
+            if not 0 < value < math.inf:
+                failed.append((name, f"energy weight {name} must be finite and > 0, got {value}"))
+        if failed:
+            raise InvalidProcessError("; ".join(message for _, message in failed), failed)
 
     def per_mask(self, exposure: ExposureClass) -> float:
         return self.per_euv_mask if exposure.is_euv else self.per_duv_mask

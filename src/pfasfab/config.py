@@ -21,8 +21,10 @@ An inline stack document is {"schema_version"?, "technology_node",
 "via_process"?, "tags"?}]}. Exactly one stack source (preset or inline
 layers) may be given per analysis.
 
-Unknown keys are rejected in strict mode and collected as warnings
-otherwise. All violations are reported together with field paths.
+The parser checks shape only; range rules are those of the domain types,
+whose DomainError fields are reported at their config paths. Unknown keys
+are rejected in strict mode and collected as warnings otherwise. All
+violations are reported together with field paths.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .carbon import CarbonParams
+from .carbon import CarbonParams, validate_ci_band
 from .catalog import DEFAULT_CATALOG, EnergyWeights
 from .engine import DesignParams
 from .errors import ConfigError, DomainError
@@ -95,7 +97,15 @@ class ConfigDocument:
     warnings: tuple[str, ...] = ()
 
 
-_NOT_FINITE = "must be a finite number within floating-point range"
+# Domain field name -> config key, where the two differ.
+_CONFIG_KEYS = {
+    "yield_fraction": "yield",
+    "baseline_area_cm2": "area_cm2",
+    "required_top_layer": "required_top",
+}
+
+
+_KINDS = {"number": (int, float), "string": str}
 
 
 def _finite(value) -> bool:
@@ -134,30 +144,45 @@ class _Collector:
         self.check_keys(obj, known, path)
         return True
 
-    def number(self, obj: dict, key: str, path: str, required=False):
-        if key not in obj:
+    def value(self, obj: dict, key: str, path: str, kind: str, required=False, nullable=False):
+        """``obj[key]`` if it is a ``kind``: "number" (finite, fits a float)
+        or "string"; else None with the error recorded. An absent key, or a
+        null one when ``nullable``, gives None, an error when ``required``."""
+        value = obj.get(key)
+        if key not in obj or (nullable and value is None):
             if required:
                 self.error(f"{path}.{key}", "required field is missing")
             return None
-        value = obj[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.error(f"{path}.{key}", f"must be a number, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, _KINDS[kind]):
+            or_null = " or null" if nullable else ""
+            self.error(f"{path}.{key}", f"must be a {kind}{or_null}, got {value!r}")
             return None
-        if not _finite(value):
-            self.error(f"{path}.{key}", _NOT_FINITE)
+        if kind == "number" and not _finite(value):
+            self.error(f"{path}.{key}", "must be a finite number within floating-point range")
             return None
         return value
 
-    def string(self, obj: dict, key: str, path: str, required=False):
-        if key not in obj:
-            if required:
-                self.error(f"{path}.{key}", "required field is missing")
+    def numbers(self, obj: dict, keys, path: str) -> dict | None:
+        """The required numbers ``keys`` of ``obj`` as floats; None if any is bad."""
+        values = {key: self.value(obj, key, path, "number", required=True) for key in keys}
+        if None in values.values():
             return None
-        value = obj[key]
-        if not isinstance(value, str):
-            self.error(f"{path}.{key}", f"must be a string, got {value!r}")
+        return {key: float(value) for key, value in values.items()}
+
+    def build(self, cls, path: str, **fields):
+        """``cls(**fields)``, or None with each failing field of its DomainError
+        reported at ``<path>.<config key>`` (at ``path`` when it names none)."""
+        try:
+            return cls(**fields)
+        except DomainError as exc:
+            for field, message in exc.fields or ((None, str(exc)),):
+                self.error(f"{path}.{_CONFIG_KEYS.get(field, field)}" if field else path, message)
             return None
-        return value
+
+    def version(self, obj: dict, path: str):
+        version = obj.get("schema_version")
+        if version is not None and str(version) != SCHEMA_VERSION:
+            self.error(path, f"unsupported version {version!r}; expected {SCHEMA_VERSION}")
 
     def boolean(self, obj: dict, key: str, path: str, default: bool):
         if key not in obj:
@@ -195,8 +220,8 @@ _STACK_KEYS = {"schema_version", "technology_node", "layers"}
 def _parse_layer(obj, path: str, col: _Collector) -> LayerSpec | None:
     if not col.section(obj, _LAYER_KEYS, path, "layer "):
         return None
-    name = col.string(obj, "name", path, required=True)
-    region_name = col.string(obj, "region", path, required=True)
+    name = col.value(obj, "name", path, "string", required=True)
+    region_name = col.value(obj, "region", path, "string", required=True)
     region = None
     if region_name is not None:
         try:
@@ -206,20 +231,11 @@ def _parse_layer(obj, path: str, col: _Collector) -> LayerSpec | None:
                 f"{path}.region",
                 f"must be one of FEOL, MOL, BEOL, got {region_name!r}",
             )
-    pitch = obj.get("pitch_nm")
-    if pitch is not None and (isinstance(pitch, bool) or not isinstance(pitch, (int, float))):
-        col.error(f"{path}.pitch_nm", f"must be a number or null, got {pitch!r}")
-        pitch = None
-    elif pitch is not None and not _finite(pitch):
-        col.error(f"{path}.pitch_nm", _NOT_FINITE)
-        pitch = None
-    processes = {}
-    for key in ("metal_process", "via_process"):
-        value = obj.get(key)
-        if value is not None and not isinstance(value, str):
-            col.error(f"{path}.{key}", f"must be a string or null, got {value!r}")
-            value = None
-        processes[key] = value
+    pitch = col.value(obj, "pitch_nm", path, "number", nullable=True)
+    processes = {
+        key: col.value(obj, key, path, "string", nullable=True)
+        for key in ("metal_process", "via_process")
+    }
     tags = obj.get("tags", [])
     if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
         col.error(f"{path}.tags", f"must be a list of strings, got {tags!r}")
@@ -245,10 +261,8 @@ def _parse_layer(obj, path: str, col: _Collector) -> LayerSpec | None:
 def stack_from_dict(obj: dict, path: str, col: _Collector) -> StackSpec | None:
     if not col.section(obj, _STACK_KEYS, path, "stack document "):
         return None
-    version = obj.get("schema_version")
-    if version is not None and str(version) != SCHEMA_VERSION:
-        col.error(f"{path}.schema_version", f"unsupported version {version!r}")
-    node = col.string(obj, "technology_node", path, required=True)
+    col.version(obj, f"{path}.schema_version")
+    node = col.value(obj, "technology_node", path, "string", required=True)
     raw_layers = obj.get("layers")
     if not isinstance(raw_layers, list):
         col.error(f"{path}.layers", "required field must be a list of layers")
@@ -290,22 +304,12 @@ def _parse_stack_ref(value, path: str, col: _Collector) -> StackSpec | None:
 def _parse_design(obj, path: str, col: _Collector) -> DesignParams | None:
     if not col.section(obj, {"area_cm2", "yield"}, path):
         return None
-    area = col.number(obj, "area_cm2", path, required=True)
-    yield_fraction = col.number(obj, "yield", path, required=True)
-    ok = True
-    if area is not None and not area > 0:
-        col.error(f"{path}.area_cm2", f"must be finite and > 0, got {area}")
-        ok = False
-    if yield_fraction is not None and not 0 < yield_fraction <= 1:
-        col.error(
-            f"{path}.yield",
-            f"must be within (0, 1]: the valid yield range is 0 - 1 with zero "
-            f"excluded, got {yield_fraction}",
-        )
-        ok = False
-    if area is None or yield_fraction is None or not ok:
+    values = col.numbers(obj, ("area_cm2", "yield"), path)
+    if values is None:
         return None
-    return DesignParams(area_cm2=float(area), yield_fraction=float(yield_fraction))
+    return col.build(
+        DesignParams, path, area_cm2=values["area_cm2"], yield_fraction=values["yield"]
+    )
 
 
 _CARBON_KEYS = (
@@ -320,49 +324,26 @@ _CARBON_KEYS = (
 def _parse_carbon(obj, path: str, col: _Collector) -> CarbonParams | None:
     if not col.section(obj, set(_CARBON_KEYS), path):
         return None
-    values = {}
-    for key in _CARBON_KEYS:
-        value = col.number(obj, key, path, required=True)
-        if value is not None and value < 0:
-            col.error(f"{path}.{key}", f"must be finite and >= 0, got {value}")
-            value = None
-        values[key] = value
-    if any(v is None for v in values.values()):
-        return None
-    return CarbonParams(**{k: float(v) for k, v in values.items()})
+    values = col.numbers(obj, _CARBON_KEYS, path)
+    return None if values is None else col.build(CarbonParams, path, **values)
 
 
 def _parse_ci_band(obj, path: str, col: _Collector) -> tuple[float, float] | None:
     if not col.section(obj, {"low", "high"}, path):
         return None
-    low = col.number(obj, "low", path, required=True)
-    high = col.number(obj, "high", path, required=True)
-    if low is None or high is None:
-        return None
-    if not (low >= 0 and high >= 0):
-        col.error(path, f"band bounds must be finite and >= 0, got {low}, {high}")
-        return None
-    if low > high:
-        col.error(path, f"band is inverted: low {low} > high {high}")
-        return None
-    return (float(low), float(high))
+    values = col.numbers(obj, ("low", "high"), path)
+    return None if values is None else col.build(validate_ci_band, path, **values)
 
 
 def _parse_fab(obj, path: str, col: _Collector):
-    weights = EnergyWeights()
-    carbon = None
-    ci_band = None
+    weights, carbon, ci_band = EnergyWeights(), None, None
     if not col.section(obj, {"energy_weights", "carbon", "ci_band"}, path):
         return weights, carbon, ci_band
     w, wpath = obj.get("energy_weights"), f"{path}.energy_weights"
     if "energy_weights" in obj and col.section(w, {"per_euv_mask", "per_duv_mask"}, wpath):
-        euv = col.number(w, "per_euv_mask", wpath, required=True)
-        duv = col.number(w, "per_duv_mask", wpath, required=True)
-        if euv is not None and duv is not None:
-            if euv > 0 and duv > 0:
-                weights = EnergyWeights(per_euv_mask=float(euv), per_duv_mask=float(duv))
-            else:
-                col.error(wpath, "weights must be finite and > 0")
+        values = col.numbers(w, ("per_euv_mask", "per_duv_mask"), wpath)
+        if values is not None:
+            weights = col.build(EnergyWeights, wpath, **values) or weights
     if "carbon" in obj:
         carbon = _parse_carbon(obj["carbon"], f"{path}.carbon", col)
     if "ci_band" in obj:
@@ -400,7 +381,7 @@ def _parse_sweep(obj, path: str, col: _Collector) -> SweepSection | None:
 def _parse_soc(obj, path: str, col: _Collector) -> SocSection | None:
     if not col.section(obj, {"blocks", "target_top", "retain_power_grid"}, path):
         return None
-    target = col.string(obj, "target_top", path, required=True)
+    target = col.value(obj, "target_top", path, "string", required=True)
     raw_blocks = obj.get("blocks")
     if not isinstance(raw_blocks, list) or not raw_blocks:
         col.error(f"{path}.blocks", "required field must be a non-empty list of blocks")
@@ -412,37 +393,26 @@ def _parse_soc(obj, path: str, col: _Collector) -> SocSection | None:
             raw, {"name", "area_cm2", "required_top", "area_overhead"}, bpath, "block "
         ):
             continue
-        name = col.string(raw, "name", bpath, required=True)
-        area = col.number(raw, "area_cm2", bpath, required=True)
-        required_top = col.string(raw, "required_top", bpath, required=True)
+        name = col.value(raw, "name", bpath, "string", required=True)
+        area = col.value(raw, "area_cm2", bpath, "number", required=True)
+        required_top = col.value(raw, "required_top", bpath, "string", required=True)
         overhead = raw.get("area_overhead", {})
         if not isinstance(overhead, dict):
             col.error(f"{bpath}.area_overhead", f"must be an object, got {overhead!r}")
             overhead = {}
-        factors = {}
-        for label, factor in overhead.items():
-            if isinstance(factor, bool) or not isinstance(factor, (int, float)) or not (
-                _finite(factor) and factor >= 1
-            ):
-                col.error(
-                    f"{bpath}.area_overhead.{label}",
-                    f"factor must be a finite number >= 1, got {factor!r}",
-                )
-            else:
-                factors[label] = float(factor)
-        if name is None or area is None or required_top is None:
+        factors = col.numbers(overhead, overhead, f"{bpath}.area_overhead")
+        if None in (name, area, required_top, factors):
             continue
-        try:
-            blocks.append(
-                SocBlock(
-                    name=name,
-                    baseline_area_cm2=float(area),
-                    required_top_layer=required_top,
-                    area_overhead=factors,
-                )
-            )
-        except DomainError as exc:
-            col.error(bpath, str(exc))
+        block = col.build(
+            SocBlock,
+            bpath,
+            name=name,
+            baseline_area_cm2=float(area),
+            required_top_layer=required_top,
+            area_overhead=factors,
+        )
+        if block is not None:
+            blocks.append(block)
     if target is None or len(blocks) != len(raw_blocks):
         return None
     return SocSection(
@@ -474,12 +444,10 @@ def _parse_trend(obj, path: str, col: _Collector) -> TrendSection | None:
             points.append((pair[0], float(pair[1])))
     if len(points) != len(raw):
         return None
-    try:
-        series = TrendSeries(points=tuple(points))
-    except DomainError as exc:
-        col.error(f"{path}.series", str(exc))
+    series = col.build(TrendSeries, f"{path}.series", points=tuple(points))
+    if series is None:
         return None
-    return TrendSection(series=series, reference=col.string(obj, "reference", path))
+    return TrendSection(series=series, reference=col.value(obj, "reference", path, "string"))
 
 
 _TOP_KEYS = {"schema_version", "stack", "design", "fab", "compare", "sweep", "soc", "trend"}
@@ -490,9 +458,7 @@ def parse_config_dict(raw, strict: bool = False) -> ConfigDocument:
     if not isinstance(raw, dict):
         raise ConfigError([("<document>", f"config must be a JSON object, got {raw!r}")])
     col.check_keys(raw, _TOP_KEYS, "")
-    version = raw.get("schema_version")
-    if version is not None and str(version) != SCHEMA_VERSION:
-        col.error("schema_version", f"unsupported version {version!r}; expected {SCHEMA_VERSION}")
+    col.version(raw, "schema_version")
 
     stack = _parse_stack_ref(raw["stack"], "stack", col) if "stack" in raw else None
     design = _parse_design(raw["design"], "design", col) if "design" in raw else None
@@ -527,6 +493,8 @@ def _load_json(text: str):
         raise ConfigError(
             [(f"line {exc.lineno}, column {exc.colno}", f"invalid JSON: {exc.msg}")]
         ) from None
+    except ValueError as exc:  # an integer literal longer than int-to-str conversion allows
+        raise ConfigError([("<document>", f"invalid JSON: {exc}")]) from None
 
 
 def parse_config(text: str, strict: bool = False) -> ConfigDocument:
@@ -535,8 +503,7 @@ def parse_config(text: str, strict: bool = False) -> ConfigDocument:
     Raises ConfigError carrying every violation with its location; in
     lenient mode unknown keys surface as warnings on the returned document.
     """
-    raw = _load_json(text)
-    return parse_config_dict(raw, strict=strict)
+    return parse_config_dict(_load_json(text), strict=strict)
 
 
 def parse_carbon_profile(text: str, strict: bool = False):

@@ -32,13 +32,14 @@ class DesignParams:
     yield_fraction: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.area_cm2) and self.area_cm2 > 0):
-            raise DomainError(f"area_cm2 must be finite and > 0, got {self.area_cm2}")
+        failed = []
+        if not 0 < self.area_cm2 < math.inf:
+            failed.append(("area_cm2", f"area_cm2 must be finite and > 0, got {self.area_cm2}"))
         if not 0 < self.yield_fraction <= 1:
-            raise DomainError(
-                f"yield must be within (0, 1] (the 0 - 1 range with zero excluded), "
-                f"got {self.yield_fraction}"
-            )
+            failed.append(("yield_fraction", "yield must be within (0, 1] (the 0 - 1 range "
+                           f"with zero excluded), got {self.yield_fraction}"))
+        if failed:
+            raise DomainError("; ".join(message for _, message in failed), failed)
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,8 @@ def metrics_from_rows(technology_node: str, rows: Sequence[LayerRow]) -> StackMe
     litho_energy = 0.0
     for row in rows:  # in stack order, so the float sum is the layer-by-layer one
         litho_energy += row.metrics.litho_energy
+    if not math.isfinite(litho_energy):
+        raise DomainError(f"total litho energy of {technology_node} overflows to {litho_energy}")
     total_steps, by_region, by_exposure = row_totals(rows)
     return StackMetrics(
         technology_node=technology_node,
@@ -103,8 +106,12 @@ def stack_metrics(
 
 def chip_pfas(metrics: StackMetrics, design: DesignParams) -> ChipPfas:
     """Scale stack PFAS layers to one good chip: layers x area / yield."""
+    value = metrics.total_pfas_layers * design.area_cm2 / design.yield_fraction
+    if not math.isfinite(value):
+        raise DomainError(f"chip PFAS overflows: {metrics.total_pfas_layers} layers x "
+                          f"{design.area_cm2} cm2 / yield {design.yield_fraction} is {value}")
     return ChipPfas(
-        value=metrics.total_pfas_layers * design.area_cm2 / design.yield_fraction,
+        value=value,
         stack=metrics.technology_node,
         area_cm2=design.area_cm2,
         yield_fraction=design.yield_fraction,

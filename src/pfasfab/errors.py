@@ -21,12 +21,18 @@ class ProcessCollisionError(PfasfabError):
     """Attempt to register a process under an id that already exists."""
 
 
-class InvalidProcessError(PfasfabError, ValueError):
-    """A process record violates a field invariant."""
-
-
 class DomainError(PfasfabError, ValueError):
-    """A numeric input is outside its valid domain."""
+    """A numeric input is outside its valid domain. ``fields`` holds a
+    (field name, message) pair per failing field; it is empty for a rule
+    that names no single field."""
+
+    def __init__(self, message: str, fields=()):
+        super().__init__(message)
+        self.fields = tuple(fields)
+
+
+class InvalidProcessError(DomainError):
+    """A process record violates a field invariant."""
 
 
 class StackValidationError(PfasfabError):

@@ -192,7 +192,7 @@ def build_report(command: str, inputs: dict, result: dict) -> dict:
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    return json.dumps(report, indent=2, allow_nan=False) + "\n"
 
 
 def _fmt_machine(value) -> str:

@@ -170,22 +170,19 @@ class SocBlock:
     area_overhead: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (math.isfinite(self.baseline_area_cm2) and self.baseline_area_cm2 > 0):
-            raise DomainError(
-                f"block {self.name!r}: baseline_area_cm2 must be finite and > 0, "
-                f"got {self.baseline_area_cm2}"
-            )
+        failed = []
+        if not 0 < self.baseline_area_cm2 < math.inf:
+            failed.append(("baseline_area_cm2", f"block {self.name!r}: baseline_area_cm2 must "
+                           f"be finite and > 0, got {self.baseline_area_cm2}"))
         if beol_index(self.required_top_layer) is None:
-            raise DomainError(
-                f"block {self.name!r}: required_top_layer must be a BEOL label M<k>, "
-                f"got {self.required_top_layer!r}"
-            )
+            failed.append(("required_top_layer", f"block {self.name!r}: required_top_layer must "
+                           f"be a BEOL label M<k>, got {self.required_top_layer!r}"))
         for target, factor in self.area_overhead.items():
-            if not (math.isfinite(factor) and factor >= 1):
-                raise DomainError(
-                    f"block {self.name!r}: overhead factor for {target} must be finite "
-                    f"and >= 1, got {factor}"
-                )
+            if not 1 <= factor < math.inf:
+                failed.append((f"area_overhead.{target}", f"block {self.name!r}: overhead factor "
+                               f"for {target} must be finite and >= 1, got {factor}"))
+        if failed:
+            raise DomainError("; ".join(message for _, message in failed), failed)
 
     def overhead_factor(self, target: str) -> float:
         target_index = beol_index(target)
@@ -342,10 +339,11 @@ def normalize_trend(series: TrendSeries, reference: str) -> TrendSeries:
     ref_value = values[reference]
     if ref_value == 0:
         raise TrendReferenceError(f"reference node {reference!r} has value 0")
-    return TrendSeries(
-        points=tuple(
-            (node, 1.0 if node == reference else value / ref_value)
-            for node, value in series.points
-        ),
-        reference=reference,
-    )
+    points = []
+    for node, value in series.points:
+        normalized = 1.0 if node == reference else value / ref_value
+        if not math.isfinite(normalized):
+            raise DomainError(f"trend value for {node!r} normalized to reference {reference!r} "
+                              f"overflows: {value} / {ref_value} is {normalized}")
+        points.append((node, normalized))
+    return TrendSeries(points=tuple(points), reference=reference)

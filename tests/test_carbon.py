@@ -14,6 +14,7 @@ from pfasfab import (
     carbon_band,
     embodied_carbon,
     estimate_carbon,
+    validate_ci_band,
     n7_fixture,
     stack_metrics,
 )
@@ -102,6 +103,30 @@ def test_inverted_band_rejected(asap7):
 def test_negative_parameter_rejected():
     with pytest.raises(DomainError):
         CarbonParams(-0.1, 1.0, 0.0, 0.0, 0.0)
+
+
+def test_carbon_params_report_every_failing_field():
+    with pytest.raises(DomainError) as excinfo:
+        CarbonParams(-0.1, 1.0, math.inf, 0.0, math.nan)
+    assert [field for field, _ in excinfo.value.fields] == [
+        "carbon_intensity", "energy_per_area_base", "material_per_area",
+    ]
+
+
+def test_validate_ci_band():
+    assert validate_ci_band(0.02, 0.82) == (0.02, 0.82)
+    assert validate_ci_band(0.5, 0.5) == (0.5, 0.5)
+    with pytest.raises(DomainError, match="inverted"):
+        validate_ci_band(0.82, 0.02)
+    for low, high in [(-0.5, 0.02), (0.0, math.inf), (math.nan, 0.5)]:
+        with pytest.raises(DomainError, match="finite and >= 0"):
+            validate_ci_band(low, high)
+
+
+def test_embodied_carbon_overflow_is_a_domain_error(asap7):
+    params = CarbonParams(0.4, 0.05, 5.0, 1e308, 0.5)
+    with pytest.raises(DomainError, match="embodied carbon overflows"):
+        embodied_carbon(stack_metrics(asap7), DesignParams(1.0, 0.5), params)
 
 
 _PARAM = st.floats(min_value=0.0, max_value=10.0)

@@ -7,6 +7,7 @@ from pfasfab import (
     DEFAULT_CATALOG,
     EnergyWeights,
     ExposureClass,
+    DomainError,
     InvalidProcessError,
     ProcessClass,
     ProcessCollisionError,
@@ -97,6 +98,13 @@ def test_invalid_energy_weights_rejected():
         EnergyWeights(per_euv_mask=0)
     with pytest.raises(InvalidProcessError):
         EnergyWeights(per_duv_mask=-1)
+
+
+def test_invalid_energy_weights_name_each_field():
+    with pytest.raises(DomainError) as excinfo:
+        EnergyWeights(per_euv_mask=0.0, per_duv_mask=float("inf"))
+    assert isinstance(excinfo.value, InvalidProcessError)
+    assert [field for field, _ in excinfo.value.fields] == ["per_euv_mask", "per_duv_mask"]
 
 
 def test_mask_energy_examples():

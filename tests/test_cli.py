@@ -4,11 +4,13 @@ import json
 
 import pytest
 
-from conftest import CONFIGS, GOLDEN, run_cli
+from pfasfab.report import render_json
+
+from conftest import CONFIGS, GOLDEN, run_cli, run_main
 
 
 def _json_report(*args):
-    proc = run_cli(*args)
+    proc = run_main(*args)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -27,7 +29,7 @@ def test_analyze_json_totals():
 def test_analyze_csv_matches_json_numbers():
     args = ("analyze", "--stack", "asap7", "--area", "1", "--yield", "0.875")
     report = _json_report(*args, "--format", "json")
-    proc = run_cli(*args, "--format", "csv")
+    proc = run_main(*args, "--format", "csv")
     assert proc.returncode == 0
     rows = list(csv.DictReader(io.StringIO(proc.stdout)))
     per_layer = {pl["name"]: pl for pl in report["result"]["stack_metrics"]["per_layer"]}
@@ -44,7 +46,7 @@ def test_analyze_csv_matches_json_numbers():
 
 
 def test_analyze_table_has_reference_columns():
-    proc = run_cli("analyze", "--stack", "asap7", "--area", "1", "--yield", "1")
+    proc = run_main("analyze", "--stack", "asap7", "--area", "1", "--yield", "1")
     assert proc.returncode == 0
     assert "# Litho steps" in proc.stdout
     assert "E_litho" in proc.stdout
@@ -73,7 +75,7 @@ def test_compare_from_config():
 
 
 def test_sweep_beol_only_series():
-    proc = run_cli(
+    proc = run_main(
         "sweep", "--stack", "asap7", "--targets", "M7,M5,M3", "--beol-only", "--format", "csv"
     )
     assert proc.returncode == 0
@@ -93,7 +95,7 @@ def test_sweep_retention_from_flags():
 
 
 def test_sweep_conflicting_flags():
-    proc = run_cli("sweep", "--stack", "asap7", "--targets", "M3", "--retain-power-grid", "--beol-only")
+    proc = run_main("sweep", "--stack", "asap7", "--targets", "M3", "--retain-power-grid", "--beol-only")
     assert proc.returncode == 1
     assert "beol-only" in proc.stderr
 
@@ -131,7 +133,7 @@ def test_sweep_csv_matches_json_numbers():
         "sweep", "--config", str(CONFIGS / "sweep_asap7.json"),
     )
     report = _json_report(*args, "--format", "json")
-    proc = run_cli(*args, "--format", "csv")
+    proc = run_main(*args, "--format", "csv")
     rows = list(csv.DictReader(io.StringIO(proc.stdout)))
     for row, point in zip(rows, report["result"]["points"]):
         assert int(row["total_pfas_layers"]) == point["metrics"]["total_pfas_layers"]
@@ -144,7 +146,7 @@ def test_sweep_csv_matches_json_numbers():
 def test_soc_csv_matches_json_numbers():
     args = ("soc", "--config", str(CONFIGS / "soc_trainer.json"))
     report = _json_report(*args, "--format", "json")
-    proc = run_cli(*args, "--format", "csv")
+    proc = run_main(*args, "--format", "csv")
     lines = proc.stdout.split("metric,baseline,constrained\n")
     summary = {r["metric"]: r for r in csv.DictReader(
         io.StringIO("metric,baseline,constrained\n" + lines[1]))}
@@ -157,7 +159,7 @@ def test_soc_csv_matches_json_numbers():
 def test_trend_csv_matches_json_numbers():
     args = ("trend", "--config", str(CONFIGS / "trend_nodes.json"))
     report = _json_report(*args, "--format", "json")
-    proc = run_cli(*args, "--format", "csv")
+    proc = run_main(*args, "--format", "csv")
     rows = list(csv.DictReader(io.StringIO(proc.stdout)))
     by_node = {p["node"]: p for p in report["result"]["points"]}
     for row in rows:
@@ -167,7 +169,7 @@ def test_trend_csv_matches_json_numbers():
 def test_compare_csv_matches_json_numbers():
     args = ("compare", "n7_duv", "n7_euv")
     report = _json_report(*args, "--format", "json")
-    proc = run_cli(*args, "--format", "csv")
+    proc = run_main(*args, "--format", "csv")
     rows = {r["metric"]: r for r in csv.DictReader(io.StringIO(proc.stdout))}
     assert float(rows["pfas_layers"]["ratio_a_over_b"]) == report["result"]["ratio_pfas"]
     assert float(rows["percent_reduction"]["ratio_a_over_b"]) == report["result"]["percent_reduction"]
@@ -175,13 +177,13 @@ def test_compare_csv_matches_json_numbers():
 
 def test_export_catalog_matches_golden(tmp_path):
     out = tmp_path / "catalog.json"
-    proc = run_cli("export-catalog", "--out", str(out))
+    proc = run_main("export-catalog", "--out", str(out))
     assert proc.returncode == 0
     assert out.read_bytes() == (GOLDEN / "catalog_export.json").read_bytes()
 
 
 def test_export_catalog_csv_has_nine_rows():
-    proc = run_cli("export-catalog", "--format", "csv")
+    proc = run_main("export-catalog", "--format", "csv")
     rows = list(csv.DictReader(io.StringIO(proc.stdout)))
     assert len(rows) == 9
     assert rows[0]["id"] == "ArF_LE"
@@ -199,14 +201,14 @@ def test_export_catalog_csv_has_nine_rows():
     ],
 )
 def test_error_paths_exit_one_with_location(args, needle):
-    proc = run_cli(*args)
+    proc = run_main(*args)
     assert proc.returncode == 1
     assert needle in proc.stderr
     assert proc.stdout == ""
 
 
 def test_sweep_duplicate_targets_exit_one():
-    proc = run_cli("sweep", "--stack", "asap7", "--targets", "M3,M3,M5")
+    proc = run_main("sweep", "--stack", "asap7", "--targets", "M3,M3,M5")
     assert proc.returncode == 1
     assert proc.stderr == "error: target 'M3' is given more than once\n"
     assert proc.stdout == ""
@@ -218,7 +220,7 @@ def test_huge_config_number_exits_one_naming_field(tmp_path):
         '{"stack": "asap7", "design": {"area_cm2": %s, "yield": 1}}' % ("9" * 400),
         encoding="utf-8",
     )
-    proc = run_cli("analyze", "--config", str(path))
+    proc = run_main("analyze", "--config", str(path))
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: design.area_cm2: ")
     assert "Traceback" not in proc.stderr
@@ -232,14 +234,14 @@ def test_usage_error_exits_two():
 
 
 def test_unwritable_out_path_exits_one():
-    proc = run_cli("export-catalog", "--out", "/nonexistent_dir/x.json")
+    proc = run_main("export-catalog", "--out", "/nonexistent_dir/x.json")
     assert proc.returncode == 1
     assert "cannot write report" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
 def test_invalid_yield_flag_cites_range():
-    proc = run_cli("analyze", "--stack", "asap7", "--area", "1", "--yield", "0")
+    proc = run_main("analyze", "--stack", "asap7", "--area", "1", "--yield", "0")
     assert proc.returncode == 1
     assert "(0, 1]" in proc.stderr
 
@@ -250,10 +252,10 @@ def test_strict_mode_rejects_unknown_config_keys(tmp_path):
         '{"stack": "asap7", "design": {"area_cm2": 1, "yield": 1}, "extra": true}',
         encoding="utf-8",
     )
-    lenient = run_cli("analyze", "--config", str(path), "--format", "json")
+    lenient = run_main("analyze", "--config", str(path), "--format", "json")
     assert lenient.returncode == 0
     assert "warning" in lenient.stderr
-    strict = run_cli("analyze", "--config", str(path), "--strict", "--format", "json")
+    strict = run_main("analyze", "--config", str(path), "--strict", "--format", "json")
     assert strict.returncode == 1
     assert "extra" in strict.stderr
 
@@ -269,7 +271,72 @@ def test_invalid_stack_file_reports_violations(tmp_path):
         ),
         encoding="utf-8",
     )
-    proc = run_cli("analyze", "--stack", str(path), "--area", "1", "--yield", "1")
+    proc = run_main("analyze", "--stack", str(path), "--area", "1", "--yield", "1")
     assert proc.returncode == 1
     assert "M1" in proc.stderr
     assert "unknown-process" in proc.stderr
+
+
+def test_flag_and_config_print_the_same_range_message(tmp_path):
+    flag = run_main("analyze", "--stack", "asap7", "--area", "1", "--yield", "0")
+    path = tmp_path / "config.json"
+    path.write_text('{"stack": "asap7", "design": {"area_cm2": 1, "yield": 0}}', encoding="utf-8")
+    config = run_main("analyze", "--config", str(path))
+    assert flag.returncode == config.returncode == 1
+    assert flag.stderr.startswith("error: yield must be within (0, 1]")
+    assert config.stderr == "error: design.yield: " + flag.stderr[len("error: "):]
+
+
+def test_overflowing_chip_value_exits_one():
+    proc = run_main(
+        "analyze", "--stack", "asap7", "--area", "1e300", "--yield", "1e-300", "--format", "json"
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: chip PFAS overflows")
+
+
+_OVERFLOWING = {
+    "stack": "asap7",
+    "design": {"area_cm2": 1, "yield": 0.5},
+    "fab": {
+        "carbon": {
+            "carbon_intensity": 0.4,
+            "energy_per_unit_litho": 0.05,
+            "energy_per_area_base": 5.0,
+            "gas_per_area": 1e308,
+            "material_per_area": 0.5,
+        }
+    },
+    "sweep": {"targets": ["M5"]},
+    "soc": {
+        "blocks": [
+            {"name": "cpu", "area_cm2": 1, "required_top": "M7", "area_overhead": {"M4": 1.5}}
+        ],
+        "target_top": "M4",
+    },
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep", "soc"])
+@pytest.mark.parametrize(
+    "fab, needle",
+    [
+        ({}, "embodied carbon overflows"),
+        ({"energy_weights": {"per_euv_mask": 1e308, "per_duv_mask": 1}}, "litho energy"),
+    ],
+    ids=["gas", "weights"],
+)
+def test_overflowing_figures_exit_one(tmp_path, command, fab, needle):
+    document = {**_OVERFLOWING, "fab": {**_OVERFLOWING["fab"], **fab}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    proc = run_main(command, "--config", str(path), "--format", "json")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert needle in proc.stderr
+
+
+def test_json_renderer_refuses_non_finite_numbers():
+    with pytest.raises(ValueError):
+        render_json({"value": float("inf")})

@@ -4,6 +4,7 @@ import pytest
 
 from pfasfab import (
     ConfigError,
+    DomainError,
     asap7_preset,
     load_stack_document,
     n7_fixture,
@@ -11,6 +12,7 @@ from pfasfab import (
     parse_config,
     stack_metrics,
     stack_to_dict,
+    validate_ci_band,
 )
 
 
@@ -249,6 +251,50 @@ def test_bad_overhead_factor_rejected():
     with pytest.raises(ConfigError) as excinfo:
         parse_config(json.dumps(document))
     assert any("area_overhead.M4" in loc for loc, _ in excinfo.value.entries)
+
+
+def test_soc_block_fields_reported_together():
+    document = {
+        "soc": {
+            "blocks": [
+                {"name": "cpu", "area_cm2": 0, "required_top": "X7", "area_overhead": {"M4": 0.9}}
+            ],
+            "target_top": "M4",
+        }
+    }
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(json.dumps(document))
+    assert [loc for loc, _ in excinfo.value.entries] == [
+        "soc.blocks[0].area_cm2",
+        "soc.blocks[0].required_top",
+        "soc.blocks[0].area_overhead.M4",
+    ]
+
+
+def test_bad_energy_weights_rejected_at_their_fields():
+    document = {"fab": {"energy_weights": {"per_euv_mask": 0, "per_duv_mask": -1}}}
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(json.dumps(document))
+    assert [loc for loc, _ in excinfo.value.entries] == [
+        "fab.energy_weights.per_euv_mask",
+        "fab.energy_weights.per_duv_mask",
+    ]
+
+
+def test_range_messages_come_from_the_domain_types():
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config('{"fab": {"ci_band": {"low": -1, "high": 0.5}}}')
+    with pytest.raises(DomainError) as domain:
+        validate_ci_band(-1.0, 0.5)
+    assert excinfo.value.entries == (("fab.ci_band", str(domain.value)),)
+
+
+def test_integer_beyond_the_digit_limit_rejected():
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config('{"design": {"area_cm2": %s, "yield": 1}}' % ("9" * 5000))
+    (location, message), = excinfo.value.entries
+    assert location == "<document>"
+    assert message.startswith("invalid JSON")
 
 
 def test_shipped_configs_parse_strict():

@@ -105,6 +105,20 @@ def test_design_params_domain_guard(area, fab_yield):
         DesignParams(area_cm2=area, yield_fraction=fab_yield)
 
 
+def test_design_params_report_every_failing_field():
+    with pytest.raises(DomainError) as excinfo:
+        DesignParams(area_cm2=-1.0, yield_fraction=2.0)
+    fields = excinfo.value.fields
+    assert [field for field, _ in fields] == ["area_cm2", "yield_fraction"]
+    assert str(excinfo.value) == "; ".join(message for _, message in fields)
+
+
+def test_chip_pfas_overflow_is_a_domain_error():
+    metrics = stack_metrics(asap7_preset())
+    with pytest.raises(DomainError, match="chip PFAS overflows"):
+        chip_pfas(metrics, DesignParams(area_cm2=1e300, yield_fraction=1e-300))
+
+
 @given(
     area=st.floats(min_value=0.01, max_value=100),
     fab_yield=st.floats(min_value=0.01, max_value=1.0),

@@ -406,6 +406,22 @@ def test_normalize_reference_errors():
         normalize_trend(TrendSeries((("28nm", 0.0),)), "28nm")
 
 
+def test_normalized_trend_overflow_names_node_and_reference():
+    series = TrendSeries((("a", 1e-300), ("b", 1e300)))
+    with pytest.raises(DomainError) as excinfo:
+        normalize_trend(series, "a")
+    message = str(excinfo.value)
+    assert "'b'" in message and "reference 'a'" in message and "overflows" in message
+
+
+def test_soc_block_reports_every_failing_field():
+    with pytest.raises(DomainError) as excinfo:
+        SocBlock("cpu", 0.0, "X7", {"M4": 0.5, "M3": 1.2})
+    assert [field for field, _ in excinfo.value.fields] == [
+        "baseline_area_cm2", "required_top_layer", "area_overhead.M4",
+    ]
+
+
 def test_trend_series_rejects_duplicates_and_non_finite():
     with pytest.raises(DomainError):
         TrendSeries((("7nm", 1.0), ("7nm", 2.0)))
