@@ -104,11 +104,14 @@ def carbon_band(
 
 def estimate_carbon(
     metrics: StackMetrics,
-    design: DesignParams,
-    params: CarbonParams,
+    design: DesignParams | None,
+    params: CarbonParams | None,
     band: tuple[float, float] | None = None,
-) -> CarbonResult:
-    """Embodied carbon, with the low and high figures of ``band`` when given."""
+) -> CarbonResult | None:
+    """Embodied carbon, with the low and high figures of ``band`` when given;
+    None without a design or carbon parameters."""
+    if design is None or params is None:
+        return None
     if band is None:
         return embodied_carbon(metrics, design, params)
     return carbon_band(metrics, design, params, *band)

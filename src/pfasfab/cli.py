@@ -24,12 +24,12 @@ from .config import (
 )
 from .engine import DesignParams, chip_pfas, stack_metrics
 from .carbon import estimate_carbon
-from .errors import ConfigError, PfasfabError, StackValidationError
+from .errors import PfasfabError
 from .scenarios import compare_stacks, compose_soc, normalize_trend, sweep_beol
 from .stack import StackSpec, validate_stack
 
 
-class _CliError(Exception):
+class _CliError(PfasfabError):
     """Validation-level CLI failure; message goes to stderr, exit code 1."""
 
 
@@ -40,8 +40,15 @@ def _read_text(path: str) -> str:
         raise _CliError(f"{path}: cannot read file ({exc.strerror})") from None
 
 
+def _write_text(path: str, text: str):
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _CliError(f"{path}: cannot write report ({exc.strerror})") from None
+
+
 def _load_config(args) -> ConfigDocument:
-    if getattr(args, "config", None) is None:
+    if args.config is None:
         return ConfigDocument()
     doc = parse_config(_read_text(args.config), strict=args.strict)
     for warning in doc.warnings:
@@ -67,26 +74,26 @@ def _resolve_stack(ref: str | None, fallback: StackSpec | None, args) -> StackSp
 
 
 def _resolve_design(args, cfg: ConfigDocument, required=True) -> DesignParams | None:
-    area = getattr(args, "area", None)
-    yield_fraction = getattr(args, "yield_fraction", None)
-    if area is None and yield_fraction is None and cfg.design is not None:
-        return cfg.design
-    if area is None and cfg.design is not None:
-        area = cfg.design.area_cm2
-    if yield_fraction is None and cfg.design is not None:
-        yield_fraction = cfg.design.yield_fraction
+    area, yield_fraction = args.area, args.yield_fraction
+    if cfg.design is not None:
+        area = cfg.design.area_cm2 if area is None else area
+        yield_fraction = cfg.design.yield_fraction if yield_fraction is None else yield_fraction
+    if area is None and yield_fraction is None:
+        if not required:
+            return None
+        raise _CliError(
+            "design parameters missing: pass --area and --yield or a config "
+            "with a design section"
+        )
     if area is None or yield_fraction is None:
-        if required:
-            raise _CliError(
-                "design parameters missing: pass --area and --yield or a config "
-                "with a design section"
-            )
-        return None
+        missing = "--area" if area is None else "--yield"
+        raise _CliError(f"design parameter missing: pass {missing} too, or a config "
+                        "with a design section")
     return DesignParams(area_cm2=float(area), yield_fraction=float(yield_fraction))
 
 
 def _resolve_carbon(args, cfg: ConfigDocument):
-    if getattr(args, "carbon_profile", None) is not None:
+    if args.carbon_profile is not None:
         params, ci_band, warnings = parse_carbon_profile(
             _read_text(args.carbon_profile), strict=args.strict
         )
@@ -96,7 +103,7 @@ def _resolve_carbon(args, cfg: ConfigDocument):
     return cfg.carbon, cfg.ci_band
 
 
-def _model_echo(design, weights, carbon_params, ci_band) -> dict:
+def _model_echo(design, weights, carbon, ci_band) -> dict:
     """The design, energy-weight and carbon inputs, as every report echoes them."""
     design_echo = None
     if design is not None:
@@ -104,7 +111,7 @@ def _model_echo(design, weights, carbon_params, ci_band) -> dict:
     return {
         "design": design_echo,
         "energy_weights": asdict(weights),
-        "carbon": asdict(carbon_params) if carbon_params is not None else None,
+        "carbon": asdict(carbon) if carbon is not None else None,
         "ci_band": list(ci_band) if ci_band is not None else None,
     }
 
@@ -117,9 +124,7 @@ def _cmd_analyze(args) -> dict:
     carbon_params, ci_band = _resolve_carbon(args, cfg)
     metrics = stack_metrics(stack, DEFAULT_CATALOG, cfg.weights)
     chip = chip_pfas(metrics, design)
-    carbon = None
-    if carbon_params is not None:
-        carbon = estimate_carbon(metrics, design, carbon_params, ci_band)
+    carbon = estimate_carbon(metrics, design, carbon_params, ci_band)
     inputs = {
         "stack": stack_to_dict(stack),
         **_model_echo(design, cfg.weights, carbon_params, ci_band),
@@ -204,7 +209,9 @@ def _cmd_soc(args) -> dict:
     retain = args.retain_power_grid
     if retain is None:
         retain = section.retain_power_grid
-    design = _resolve_design(args, cfg, required=False)
+    design = cfg.design
+    if args.yield_fraction is not None:  # compose_soc reads only the yield
+        design = DesignParams(1.0 if design is None else design.area_cm2, args.yield_fraction)
     carbon_params, ci_band = _resolve_carbon(args, cfg)
     soc = compose_soc(
         section.blocks,
@@ -216,6 +223,8 @@ def _cmd_soc(args) -> dict:
         carbon_params=carbon_params,
         ci_band=ci_band,
     )
+    if cfg.design is None and design is not None:  # echo the area the chip figures use
+        design = DesignParams(soc.baseline_area_cm2, design.yield_fraction)
     inputs = {
         "stack": stack_to_dict(stack),
         "blocks": [
@@ -277,8 +286,9 @@ def _add_common(parser, with_stack=True):
     )
 
 
-def _add_design(parser):
-    parser.add_argument("--area", type=float, help="die area in cm^2")
+def _add_design(parser, with_area=True):
+    if with_area:
+        parser.add_argument("--area", type=float, help="die area in cm^2")
     parser.add_argument(
         "--yield", dest="yield_fraction", type=float, help="fab yield in (0, 1]"
     )
@@ -330,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("soc", help="constrain SoC blocks to a target routing layer")
     _add_common(p)
-    _add_design(p)
+    _add_design(p, with_area=False)
     _add_carbon(p)
     p.add_argument("--target", help="target top routing layer (overrides config)")
     p.add_argument(
@@ -354,33 +364,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        report = _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        for location, message in exc.entries:
-            print(f"error: {location}: {message}", file=sys.stderr)
-        return 1
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except StackValidationError as exc:
-        for v in exc.violations:
-            print(f"error: layer {v.layer!r}: [{v.rule}] {v.message}", file=sys.stderr)
-        return 1
+        text = rpt.render(_COMMANDS[args.command](args), args.format)
+        if args.out:
+            _write_text(args.out, text)
+        else:
+            sys.stdout.write(text)
     except PfasfabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        for detail in exc.details or (exc,):
+            print(f"error: {detail}", file=sys.stderr)
         return 1
-    text = rpt.render(report, args.format)
-    if args.out:
-        try:
-            Path(args.out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            print(f"error: {args.out}: cannot write report ({exc.strerror})", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(text)
     return 0
 
 

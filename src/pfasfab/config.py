@@ -229,7 +229,7 @@ def _parse_layer(obj, path: str, col: _Collector) -> LayerSpec | None:
         except ValueError:
             col.error(
                 f"{path}.region",
-                f"must be one of FEOL, MOL, BEOL, got {region_name!r}",
+                f"must be one of {', '.join(r.value for r in Region)}, got {region_name!r}",
             )
     pitch = col.value(obj, "pitch_nm", path, "number", nullable=True)
     processes = {
@@ -276,7 +276,7 @@ def stack_from_dict(obj: dict, path: str, col: _Collector) -> StackSpec | None:
         return None
     stack = StackSpec(technology_node=node, layers=tuple(layers))
     for violation in stack_violations(stack, DEFAULT_CATALOG):
-        col.error(f"{path}.layers", f"layer {violation.layer!r}: [{violation.rule}] {violation.message}")
+        col.error(f"{path}.layers", str(violation))
     return stack
 
 

@@ -2,7 +2,10 @@
 
 
 class PfasfabError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors. An error that gathers several
+    problems lists one line per problem in ``details``."""
+
+    details: tuple[str, ...] = ()
 
 
 class UnknownProcessError(PfasfabError):
@@ -44,10 +47,10 @@ class StackValidationError(PfasfabError):
 
     def __init__(self, violations):
         self.violations = tuple(violations)
-        detail = "; ".join(
-            f"{v.layer}: [{v.rule}] {v.message}" for v in self.violations
+        self.details = tuple(str(v) for v in self.violations)
+        super().__init__(
+            f"{len(self.violations)} stack violation(s): " + "; ".join(self.details)
         )
-        super().__init__(f"{len(self.violations)} stack violation(s): {detail}")
 
 
 class UnknownTargetError(PfasfabError):
@@ -75,5 +78,5 @@ class ConfigError(PfasfabError):
 
     def __init__(self, entries):
         self.entries = tuple(entries)
-        detail = "; ".join(f"{loc}: {msg}" for loc, msg in self.entries)
-        super().__init__(f"invalid config: {detail}")
+        self.details = tuple(f"{loc}: {msg}" for loc, msg in self.entries)
+        super().__init__("invalid config: " + "; ".join(self.details))

@@ -11,11 +11,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+from dataclasses import fields
 
 from . import __version__
 from .carbon import CarbonResult
-from .catalog import ExposureClass, ProcessCatalog
-from .config import SCHEMA_VERSION
+from .catalog import ExposureClass, ProcessCatalog, StepCounts
+from .config import SCHEMA_VERSION, stack_to_dict
 from .engine import ChipPfas, StackMetrics
 from .scenarios import ComparisonResult, SocReport, SweepPoint, TrendSeries
 from .stack import Region, StackSpec
@@ -25,29 +26,22 @@ PFAS_UNIT = "layer*cm^2"
 # Human table headers for per-layer metrics.
 _LAYER_HEADERS = ("Layer", "Region", "M_pitch", "Metal", "Via", "# Litho steps", "E_litho", "# PFAS_litho")
 
-_STEP_KEYS = ("dry_etch", "litho", "metallization", "metrology", "wet_etch", "deposition")
+_STEP_KEYS = tuple(f.name for f in fields(StepCounts))
 
 
 def metrics_to_dict(stack: StackSpec, metrics: StackMetrics) -> dict:
-    per_layer = []
-    for layer, lm in zip(stack.layers, metrics.per_layer):
-        per_layer.append(
-            {
-                "name": lm.name,
-                "region": layer.region.value,
-                "pitch_nm": layer.pitch_nm,
-                "metal_process": layer.metal_process,
-                "via_process": layer.via_process,
-                "tags": sorted(layer.tags),
-                "litho_steps": lm.litho_steps,
-                "litho_energy": lm.litho_energy,
-                "masks": lm.masks,
-                "pfas_layers": lm.pfas_layers,
-                "steps": lm.total_steps.as_dict(),
-            }
-        )
     summary = metrics_summary_dict(metrics)
-    summary["per_layer"] = per_layer
+    summary["per_layer"] = [
+        {
+            **layer,
+            "litho_steps": lm.litho_steps,
+            "litho_energy": lm.litho_energy,
+            "masks": lm.masks,
+            "pfas_layers": lm.pfas_layers,
+            "steps": lm.total_steps.as_dict(),
+        }
+        for layer, lm in zip(stack_to_dict(stack)["layers"], metrics.per_layer)
+    ]
     return summary
 
 
@@ -101,17 +95,21 @@ def comparison_to_dict(cmp: ComparisonResult) -> dict:
     }
 
 
+def _figures_dict(metrics: StackMetrics, chip: ChipPfas | None, carbon: CarbonResult | None):
+    """The figures of one stack variant: a sweep point or an SoC side."""
+    return {
+        "metrics": metrics_summary_dict(metrics),
+        "chip_pfas": chip_to_dict(chip),
+        "carbon": carbon_to_dict(carbon),
+    }
+
+
 def sweep_to_dict(points: list[SweepPoint], retain_power_grid: bool, beol_only: bool) -> dict:
     return {
         "retain_power_grid": retain_power_grid,
         "beol_only": beol_only,
         "points": [
-            {
-                "top_routing_layer": p.top_routing_layer,
-                "metrics": metrics_summary_dict(p.metrics),
-                "chip_pfas": chip_to_dict(p.chip),
-                "carbon": carbon_to_dict(p.carbon),
-            }
+            {"top_routing_layer": p.top_routing_layer, **_figures_dict(p.metrics, p.chip, p.carbon)}
             for p in points
         ],
     }
@@ -133,15 +131,13 @@ def soc_to_dict(report: SocReport) -> dict:
         ],
         "baseline": {
             "area_cm2": report.baseline_area_cm2,
-            "metrics": metrics_summary_dict(report.baseline_metrics),
-            "chip_pfas": chip_to_dict(report.baseline_chip),
-            "carbon": carbon_to_dict(report.baseline_carbon),
+            **_figures_dict(report.baseline_metrics, report.baseline_chip, report.baseline_carbon),
         },
         "constrained": {
             "area_cm2": report.constrained_area_cm2,
-            "metrics": metrics_summary_dict(report.constrained_metrics),
-            "chip_pfas": chip_to_dict(report.constrained_chip),
-            "carbon": carbon_to_dict(report.constrained_carbon),
+            **_figures_dict(
+                report.constrained_metrics, report.constrained_chip, report.constrained_carbon
+            ),
         },
         "area_increase": report.area_increase,
         "pfas_layer_ratio": report.pfas_layer_ratio,
@@ -237,38 +233,29 @@ _LAYER_KEYS = ("name", "region", "pitch_nm", "metal_process", "via_process")
 _LAYER_FIGURES = ("litho_steps", "litho_energy", "pfas_layers")
 
 
-def _layer_rows(result: dict):
-    metrics = result["stack_metrics"]
-    rows = [tuple(pl[k] for k in _LAYER_KEYS + _LAYER_FIGURES) for pl in metrics["per_layer"]]
-    rows.append(("TOTAL", None, None, None, None, *(metrics[f"total_{k}"] for k in _LAYER_FIGURES)))
+def _layer_rows(metrics: dict, steps: bool):
+    """One row per layer and a TOTAL row: the layer keys, then (when ``steps``)
+    the step counts and masks, then the litho figures."""
+
+    def counts(step_counts: dict, masks: int) -> list:
+        return [step_counts[k] for k in _STEP_KEYS] + [masks] if steps else []
+
+    rows = [
+        [pl[k] for k in _LAYER_KEYS] + counts(pl["steps"], pl["masks"])
+        + [pl[k] for k in _LAYER_FIGURES]
+        for pl in metrics["per_layer"]
+    ]
+    total_masks = metrics["euv_masks"] + metrics["duv_masks"]
+    rows.append(
+        ["TOTAL", None, None, None, None] + counts(metrics["total_steps"], total_masks)
+        + [metrics[f"total_{k}"] for k in _LAYER_FIGURES]
+    )
     return rows
 
 
 def _analyze_csv(report: dict) -> str:
-    metrics = report["result"]["stack_metrics"]
-    headers = (
-        ["name", "region", "pitch_nm", "metal_process", "via_process"]
-        + list(_STEP_KEYS)
-        + ["masks", "litho_steps", "litho_energy", "pfas_layers"]
-    )
-    rows = []
-    for pl in metrics["per_layer"]:
-        rows.append(
-            [pl[k] for k in _LAYER_KEYS]
-            + [pl["steps"][k] for k in _STEP_KEYS]
-            + [pl["masks"], pl["litho_steps"], pl["litho_energy"], pl["pfas_layers"]]
-        )
-    rows.append(
-        ["TOTAL", None, None, None, None]
-        + [metrics["total_steps"][k] for k in _STEP_KEYS]
-        + [
-            metrics["euv_masks"] + metrics["duv_masks"],
-            metrics["total_litho_steps"],
-            metrics["total_litho_energy"],
-            metrics["total_pfas_layers"],
-        ]
-    )
-    return _csv_rows(headers, rows)
+    headers = (*_LAYER_KEYS, *_STEP_KEYS, "masks", *_LAYER_FIGURES)
+    return _csv_rows(headers, _layer_rows(report["result"]["stack_metrics"], steps=True))
 
 
 def _carbon_line(label: str, carbon: dict) -> str:
@@ -283,10 +270,10 @@ def _analyze_table(report: dict) -> str:
     metrics = result["stack_metrics"]
     parts = [
         f"Stack {metrics['technology_node']}  ({len(metrics['per_layer'])} layers)",
-        _table(_LAYER_HEADERS, _layer_rows(result)),
+        _table(_LAYER_HEADERS, _layer_rows(metrics, steps=False)),
         "",
         "PFAS layers by region: "
-        + ", ".join(f"{r} {metrics['by_region'][r]}" for r in ("FEOL", "MOL", "BEOL"))
+        + ", ".join(f"{r} {n}" for r, n in metrics["by_region"].items())
         + f"  (total {metrics['total_pfas_layers']})",
         f"Masks by exposure: EUV {metrics['euv_masks']}, DUV {metrics['duv_masks']}",
         f"Total fab steps: {metrics['total_fab_steps']}",
@@ -303,28 +290,23 @@ def _analyze_table(report: dict) -> str:
     return "\n".join(parts) + "\n"
 
 
+# (row label, summary key, ratio key); the per-region rows follow the first.
+_COMPARE_ROWS = (
+    ("pfas_layers", "total_pfas_layers", "ratio_pfas"),
+    ("litho_steps", "total_litho_steps", "ratio_litho_steps"),
+    ("fab_steps", "total_fab_steps", "ratio_total_steps"),
+    ("litho_energy", "total_litho_energy", "ratio_energy"),
+)
+
+
 def _compare_rows(result: dict):
     a, b = result["a"], result["b"]
-    rows = [
-        ("pfas_layers", a["total_pfas_layers"], b["total_pfas_layers"], result["ratio_pfas"]),
+    rows = [(label, a[key], b[key], result[ratio]) for label, key, ratio in _COMPARE_ROWS]
+    regions = [
+        (f"pfas_{region}", a["by_region"][region], b["by_region"][region], ratio)
+        for region, ratio in result["pfas_ratio_by_region"].items()
     ]
-    for region in ("FEOL", "MOL", "BEOL"):
-        rows.append(
-            (
-                f"pfas_{region}",
-                a["by_region"][region],
-                b["by_region"][region],
-                result["pfas_ratio_by_region"][region],
-            )
-        )
-    rows.extend(
-        [
-            ("litho_steps", a["total_litho_steps"], b["total_litho_steps"], result["ratio_litho_steps"]),
-            ("fab_steps", a["total_fab_steps"], b["total_fab_steps"], result["ratio_total_steps"]),
-            ("litho_energy", a["total_litho_energy"], b["total_litho_energy"], result["ratio_energy"]),
-        ]
-    )
-    return rows
+    return rows[:1] + regions + rows[1:]
 
 
 def _compare_csv(report: dict) -> str:
@@ -392,46 +374,27 @@ def _soc_block_rows(result: dict):
     return [tuple(r[k] for k in _SOC_BLOCK_KEYS) for r in result["blocks"]]
 
 
+_SOC_SIDES = ("baseline", "constrained")
+
+
 def _soc_csv(report: dict) -> str:
     result = report["result"]
+    sides = [result[side] for side in _SOC_SIDES]
     rows = _soc_block_rows(result)
-    rows.append(
-        (
-            "TOTAL",
-            result["target_top"],
-            result["baseline"]["area_cm2"],
-            None,
-            result["constrained"]["area_cm2"],
-        )
-    )
-    block_csv = _csv_rows(
-        ("block", "required_top", "baseline_area_cm2", "overhead_factor", "constrained_area_cm2"),
-        rows,
-    )
-    summary_csv = _csv_rows(
-        ("metric", "baseline", "constrained"),
-        [
-            (
-                "pfas_layers",
-                result["baseline"]["metrics"]["total_pfas_layers"],
-                result["constrained"]["metrics"]["total_pfas_layers"],
-            ),
-            (
-                "chip_pfas",
-                result["baseline"]["chip_pfas"]["value"],
-                result["constrained"]["chip_pfas"]["value"],
-            ),
-            ("area_cm2", result["baseline"]["area_cm2"], result["constrained"]["area_cm2"]),
-            ("area_increase", None, result["area_increase"]),
-            ("pfas_layer_ratio", None, result["pfas_layer_ratio"]),
-            ("chip_pfas_ratio", None, result["chip_pfas_ratio"]),
-        ],
-    )
-    return block_csv + summary_csv
+    rows.append(("TOTAL", result["target_top"], sides[0]["area_cm2"], None, sides[1]["area_cm2"]))
+    summary = [
+        ("pfas_layers", *[side["metrics"]["total_pfas_layers"] for side in sides]),
+        ("chip_pfas", *[side["chip_pfas"]["value"] for side in sides]),
+        ("area_cm2", *[side["area_cm2"] for side in sides]),
+        *[(key, None, result[key]) for key in ("area_increase", "pfas_layer_ratio", "chip_pfas_ratio")],
+    ]
+    return (_csv_rows(("block", *_SOC_BLOCK_KEYS[1:]), rows)
+            + _csv_rows(("metric", *_SOC_SIDES), summary))
 
 
 def _soc_table(report: dict) -> str:
     result = report["result"]
+    base, con = [result[side] for side in _SOC_SIDES]
     head = (
         f"SoC constrained to {result['target_top']} "
         f"({'power grid retained' if result['retain_power_grid'] else 'power grid dropped'})"
@@ -440,17 +403,15 @@ def _soc_table(report: dict) -> str:
         ("Block", "Required", "Area cm^2", "Overhead", "Constrained cm^2"), _soc_block_rows(result)
     )
     summary = [
-        f"Total area: {_fmt_human(result['baseline']['area_cm2'])} -> "
-        f"{_fmt_human(result['constrained']['area_cm2'])} cm^2 "
+        f"Total area: {_fmt_human(base['area_cm2'])} -> {_fmt_human(con['area_cm2'])} cm^2 "
         f"({result['area_increase'] * 100:.2f}% increase)",
-        f"PFAS layers: {result['baseline']['metrics']['total_pfas_layers']} -> "
-        f"{result['constrained']['metrics']['total_pfas_layers']} "
-        f"(ratio {_fmt_human(result['pfas_layer_ratio'])})",
-        f"Chip PFAS proxy: {_fmt_human(result['baseline']['chip_pfas']['value'])} -> "
-        f"{_fmt_human(result['constrained']['chip_pfas']['value'])} {PFAS_UNIT} "
+        f"PFAS layers: {base['metrics']['total_pfas_layers']} -> "
+        f"{con['metrics']['total_pfas_layers']} (ratio {_fmt_human(result['pfas_layer_ratio'])})",
+        f"Chip PFAS proxy: {_fmt_human(base['chip_pfas']['value'])} -> "
+        f"{_fmt_human(con['chip_pfas']['value'])} {PFAS_UNIT} "
         f"(ratio {_fmt_human(result['chip_pfas_ratio'])})",
     ]
-    for side in ("baseline", "constrained"):
+    for side in _SOC_SIDES:
         carbon = result[side]["carbon"]
         if carbon is not None:
             summary.append(_carbon_line(f"Embodied carbon ({side})", carbon))

@@ -146,9 +146,7 @@ def sweep_beol(
         kept = _capped_rows(rows, levels, top_index)
         metrics = metrics_from_rows(node, kept)
         chip = chip_pfas(metrics, design) if design is not None else None
-        carbon = None
-        if carbon_params is not None and design is not None:
-            carbon = estimate_carbon(metrics, design, carbon_params, ci_band)
+        carbon = estimate_carbon(metrics, design, carbon_params, ci_band)
         variant = StackSpec(technology_node=node, layers=tuple([row.spec for row in kept]))
         return SweepPoint(label, variant, metrics, chip, carbon)
 
@@ -266,6 +264,10 @@ def compose_soc(
 
     baseline_area = sum(b.baseline_area_cm2 for b in blocks)
     constrained_area = sum(r.constrained_area_cm2 for r in block_results)
+    for side, area in (("baseline", baseline_area), ("constrained", constrained_area)):
+        if not math.isfinite(area):
+            raise DomainError(f"{side} SoC area overflows: the sum of the {len(blocks)} "
+                              f"{side} block areas is {area}")
     rows = layer_table(chip_stack, catalog, weights)
     baseline_metrics = metrics_from_rows(chip_stack.technology_node, rows)
     kept = _capped_rows(rows, _cap_levels(rows, retain_power_grid), chip_top_index)
@@ -274,14 +276,6 @@ def compose_soc(
     constrained_design = DesignParams(constrained_area, yield_fraction)
     baseline_chip = chip_pfas(baseline_metrics, baseline_design)
     constrained_chip = chip_pfas(constrained_metrics, constrained_design)
-
-    baseline_carbon = constrained_carbon = None
-    if carbon_params is not None:
-        baseline_carbon = estimate_carbon(baseline_metrics, baseline_design, carbon_params, ci_band)
-        constrained_carbon = estimate_carbon(
-            constrained_metrics, constrained_design, carbon_params, ci_band
-        )
-
     return SocReport(
         target_top=target_top,
         retain_power_grid=retain_power_grid,
@@ -297,8 +291,10 @@ def compose_soc(
             baseline_metrics.total_pfas_layers, constrained_metrics.total_pfas_layers
         ),
         chip_pfas_ratio=_ratio(baseline_chip.value, constrained_chip.value),
-        baseline_carbon=baseline_carbon,
-        constrained_carbon=constrained_carbon,
+        baseline_carbon=estimate_carbon(baseline_metrics, baseline_design, carbon_params, ci_band),
+        constrained_carbon=estimate_carbon(
+            constrained_metrics, constrained_design, carbon_params, ci_band
+        ),
     )
 
 

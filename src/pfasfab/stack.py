@@ -11,7 +11,7 @@ descriptive metadata only.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -22,6 +22,7 @@ from .catalog import (
     ExposureClass,
     ProcessCatalog,
     StepCounts,
+    mask_energy,
 )
 from .errors import StackValidationError
 
@@ -43,9 +44,13 @@ _BEOL_NAME = re.compile(r"M([1-9][0-9]*)\Z")
 
 
 def beol_index(name: str) -> int | None:
-    """Metal index k for a BEOL layer named M<k>, else None."""
+    """Metal index k for a BEOL layer named M<k>, else None (also when k has
+    more digits than ``int`` converts)."""
     m = _BEOL_NAME.fullmatch(name)
-    return int(m.group(1)) if m else None
+    try:
+        return int(m.group(1)) if m else None
+    except ValueError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -102,6 +107,9 @@ class Violation:
     layer: str
     rule: str
     message: str
+
+    def __str__(self) -> str:
+        return f"layer {self.layer!r}: [{self.rule}] {self.message}"
 
 
 @dataclass(frozen=True)
@@ -201,6 +209,9 @@ class LayerRow(NamedTuple):
 
 _REGIONS = tuple(Region)
 _EXPOSURES = tuple(ExposureClass)
+# Where each group of LayerRow.counts ends.
+_STEPS_END = len(fields(StepCounts))
+_REGIONS_END = _STEPS_END + len(_REGIONS)
 
 
 def layer_row(
@@ -221,7 +232,7 @@ def layer_row(
     by_exposure = [0] * len(_EXPOSURES)
     for proc in processes:
         masks += proc.masks
-        energy += proc.masks * weights.per_mask(proc.exposure)
+        energy += mask_energy(proc, weights)
         by_exposure[_EXPOSURES.index(proc.exposure)] += proc.masks
     by_region[layer.region.rank] = masks
     metrics = LayerMetrics(layer.name, steps.litho, steps, masks, masks, energy)
@@ -233,11 +244,11 @@ def row_totals(rows: Sequence[LayerRow]) -> tuple[StepCounts, dict, dict]:
     """Column sums of the rows' counts: total steps, masks by region, and
     masks by exposure class."""
     columns = [sum(column) for column in zip(*[row.counts for row in rows])]
-    columns = columns or [0] * (6 + len(_REGIONS) + len(_EXPOSURES))
+    columns = columns or [0] * (_REGIONS_END + len(_EXPOSURES))
     return (
-        StepCounts(*columns[:6]),
-        dict(zip(_REGIONS, columns[6:9])),
-        dict(zip(_EXPOSURES, columns[9:])),
+        StepCounts(*columns[:_STEPS_END]),
+        dict(zip(_REGIONS, columns[_STEPS_END:_REGIONS_END])),
+        dict(zip(_EXPOSURES, columns[_REGIONS_END:])),
     )
 
 

@@ -39,6 +39,14 @@ def test_estimate_carbon_adds_band_only_when_given(asap7):
     )
 
 
+def test_estimate_carbon_is_none_without_design_or_params(asap7):
+    metrics = stack_metrics(asap7)
+    params = CarbonParams(0.4, 0.05, 5.0, 0.3, 0.5)
+    assert estimate_carbon(metrics, None, params) is None
+    assert estimate_carbon(metrics, UNIT_DESIGN, None, (0.02, 0.82)) is None
+    assert estimate_carbon(metrics, None, None) is None
+
+
 def test_degenerate_params_isolate_litho_term(asap7):
     metrics = stack_metrics(asap7)
     assert embodied_carbon(metrics, UNIT_DESIGN, LITHO_ONLY).embodied_kg == 128.0

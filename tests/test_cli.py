@@ -6,7 +6,7 @@ import pytest
 
 from pfasfab.report import render_json
 
-from conftest import CONFIGS, GOLDEN, run_cli, run_main
+from conftest import CONFIGS, GOLDEN, REPO_ROOT, run_cli, run_main
 
 
 def _json_report(*args):
@@ -198,6 +198,7 @@ def test_export_catalog_csv_has_nine_rows():
         (("analyze", "--stack", "asap7", "--config", "missing.json"), "missing.json"),
         (("sweep", "--stack", "asap7", "--targets", "M12"), "M12"),
         (("trend",), "trend"),
+        (("sweep", "--stack", "asap7", "--targets", "M" + "9" * 5000), "not a BEOL layer"),
     ],
 )
 def test_error_paths_exit_one_with_location(args, needle):
@@ -340,3 +341,96 @@ def test_overflowing_figures_exit_one(tmp_path, command, fab, needle):
 def test_json_renderer_refuses_non_finite_numbers():
     with pytest.raises(ValueError):
         render_json({"value": float("inf")})
+
+
+_GOLDEN_RUNS = {
+    "analyze_asap7": ("analyze", "--stack", "asap7", "--area", "1", "--yield", "0.875",
+                      "--carbon-profile", "configs/carbon_profile_example.json"),
+    "compare_n7": ("compare", "n7_duv", "n7_euv"),
+    "sweep_config": ("sweep", "--config", "configs/sweep_asap7.json"),
+    "sweep_m3_retain": ("sweep", "--stack", "asap7", "--targets", "M3", "--retain-power-grid"),
+    "soc_trainer": ("soc", "--config", "configs/soc_trainer.json"),
+    "trend_nodes": ("trend", "--config", "configs/trend_nodes.json"),
+}
+_GOLDEN_SUFFIX = {"table": "txt", "csv": "csv", "json": "json"}
+
+
+@pytest.mark.parametrize("fmt", sorted(_GOLDEN_SUFFIX))
+@pytest.mark.parametrize("name", sorted(_GOLDEN_RUNS))
+def test_report_bytes_match_golden(monkeypatch, name, fmt):
+    monkeypatch.chdir(REPO_ROOT)
+    proc = run_main(*_GOLDEN_RUNS[name], "--format", fmt)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout == (GOLDEN / "cli" / f"{name}.{_GOLDEN_SUFFIX[fmt]}").read_text()
+
+
+def test_huge_layer_label_exits_one_without_traceback(tmp_path):
+    path = tmp_path / "config.json"
+    layer = {"name": "M" + "9" * 5000, "region": "BEOL", "metal_process": "EUV_LE"}
+    document = {"stack": {"technology_node": "t", "layers": [layer]},
+                "design": {"area_cm2": 1, "yield": 1}}
+    path.write_text(json.dumps(document), encoding="utf-8")
+    proc = run_main("analyze", "--config", str(path))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: stack.layers: layer 'M999")
+    assert "[beol-name]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+_BIG_BLOCK = {"name": "big", "area_cm2": 1e308, "required_top": "M7", "area_overhead": {"M4": 2}}
+
+
+@pytest.mark.parametrize("flags", [(), ("--yield", "0.5")], ids=["config", "yield-flag"])
+@pytest.mark.parametrize(
+    "blocks, side", [([_BIG_BLOCK], "constrained"), ([_BIG_BLOCK, _BIG_BLOCK], "baseline")]
+)
+def test_soc_area_overflow_names_the_computed_area(tmp_path, blocks, side, flags):
+    path = tmp_path / "config.json"
+    document = {"stack": "asap7", "soc": {"blocks": blocks, "target_top": "M4"}}
+    path.write_text(json.dumps(document), encoding="utf-8")
+    proc = run_main("soc", "--config", str(path), *flags)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {side} SoC area overflows: ")
+    assert "area_cm2" not in proc.stderr
+
+
+def _soc_config_without_design(tmp_path):
+    document = json.loads((CONFIGS / "soc_trainer.json").read_text(encoding="utf-8"))
+    del document["design"]
+    path = tmp_path / "soc.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    return path
+
+
+def test_soc_yield_flag_applies_without_a_design_section(tmp_path):
+    path = _soc_config_without_design(tmp_path)
+    report = _json_report("soc", "--config", str(path), "--yield", "0.5", "--format", "json")
+    assert report["result"]["baseline"]["chip_pfas"]["value"] == 58.0
+    assert report["inputs"]["design"] == {"area_cm2": 1.0, "yield": 0.5}
+    rows = list(csv.reader(io.StringIO(
+        run_main("soc", "--config", str(path), "--yield", "0.5", "--format", "csv").stdout
+    )))
+    assert ["chip_pfas", "58.0", "40.9588"] in rows
+
+
+def test_soc_takes_no_area_flag():
+    proc = run_main("soc", "--config", str(CONFIGS / "soc_trainer.json"), "--area", "3")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --area" in proc.stderr
+
+
+@pytest.mark.parametrize("given, missing", [("--area", "--yield"), ("--yield", "--area")])
+def test_sweep_lone_design_flag_exits_one_naming_the_other(tmp_path, given, missing):
+    document = json.loads((CONFIGS / "sweep_asap7.json").read_text(encoding="utf-8"))
+    del document["design"]
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    proc = run_main("sweep", "--config", str(path), given, "0.5")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"error: design parameter missing: pass {missing} too, or a config with a design section\n"
+    )

@@ -271,6 +271,20 @@ def test_soc_block_fields_reported_together():
     ]
 
 
+def test_required_top_beyond_the_digit_limit_rejected_at_its_field():
+    document = {
+        "soc": {
+            "blocks": [{"name": "a", "area_cm2": 1, "required_top": "M" + "9" * 5000}],
+            "target_top": "M4",
+        }
+    }
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(json.dumps(document))
+    (location, message), = excinfo.value.entries
+    assert location == "soc.blocks[0].required_top"
+    assert "BEOL label" in message
+
+
 def test_bad_energy_weights_rejected_at_their_fields():
     document = {"fab": {"energy_weights": {"per_euv_mask": 0, "per_duv_mask": -1}}}
     with pytest.raises(ConfigError) as excinfo:

@@ -367,6 +367,15 @@ def test_soc_requires_blocks(asap7):
         compose_soc([], asap7, "M4", design=DesignParams(1.0, 1.0))
 
 
+def test_soc_area_overflow_names_the_computed_area(asap7):
+    blocks = [SocBlock("big", 1e308, "M7", {"M4": 2.0})]
+    with pytest.raises(DomainError, match=r"constrained SoC area overflows: .* is inf"):
+        compose_soc(blocks, asap7, "M4", design=DesignParams(1.0, 1.0))
+    blocks = [SocBlock("a", 1e308, "M4"), SocBlock("b", 1e308, "M4")]
+    with pytest.raises(DomainError, match="baseline SoC area overflows"):
+        compose_soc(blocks, asap7, "M4")
+
+
 def test_soc_carbon_paths(asap7):
     params = CarbonParams(0.4, 0.05, 5.0, 0.3, 0.5)
     plain = compose_soc(

@@ -74,6 +74,7 @@ def test_beol_index():
     assert beol_index("M0") is None
     assert beol_index("Fin") is None
     assert beol_index("M1x") is None
+    assert beol_index("M" + "9" * 5000) is None  # beyond int()'s digit limit
 
 
 def test_euv_fixture_is_the_preset():
@@ -146,6 +147,16 @@ def test_validate_raises_with_all_violations(asap7):
     rules = sorted(v.rule for v in excinfo.value.violations)
     assert rules == ["bad-pitch", "unknown-process"]
     assert "M5" in str(excinfo.value)
+
+
+def test_violation_text_names_layer_and_rule(asap7):
+    broken = _with_layer(asap7, "M5", metal_process="ArFi_LE9")
+    violation, = stack_violations(broken)
+    assert str(violation) == f"layer 'M5': [unknown-process] {violation.message}"
+    with pytest.raises(StackValidationError) as excinfo:
+        validate_stack(broken)
+    assert str(excinfo.value) == f"1 stack violation(s): {violation}"
+    assert excinfo.value.details == (str(violation),)
 
 
 def test_unknown_process_violation_names_layer(asap7):
