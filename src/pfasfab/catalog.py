@@ -190,11 +190,6 @@ def lookup_process(process_id: str, catalog: ProcessCatalog = DEFAULT_CATALOG) -
     return catalog.lookup(process_id)
 
 
-def register_process(custom: ProcessClass, catalog: ProcessCatalog = DEFAULT_CATALOG) -> ProcessCatalog:
-    """Return a catalog extended with a user-defined process."""
-    return catalog.register(custom)
-
-
 def mask_energy(proc: ProcessClass, weights: EnergyWeights = DEFAULT_WEIGHTS) -> float:
     """Relative lithography energy to expose every mask of ``proc``."""
     return proc.masks * weights.per_mask(proc.exposure)

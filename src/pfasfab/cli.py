@@ -335,7 +335,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--beol-only",
         action="store_true",
-        help="routing-layers view: drop power-grid layers and focus on BEOL counts",
+        help="label the table '(routing BEOL focus)' and echo beol_only in the JSON; "
+        "the figures are the default sweep's, with the power grid dropped "
+        "(not combinable with --retain-power-grid)",
     )
 
     p = sub.add_parser("soc", help="constrain SoC blocks to a target routing layer")

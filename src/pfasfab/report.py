@@ -3,7 +3,9 @@
 Reports are built as plain dicts with deterministic key order, then
 rendered as JSON (machine, full precision), CSV (machine, per-layer rows
 with a trailing totals row where applicable), or a human table (floats
-shown to 6 significant digits). The same numbers back every format.
+shown to 6 significant digits). The same numbers back every format: each
+command has one view, its text lines and grids in output order, and the
+CSV and table renderers both read it.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
+from typing import NamedTuple
 
 from . import __version__
 from .carbon import CarbonResult
@@ -22,9 +25,6 @@ from .scenarios import ComparisonResult, SocReport, SweepPoint, TrendSeries
 from .stack import Region, StackSpec
 
 PFAS_UNIT = "layer*cm^2"
-
-# Human table headers for per-layer metrics.
-_LAYER_HEADERS = ("Layer", "Region", "M_pitch", "Metal", "Via", "# Litho steps", "E_litho", "# PFAS_litho")
 
 _STEP_KEYS = tuple(f.name for f in fields(StepCounts))
 
@@ -73,13 +73,7 @@ def chip_to_dict(chip: ChipPfas | None) -> dict | None:
 
 
 def carbon_to_dict(result: CarbonResult | None) -> dict | None:
-    if result is None:
-        return None
-    return {
-        "embodied_kg": result.embodied_kg,
-        "low_kg": result.low_kg,
-        "high_kg": result.high_kg,
-    }
+    return None if result is None else asdict(result)
 
 
 def comparison_to_dict(cmp: ComparisonResult) -> dict:
@@ -208,54 +202,60 @@ def _fmt_human(value) -> str:
 
 
 def _table(headers, rows) -> str:
-    cells = [tuple(_fmt_human(c) for c in row) for row in rows]
-    widths = [len(h) for h in headers]
-    for row in cells:
-        for i, c in enumerate(row):
-            widths[i] = max(widths[i], len(c))
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip()]
-    lines.append("  ".join("-" * w for w in widths))
-    for row in cells:
-        lines.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(row)).rstrip())
-    return "\n".join(lines)
+    cells = [[_fmt_human(c) for c in row] for row in rows]
+    widths = [max(map(len, column)) for column in zip(headers, *cells)]
+    lines = [headers, ["-" * w for w in widths], *cells]
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() for line in lines)
 
 
-def _csv_rows(headers, rows) -> str:
+class _Grid(NamedTuple):
+    """A block of rows: ``columns`` pairs each CSV header with its table
+    header, or None for a CSV-only column; ``csv_tail`` rows follow ``rows``
+    in the CSV only."""
+
+    columns: tuple
+    rows: list
+    csv_tail: tuple = ()
+
+
+def _pick(columns, records) -> list:
+    """Rows of ``records`` (dicts keyed by CSV header) in column order."""
+    return [[record.get(key) for key, _ in columns] for record in records]
+
+
+def _render_csv(view: list) -> str:
+    """Every grid of a view, each with its CSV header row."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(headers)
-    for row in rows:
-        writer.writerow([_fmt_machine(c) for c in row])
+    for part in view:
+        if isinstance(part, _Grid):
+            writer.writerow([key for key, _ in part.columns])
+            for row in [*part.rows, *part.csv_tail]:
+                writer.writerow([_fmt_machine(c) for c in row])
     return buf.getvalue()
 
 
-_LAYER_KEYS = ("name", "region", "pitch_nm", "metal_process", "via_process")
+def _render_table(view: list) -> str:
+    """A view's text lines and the table columns of its grids."""
+    lines = []
+    for part in view:
+        if isinstance(part, str):
+            lines.append(part)
+            continue
+        shown = [i for i, (_, header) in enumerate(part.columns) if header is not None]
+        if shown:
+            headers = [part.columns[i][1] for i in shown]
+            lines.append(_table(headers, [[row[i] for i in shown] for row in part.rows]))
+    return "\n".join(lines) + "\n"
+
+
 _LAYER_FIGURES = ("litho_steps", "litho_energy", "pfas_layers")
-
-
-def _layer_rows(metrics: dict, steps: bool):
-    """One row per layer and a TOTAL row: the layer keys, then (when ``steps``)
-    the step counts and masks, then the litho figures."""
-
-    def counts(step_counts: dict, masks: int) -> list:
-        return [step_counts[k] for k in _STEP_KEYS] + [masks] if steps else []
-
-    rows = [
-        [pl[k] for k in _LAYER_KEYS] + counts(pl["steps"], pl["masks"])
-        + [pl[k] for k in _LAYER_FIGURES]
-        for pl in metrics["per_layer"]
-    ]
-    total_masks = metrics["euv_masks"] + metrics["duv_masks"]
-    rows.append(
-        ["TOTAL", None, None, None, None] + counts(metrics["total_steps"], total_masks)
-        + [metrics[f"total_{k}"] for k in _LAYER_FIGURES]
-    )
-    return rows
-
-
-def _analyze_csv(report: dict) -> str:
-    headers = (*_LAYER_KEYS, *_STEP_KEYS, "masks", *_LAYER_FIGURES)
-    return _csv_rows(headers, _layer_rows(report["result"]["stack_metrics"], steps=True))
+_ANALYZE_COLUMNS = (
+    ("name", "Layer"), ("region", "Region"), ("pitch_nm", "M_pitch"),
+    ("metal_process", "Metal"), ("via_process", "Via"),
+    *((key, None) for key in _STEP_KEYS), ("masks", None),
+    *zip(_LAYER_FIGURES, ("# Litho steps", "E_litho", "# PFAS_litho")),
+)
 
 
 def _carbon_line(label: str, carbon: dict) -> str:
@@ -265,12 +265,19 @@ def _carbon_line(label: str, carbon: dict) -> str:
     return line
 
 
-def _analyze_table(report: dict) -> str:
+def _analyze_view(report: dict) -> list:
     result = report["result"]
     metrics = result["stack_metrics"]
-    parts = [
+    total = {
+        "name": "TOTAL",
+        **metrics["total_steps"],
+        "masks": metrics["euv_masks"] + metrics["duv_masks"],
+        **{key: metrics[f"total_{key}"] for key in _LAYER_FIGURES},
+    }
+    records = [{**pl, **pl["steps"]} for pl in metrics["per_layer"]] + [total]
+    view = [
         f"Stack {metrics['technology_node']}  ({len(metrics['per_layer'])} layers)",
-        _table(_LAYER_HEADERS, _layer_rows(metrics, steps=False)),
+        _Grid(_ANALYZE_COLUMNS, _pick(_ANALYZE_COLUMNS, records)),
         "",
         "PFAS layers by region: "
         + ", ".join(f"{r} {n}" for r, n in metrics["by_region"].items())
@@ -280,14 +287,14 @@ def _analyze_table(report: dict) -> str:
     ]
     chip = result.get("chip_pfas")
     if chip is not None:
-        parts.append(
+        view.append(
             f"Chip PFAS proxy: {_fmt_human(chip['value'])} {PFAS_UNIT}"
             f"  (area {_fmt_human(chip['area_cm2'])} cm^2, yield {_fmt_human(chip['yield'])})"
         )
     carbon = result.get("carbon")
     if carbon is not None:
-        parts.append(_carbon_line("Embodied carbon", carbon))
-    return "\n".join(parts) + "\n"
+        view.append(_carbon_line("Embodied carbon", carbon))
+    return view
 
 
 # (row label, summary key, ratio key); the per-region rows follow the first.
@@ -299,36 +306,41 @@ _COMPARE_ROWS = (
 )
 
 
-def _compare_rows(result: dict):
+def _compare_view(report: dict) -> list:
+    result = report["result"]
     a, b = result["a"], result["b"]
     rows = [(label, a[key], b[key], result[ratio]) for label, key, ratio in _COMPARE_ROWS]
     regions = [
         (f"pfas_{region}", a["by_region"][region], b["by_region"][region], ratio)
         for region, ratio in result["pfas_ratio_by_region"].items()
     ]
-    return rows[:1] + regions + rows[1:]
-
-
-def _compare_csv(report: dict) -> str:
-    result = report["result"]
-    rows = _compare_rows(result)
-    rows.append(("percent_reduction", None, None, result["percent_reduction"]))
-    return _csv_rows(("metric", "a", "b", "ratio_a_over_b"), rows)
-
-
-def _compare_table(report: dict) -> str:
-    result = report["result"]
-    a, b = result["a"], result["b"]
-    head = f"Compare a={a['technology_node']} vs b={b['technology_node']}"
-    body = _table(("Metric", "A", "B", "A/B"), _compare_rows(result))
     reduction = result["percent_reduction"]
     tail = f"PFAS reduction (a to b): {_fmt_human(reduction)}"
     if reduction is not None:
         tail += f"  ({reduction * 100:.1f}%)"
-    return "\n".join([head, body, tail]) + "\n"
+    return [
+        f"Compare a={a['technology_node']} vs b={b['technology_node']}",
+        _Grid(
+            (("metric", "Metric"), ("a", "A"), ("b", "B"), ("ratio_a_over_b", "A/B")),
+            rows[:1] + regions + rows[1:],
+            csv_tail=(("percent_reduction", None, None, reduction),),
+        ),
+        tail,
+    ]
 
 
-def _sweep_rows(result: dict):
+def _power_grid(result: dict) -> str:
+    return "power grid retained" if result["retain_power_grid"] else "power grid dropped"
+
+
+_SWEEP_COLUMNS = tuple((key, key) for key in (
+    "top_routing_layer", "total_pfas_layers", "beol_pfas_layers", "litho_steps",
+    "litho_energy", "chip_pfas", "embodied_kg", "embodied_low_kg", "embodied_high_kg",
+))
+
+
+def _sweep_view(report: dict) -> list:
+    result = report["result"]
     rows = []
     for p in result["points"]:
         m, chip, carbon = p["metrics"], p["chip_pfas"], p["carbon"] or {}
@@ -337,72 +349,37 @@ def _sweep_rows(result: dict):
             m["total_litho_steps"], m["total_litho_energy"], chip["value"] if chip else None,
             carbon.get("embodied_kg"), carbon.get("low_kg"), carbon.get("high_kg"),
         ))
-    return rows
-
-
-_SWEEP_HEADERS = (
-    "top_routing_layer",
-    "total_pfas_layers",
-    "beol_pfas_layers",
-    "litho_steps",
-    "litho_energy",
-    "chip_pfas",
-    "embodied_kg",
-    "embodied_low_kg",
-    "embodied_high_kg",
-)
-
-
-def _sweep_csv(report: dict) -> str:
-    return _csv_rows(_SWEEP_HEADERS, _sweep_rows(report["result"]))
-
-
-def _sweep_table(report: dict) -> str:
-    result = report["result"]
-    mode = "power grid retained" if result["retain_power_grid"] else "power grid dropped"
     focus = " (routing BEOL focus)" if result["beol_only"] else ""
-    head = f"BEOL reduction sweep, {mode}{focus}; first row is the baseline"
-    return head + "\n" + _table(_SWEEP_HEADERS, _sweep_rows(result)) + "\n"
+    return [
+        f"BEOL reduction sweep, {_power_grid(result)}{focus}; first row is the baseline",
+        _Grid(_SWEEP_COLUMNS, rows),
+    ]
 
 
-_SOC_BLOCK_KEYS = (
-    "name", "required_top", "baseline_area_cm2", "overhead_factor", "constrained_area_cm2",
+_SOC_COLUMNS = (
+    ("block", "Block"), ("required_top", "Required"), ("baseline_area_cm2", "Area cm^2"),
+    ("overhead_factor", "Overhead"), ("constrained_area_cm2", "Constrained cm^2"),
 )
-
-
-def _soc_block_rows(result: dict):
-    return [tuple(r[k] for k in _SOC_BLOCK_KEYS) for r in result["blocks"]]
-
-
 _SOC_SIDES = ("baseline", "constrained")
 
 
-def _soc_csv(report: dict) -> str:
+def _soc_view(report: dict) -> list:
     result = report["result"]
-    sides = [result[side] for side in _SOC_SIDES]
-    rows = _soc_block_rows(result)
-    rows.append(("TOTAL", result["target_top"], sides[0]["area_cm2"], None, sides[1]["area_cm2"]))
+    base, con = sides = [result[side] for side in _SOC_SIDES]
+    blocks = _pick(_SOC_COLUMNS, [{"block": r["name"], **r} for r in result["blocks"]])
     summary = [
         ("pfas_layers", *[side["metrics"]["total_pfas_layers"] for side in sides]),
         ("chip_pfas", *[side["chip_pfas"]["value"] for side in sides]),
-        ("area_cm2", *[side["area_cm2"] for side in sides]),
+        ("area_cm2", base["area_cm2"], con["area_cm2"]),
         *[(key, None, result[key]) for key in ("area_increase", "pfas_layer_ratio", "chip_pfas_ratio")],
     ]
-    return (_csv_rows(("block", *_SOC_BLOCK_KEYS[1:]), rows)
-            + _csv_rows(("metric", *_SOC_SIDES), summary))
-
-
-def _soc_table(report: dict) -> str:
-    result = report["result"]
-    base, con = [result[side] for side in _SOC_SIDES]
-    head = (
-        f"SoC constrained to {result['target_top']} "
-        f"({'power grid retained' if result['retain_power_grid'] else 'power grid dropped'})"
-    )
-    blocks = _table(
-        ("Block", "Required", "Area cm^2", "Overhead", "Constrained cm^2"), _soc_block_rows(result)
-    )
-    summary = [
+    view = [
+        f"SoC constrained to {result['target_top']} ({_power_grid(result)})",
+        _Grid(_SOC_COLUMNS, blocks, csv_tail=(
+            ("TOTAL", result["target_top"], base["area_cm2"], None, con["area_cm2"]),
+        )),
+        _Grid((("metric", None), *((side, None) for side in _SOC_SIDES)), summary),
+        "",
         f"Total area: {_fmt_human(base['area_cm2'])} -> {_fmt_human(con['area_cm2'])} cm^2 "
         f"({result['area_increase'] * 100:.2f}% increase)",
         f"PFAS layers: {base['metrics']['total_pfas_layers']} -> "
@@ -414,59 +391,37 @@ def _soc_table(report: dict) -> str:
     for side in _SOC_SIDES:
         carbon = result[side]["carbon"]
         if carbon is not None:
-            summary.append(_carbon_line(f"Embodied carbon ({side})", carbon))
-    return "\n".join([head, blocks, ""] + summary) + "\n"
+            view.append(_carbon_line(f"Embodied carbon ({side})", carbon))
+    return view
 
 
-def _trend_rows(result: dict):
-    return [(p["node"], p["value"], p["normalized"]) for p in result["points"]]
+_TREND_COLUMNS = (("node", "Node"), ("value", "Value"), ("normalized", "Normalized"))
 
 
-def _trend_csv(report: dict) -> str:
-    return _csv_rows(("node", "value", "normalized"), _trend_rows(report["result"]))
-
-
-def _trend_table(report: dict) -> str:
+def _trend_view(report: dict) -> list:
     result = report["result"]
-    head = f"Trend normalized to {result['reference']}"
-    return head + "\n" + _table(("Node", "Value", "Normalized"), _trend_rows(result)) + "\n"
-
-
-def _catalog_rows(result: dict):
     return [
-        (
-            p["id"],
-            p["exposure"],
-            p["masks"],
-            *[p["steps"][k] for k in _STEP_KEYS],
-        )
-        for p in result["processes"]
+        f"Trend normalized to {result['reference']}",
+        _Grid(_TREND_COLUMNS, _pick(_TREND_COLUMNS, result["points"])),
     ]
 
 
-_CATALOG_HEADERS = ("id", "exposure", "masks", *_STEP_KEYS)
+_CATALOG_COLUMNS = tuple((key, key) for key in ("id", "exposure", "masks", *_STEP_KEYS))
 
 
-def _catalog_csv(report: dict) -> str:
-    return _csv_rows(_CATALOG_HEADERS, _catalog_rows(report))
+def _catalog_view(report: dict) -> list:
+    records = [{**p, **p["steps"]} for p in report["processes"]]
+    return ["Patterning process catalog", _Grid(_CATALOG_COLUMNS, _pick(_CATALOG_COLUMNS, records))]
 
 
-def _catalog_table(report: dict) -> str:
-    return (
-        "Patterning process catalog\n"
-        + _table(_CATALOG_HEADERS, _catalog_rows(report))
-        + "\n"
-    )
-
-
-# Command -> (CSV renderer, table renderer).
-_RENDERERS = {
-    "analyze": (_analyze_csv, _analyze_table),
-    "compare": (_compare_csv, _compare_table),
-    "sweep": (_sweep_csv, _sweep_table),
-    "soc": (_soc_csv, _soc_table),
-    "trend": (_trend_csv, _trend_table),
-    "process_catalog": (_catalog_csv, _catalog_table),
+# Command (or document kind) -> its view: text lines and grids in output order.
+_VIEWS = {
+    "analyze": _analyze_view,
+    "compare": _compare_view,
+    "sweep": _sweep_view,
+    "soc": _soc_view,
+    "trend": _trend_view,
+    "process_catalog": _catalog_view,
 }
 
 
@@ -474,9 +429,9 @@ def render(report: dict, fmt: str) -> str:
     """Render a report dict as json, csv, or a human table."""
     if fmt == "json":
         return render_json(report)
-    command = report.get("command") or report.get("kind")
+    view = _VIEWS[report.get("command") or report.get("kind")]
     if fmt == "csv":
-        return _RENDERERS[command][0](report)
+        return _render_csv(view(report))
     if fmt == "table":
-        return _RENDERERS[command][1](report)
+        return _render_table(view(report))
     raise ValueError(f"unknown format {fmt!r}")

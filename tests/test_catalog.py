@@ -15,7 +15,6 @@ from pfasfab import (
     UnknownProcessError,
     lookup_process,
     mask_energy,
-    register_process,
 )
 
 from table_data import PROCESS_ROWS
@@ -70,7 +69,7 @@ def test_register_extension_resolves():
     custom = ProcessClass(
         "ArFi_LE5", StepCounts(6, 15, 1, 16, 3, 1), 5, ExposureClass.DUV_IMMERSION
     )
-    extended = register_process(custom)
+    extended = DEFAULT_CATALOG.register(custom)
     assert extended.lookup("ArFi_LE5") == custom
     # built-ins stay reachable and the shared default is untouched
     assert extended.lookup("ArFi_LE") == lookup_process("ArFi_LE")
@@ -80,7 +79,7 @@ def test_register_extension_resolves():
 def test_register_collision_with_builtin():
     clash = ProcessClass("EUV_LE", StepCounts(litho=1), 1, ExposureClass.EUV)
     with pytest.raises(ProcessCollisionError):
-        register_process(clash)
+        DEFAULT_CATALOG.register(clash)
 
 
 def test_register_invalid_masks():
@@ -135,7 +134,7 @@ def test_le_series_masks_monotone():
 def test_register_roundtrip(masks, steps, euv):
     exposure = ExposureClass.EUV if euv else ExposureClass.DUV_IMMERSION
     custom = ProcessClass("Custom_X", StepCounts(*steps), masks, exposure)
-    extended = register_process(custom)
+    extended = DEFAULT_CATALOG.register(custom)
     found = extended.lookup("Custom_X")
     assert found == custom
     assert mask_energy(found) == masks * (10.0 if euv else 1.0)
