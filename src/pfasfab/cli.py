@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from . import report as rpt
@@ -21,6 +20,7 @@ from .config import (
     parse_carbon_profile,
     parse_config,
     stack_to_dict,
+    to_dict,
 )
 from .engine import DesignParams, chip_pfas, stack_metrics
 from .carbon import estimate_carbon
@@ -105,13 +105,10 @@ def _resolve_carbon(args, cfg: ConfigDocument):
 
 def _model_echo(design, weights, carbon, ci_band) -> dict:
     """The design, energy-weight and carbon inputs, as every report echoes them."""
-    design_echo = None
-    if design is not None:
-        design_echo = {"area_cm2": design.area_cm2, "yield": design.yield_fraction}
     return {
-        "design": design_echo,
-        "energy_weights": asdict(weights),
-        "carbon": asdict(carbon) if carbon is not None else None,
+        "design": to_dict(design),
+        "energy_weights": to_dict(weights),
+        "carbon": to_dict(carbon),
         "ci_band": list(ci_band) if ci_band is not None else None,
     }
 
@@ -156,7 +153,7 @@ def _cmd_compare(args) -> dict:
     inputs = {
         "stack_a": stack_to_dict(a),
         "stack_b": stack_to_dict(b),
-        "energy_weights": asdict(cfg.weights),
+        "energy_weights": to_dict(cfg.weights),
     }
     return rpt.build_report("compare", inputs, rpt.comparison_to_dict(comparison))
 
@@ -177,7 +174,9 @@ def _cmd_sweep(args) -> dict:
     if not beol_only and section is not None:
         beol_only = section.beol_only
     if beol_only and retain:
-        raise _CliError("--beol-only is a routing-layers view; it excludes --retain-power-grid")
+        beol_from = "--beol-only" if args.beol_only else "sweep.beol_only"
+        retain_from = "--retain-power-grid" if args.retain_power_grid else "sweep.retain_power_grid"
+        raise _CliError(f"{beol_from} excludes {retain_from}")
     design = _resolve_design(args, cfg, required=False)
     carbon_params, ci_band = _resolve_carbon(args, cfg)
     points = sweep_beol(
@@ -227,15 +226,7 @@ def _cmd_soc(args) -> dict:
         design = DesignParams(soc.baseline_area_cm2, design.yield_fraction)
     inputs = {
         "stack": stack_to_dict(stack),
-        "blocks": [
-            {
-                "name": b.name,
-                "area_cm2": b.baseline_area_cm2,
-                "required_top": b.required_top_layer,
-                "area_overhead": dict(sorted(b.area_overhead.items())),
-            }
-            for b in section.blocks
-        ],
+        "blocks": [to_dict(block) for block in section.blocks],
         "target_top": target,
         "retain_power_grid": retain,
         **_model_echo(design, cfg.weights, carbon_params, ci_band),

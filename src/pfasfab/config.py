@@ -1,30 +1,21 @@
 """Config document parsing and stack (de)serialization.
 
-Documents are JSON objects. Recognized top-level sections:
+Documents are JSON objects. Each section is described once, as a
+``_Section`` table of ``_Field``s below: a field names its config key, the
+kind of JSON value it takes, its default (or that it is required) and the
+domain field it fills when that is named differently. ``_DOCUMENT`` lists
+the top-level sections; ``_STACK`` is an inline stack, which is also the
+stack document that ``--stack`` reads and every report echoes. A stack
+reference is a preset name, ``{"preset": <name>}`` or an inline stack;
+exactly one stack source may be given.
 
-  schema_version  optional, must equal "1" when present
-  stack           preset name, {"preset": <name>}, or an inline stack document
-  design          {"area_cm2": > 0, "yield": in (0, 1]}
-  fab             {"energy_weights": {"per_euv_mask", "per_duv_mask"},
-                   "carbon": <five CarbonParams fields>,
-                   "ci_band": {"low", "high"}}
-  compare         {"stack_a": <stack ref>, "stack_b": <stack ref>}
-  sweep           {"targets": [<M-labels>], "retain_power_grid": bool,
-                   "beol_only": bool}
-  soc             {"blocks": [{"name", "area_cm2", "required_top",
-                   "area_overhead": {<M-label>: factor}}],
-                   "target_top": <M-label>, "retain_power_grid": bool}
-  trend           {"series": [[<node>, <value>], ...], "reference": <node>}
-
-An inline stack document is {"schema_version"?, "technology_node",
-"layers": [{"name", "region", "pitch_nm"?, "metal_process"?,
-"via_process"?, "tags"?}]}. Exactly one stack source (preset or inline
-layers) may be given per analysis.
-
-The parser checks shape only; range rules are those of the domain types,
-whose DomainError fields are reported at their config paths. Unknown keys
-are rejected in strict mode and collected as warnings otherwise. All
-violations are reported together with field paths.
+One walker, ``_Section.parse``, reads every section from its table, and
+``_Section.dump`` writes a domain value back in the same shape. The parser
+checks shape only; range rules are those of the domain types, whose
+DomainError fields are reported at their config paths. Unknown keys are
+rejected in strict mode and collected as warnings otherwise. All violations
+are reported together with field paths. A required field that fails its
+check fails its object; an optional one falls back to its default.
 """
 
 from __future__ import annotations
@@ -32,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .carbon import CarbonParams, validate_ci_band
 from .catalog import DEFAULT_CATALOG, EnergyWeights
@@ -97,15 +89,8 @@ class ConfigDocument:
     warnings: tuple[str, ...] = ()
 
 
-# Domain field name -> config key, where the two differ.
-_CONFIG_KEYS = {
-    "yield_fraction": "yield",
-    "baseline_area_cm2": "area_cm2",
-    "required_top_layer": "required_top",
-}
-
-
-_KINDS = {"number": (int, float), "string": str}
+_BAD = object()  # a value that failed its check; the error is already recorded
+_REQUIRED = object()  # the default of a field that has none
 
 
 def _finite(value) -> bool:
@@ -127,363 +112,374 @@ class _Collector:
     def error(self, path: str, message: str):
         self.errors.append((path, message))
 
-    def check_keys(self, obj: dict, known: set[str], path: str):
+    def check_keys(self, obj: dict, section: _Section, path: str):
         for key in obj:
-            if key not in known:
-                note = f"unknown key {key!r} (known: {', '.join(sorted(known))})"
+            if key not in section.keys:
+                note = f"unknown key {key!r} (known: {section.known})"
                 if self.strict:
                     self.error(f"{path}.{key}" if path else key, note)
                 else:
                     self.warnings.append(f"{path + '.' if path else ''}{key}: {note}")
 
-    def section(self, obj, known: set[str], path: str, what: str = "") -> bool:
-        """Whether ``obj`` is an object; its unknown keys are then checked."""
-        if not isinstance(obj, dict):
-            self.error(path, f"{what}must be an object, got {obj!r}")
-            return False
-        self.check_keys(obj, known, path)
-        return True
-
-    def value(self, obj: dict, key: str, path: str, kind: str, required=False, nullable=False):
-        """``obj[key]`` if it is a ``kind``: "number" (finite, fits a float)
-        or "string"; else None with the error recorded. An absent key, or a
-        null one when ``nullable``, gives None, an error when ``required``."""
-        value = obj.get(key)
-        if key not in obj or (nullable and value is None):
-            if required:
-                self.error(f"{path}.{key}", "required field is missing")
-            return None
-        if isinstance(value, bool) or not isinstance(value, _KINDS[kind]):
-            or_null = " or null" if nullable else ""
-            self.error(f"{path}.{key}", f"must be a {kind}{or_null}, got {value!r}")
-            return None
-        if kind == "number" and not _finite(value):
-            self.error(f"{path}.{key}", "must be a finite number within floating-point range")
-            return None
-        return value
-
-    def numbers(self, obj: dict, keys, path: str) -> dict | None:
-        """The required numbers ``keys`` of ``obj`` as floats; None if any is bad."""
-        values = {key: self.value(obj, key, path, "number", required=True) for key in keys}
-        if None in values.values():
-            return None
-        return {key: float(value) for key, value in values.items()}
-
-    def build(self, cls, path: str, **fields):
-        """``cls(**fields)``, or None with each failing field of its DomainError
-        reported at ``<path>.<config key>`` (at ``path`` when it names none)."""
+    def built(self, path: str, to_key: dict, make, /, *args, **kwargs):
+        """``make(*args, **kwargs)``, or _BAD with each failing field of its
+        DomainError reported at ``<path>.<config key>`` (at ``path`` when it
+        names none)."""
         try:
-            return cls(**fields)
+            return make(*args, **kwargs)
         except DomainError as exc:
             for field, message in exc.fields or ((None, str(exc)),):
-                self.error(f"{path}.{_CONFIG_KEYS.get(field, field)}" if field else path, message)
-            return None
+                self.error(f"{path}.{to_key.get(field, field)}" if field else path, message)
+            return _BAD
 
-    def version(self, obj: dict, path: str):
-        version = obj.get("schema_version")
-        if version is not None and str(version) != SCHEMA_VERSION:
-            self.error(path, f"unsupported version {version!r}; expected {SCHEMA_VERSION}")
+    def done(self, result):
+        """``result``, or ConfigError with every recorded error."""
+        if self.errors:
+            raise ConfigError(self.errors)
+        return result
 
-    def boolean(self, obj: dict, key: str, path: str, default: bool):
-        if key not in obj:
-            return default
-        value = obj[key]
-        if not isinstance(value, bool):
-            self.error(f"{path}.{key}", f"must be a boolean, got {value!r}")
-            return default
+
+class _Kind:
+    """The JSON value a field takes. ``parse(value, path, col)`` gives the
+    domain value, or _BAD with the error recorded at ``path``; ``dump``
+    writes a domain value back; ``missing`` is the error for an absent
+    required field."""
+
+    missing = "required field is missing"
+
+    def __init__(self, parse, dump=None, missing=None):
+        self.parse = parse
+        if dump is not None:
+            self.dump = dump
+        if missing is not None:
+            self.missing = missing
+
+    @staticmethod
+    def dump(value):
         return value
+
+
+class _Field:
+    """A config key, its kind, its default (``_REQUIRED`` for none) and the
+    domain field it fills: by default the key itself, and none for ""."""
+
+    __slots__ = ("key", "kind", "default", "attr")
+
+    def __init__(self, key: str, kind: _Kind, default=_REQUIRED, attr: str | None = None):
+        self.key, self.kind, self.default = key, kind, default
+        self.attr = key if attr is None else attr
+
+
+class _Section(_Kind):
+    """A JSON object read through its fields into ``make(**fields)``."""
+
+    def __init__(self, make, fields: list[_Field], what: str = ""):
+        self.make, self.what = make, what
+        self.fields = fields
+        self.keys = frozenset(f.key for f in fields)
+        self.known = ", ".join(sorted(self.keys))
+        self.to_key = {f.attr: f.key for f in fields if f.attr != f.key}
+        # The fields unpacked for the walker, and for dump (whose None writes
+        # the value as it is).
+        self._in = [(f.key, f.kind.parse, f.default, f.attr, f.kind.missing) for f in fields]
+        self._out = [(f.key, f.attr, None if f.kind.dump is _Kind.dump else f.kind.dump)
+                     for f in fields]
+
+    def values(self, obj, path: str, col: _Collector):
+        """The checked fields of ``obj`` by domain name, or _BAD."""
+        if not isinstance(obj, dict):
+            col.error(path, f"{self.what}must be an object, got {obj!r}")
+            return _BAD
+        col.check_keys(obj, self, path)
+        values, failed = {}, False
+        for key, parse, default, attr, missing in self._in:
+            if key in obj:
+                value = parse(obj[key], f"{path}.{key}" if path else key, col)
+                if value is _BAD:
+                    failed = failed or default is _REQUIRED
+                    value = default
+            else:
+                value = default
+                if value is _REQUIRED:
+                    col.error(f"{path}.{key}" if path else key, missing)
+                    failed = True
+            if attr:
+                values[attr] = value
+        return _BAD if failed else values
+
+    def parse(self, obj, path: str, col: _Collector):
+        values = self.values(obj, path, col)
+        return _BAD if values is _BAD else col.built(path, self.to_key, self.make, **values)
+
+    def dump(self, value) -> dict:
+        out = {}
+        for key, attr, dump in self._out:
+            item = getattr(value, attr) if attr else None
+            out[key] = item if dump is None else dump(item)
+        return out
+
+
+class _List(_Kind):
+    """A JSON list of ``item``s, read into ``make(items)``; ``message`` is
+    the error for a missing or non-list value (or an empty one when
+    ``nonempty``)."""
+
+    def __init__(self, item: _Kind, message: str, make=tuple, nonempty=False):
+        self.item, self.missing, self.make, self.nonempty = item, message, make, nonempty
+
+    def parse(self, value, path: str, col: _Collector):
+        if not isinstance(value, list) or (self.nonempty and not value):
+            col.error(path, self.missing)
+            return _BAD
+        items, failed = [], False
+        for i, raw in enumerate(value):
+            item = self.item.parse(raw, f"{path}[{i}]", col)
+            failed = failed or item is _BAD
+            items.append(item)
+        return _BAD if failed else col.built(path, {}, self.make, items)
+
+    def dump(self, value) -> list:
+        return [self.item.dump(item) for item in value]
+
+
+def _scalar(name: str, types, convert=None, nullable=False) -> _Kind:
+    """A JSON string, boolean or number (finite, fitting a float), or null
+    when ``nullable``; ``convert`` is applied to the value."""
+    expected = f"must be a {name}{' or null' if nullable else ''}, got "
+
+    def parse(value, path, col):
+        if value is None and nullable:
+            return None
+        if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
+            col.error(path, f"{expected}{value!r}")
+            return _BAD
+        if name == "number" and not _finite(value):
+            col.error(path, "must be a finite number within floating-point range")
+            return _BAD
+        return value if convert is None else convert(value)
+
+    return _Kind(parse)
+
+
+_string = _scalar("string", str)
+_number = _scalar("number", (int, float), convert=float)
+_boolean = _scalar("boolean", bool)
+_string_or_null = _scalar("string", str, nullable=True)
+_number_or_null = _scalar("number", (int, float), nullable=True)
+
+
+def _numbers(make, *keys: str) -> _Section:
+    """A section of required numbers, one per key."""
+    return _Section(make, [_Field(key, _number) for key in keys])
+
+
+def _parse_version(value, path, col):
+    if value is not None and str(value) != SCHEMA_VERSION:
+        col.error(path, f"unsupported version {value!r}; expected {SCHEMA_VERSION}")
+        return _BAD
+    return value
+
+
+def _parse_region(value, path, col):
+    name = _string.parse(value, path, col)
+    if name is _BAD:
+        return _BAD
+    try:
+        return Region(name)
+    except ValueError:
+        col.error(path, f"must be one of {', '.join(r.value for r in Region)}, got {name!r}")
+        return _BAD
+
+
+def _parse_tags(value, path, col):
+    """The known tags of a list of strings; each unknown one is an error."""
+    if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
+        col.error(path, f"must be a list of strings, got {value!r}")
+        return _BAD
+    for tag in value:
+        if tag not in KNOWN_TAGS:
+            col.error(path, f"unknown tag {tag!r} (known: {', '.join(sorted(KNOWN_TAGS))})")
+    return frozenset([t for t in value if t in KNOWN_TAGS])
+
+
+_LABELS_MESSAGE = "required field must be a non-empty list of layer labels"
+
+
+def _parse_labels(value, path, col):
+    if not isinstance(value, list) or not value or not all(isinstance(t, str) for t in value):
+        col.error(path, _LABELS_MESSAGE)
+        return _BAD
+    return tuple(value)
+
+
+def _parse_factors(value, path, col):
+    """An object of ``<M-label>: number`` area-overhead factors."""
+    if not isinstance(value, dict):
+        col.error(path, f"must be an object, got {value!r}")
+        return _BAD
+    factors = {key: _number.parse(factor, f"{path}.{key}", col) for key, factor in value.items()}
+    return _BAD if any(f is _BAD for f in factors.values()) else factors
+
+
+def _parse_pair(value, path, col):
+    if (
+        not isinstance(value, list)
+        or len(value) != 2
+        or not isinstance(value[0], str)
+        or isinstance(value[1], bool)
+        or not isinstance(value[1], (int, float))
+        or not _finite(value[1])
+    ):
+        col.error(path, f"must be a [node, finite number] pair, got {value!r}")
+        return _BAD
+    return (value[0], float(value[1]))
+
+
+def _parse_stack_ref(value, path, col):
+    """A preset name, a ``{"preset": <name>}`` object or an inline stack."""
+    if isinstance(value, str):
+        if value in PRESETS:
+            return PRESETS[value]()
+        col.error(path, f"unknown preset {value!r}; presets: {', '.join(PRESETS)}")
+    elif not isinstance(value, dict):
+        col.error(path, f"stack must be a preset name or an object, got {value!r}")
+    elif "preset" in value and "layers" in value:
+        col.error(path, "exactly one stack source allowed: preset or inline layers")
+    elif "preset" in value:
+        return _PRESET_REF.parse(value, path, col)
+    elif "layers" in value:
+        return _STACK.parse(value, path, col)
+    else:
+        col.error(path, "stack object needs either a 'preset' or inline 'layers'")
+    return _BAD
+
+
+def _checked_stack(technology_node: str, layers: tuple[LayerSpec, ...]) -> StackSpec:
+    """The stack, or a DomainError with each stack violation at ``layers``."""
+    stack = StackSpec(technology_node=technology_node, layers=layers)
+    violations = stack_violations(stack, DEFAULT_CATALOG)
+    if violations:
+        messages = [str(v) for v in violations]
+        raise DomainError("; ".join(messages), [("layers", m) for m in messages])
+    return stack
+
+
+_version = _Kind(_parse_version, dump=lambda _: SCHEMA_VERSION)
+
+_LAYER = _Section(LayerSpec, [
+    _Field("name", _string),
+    _Field("region", _Kind(_parse_region, dump=lambda region: region.value)),
+    _Field("pitch_nm", _number_or_null, None),
+    _Field("metal_process", _string_or_null, None),
+    _Field("via_process", _string_or_null, None),
+    _Field("tags", _Kind(_parse_tags, dump=sorted), frozenset()),
+], what="layer ")
+
+_STACK = _Section(_checked_stack, [
+    _Field("schema_version", _version, None, attr=""),
+    _Field("technology_node", _string),
+    _Field("layers", _List(_LAYER, "required field must be a list of layers")),
+])
+
+_stack_ref = _Kind(_parse_stack_ref, dump=_STACK.dump)
+_PRESET_REF = _Section(lambda preset: preset, [_Field("preset", _stack_ref)])
+
+_DESIGN = _Section(DesignParams, [
+    _Field("area_cm2", _number),
+    _Field("yield", _number, attr="yield_fraction"),
+])
+
+_WEIGHTS = _numbers(EnergyWeights, "per_euv_mask", "per_duv_mask")
+_CARBON = _numbers(CarbonParams, "carbon_intensity", "energy_per_unit_litho",
+                   "energy_per_area_base", "gas_per_area", "material_per_area")
+_CI_BAND = _Field("ci_band", _numbers(validate_ci_band, "low", "high"), None)
+
+# Fills the weights, carbon and ci_band fields of ConfigDocument.
+_FAB = _Section(dict, [
+    _Field("energy_weights", _WEIGHTS, EnergyWeights(), attr="weights"),
+    _Field("carbon", _CARBON, None),
+    _CI_BAND,
+])
+
+# A carbon profile file: the carbon fields and ci_band at its top level.
+_PROFILE = _Section(None, [*_CARBON.fields, _CI_BAND])
+
+_COMPARE = _Section(CompareSection, [
+    _Field("stack_a", _stack_ref),
+    _Field("stack_b", _stack_ref),
+])
+
+_SWEEP = _Section(SweepSection, [
+    _Field("targets", _Kind(_parse_labels, dump=list, missing=_LABELS_MESSAGE)),
+    _Field("retain_power_grid", _boolean, False),
+    _Field("beol_only", _boolean, False),
+])
+
+_BLOCK = _Section(SocBlock, [
+    _Field("name", _string),
+    _Field("area_cm2", _number, attr="baseline_area_cm2"),
+    _Field("required_top", _string, attr="required_top_layer"),
+    _Field("area_overhead", _Kind(_parse_factors, dump=lambda f: dict(sorted(f.items()))),
+           MappingProxyType({})),
+], what="block ")
+
+_SOC = _Section(SocSection, [
+    _Field("target_top", _string),
+    _Field("blocks", _List(_BLOCK, "required field must be a non-empty list of blocks",
+                           nonempty=True)),
+    _Field("retain_power_grid", _boolean, True),
+])
+
+_TREND = _Section(TrendSection, [
+    _Field("series", _List(
+        _Kind(_parse_pair),
+        "required field must be a non-empty list of [node, value] pairs",
+        make=TrendSeries,
+        nonempty=True,
+    )),
+    _Field("reference", _string, None),
+])
+
+# The top-level sections; parse_config_dict builds the ConfigDocument.
+_DOCUMENT = _Section(None, [
+    _Field("schema_version", _version, None, attr=""),
+    _Field("stack", _stack_ref, None),
+    _Field("design", _DESIGN, None),
+    _Field("fab", _FAB, None),
+    _Field("compare", _COMPARE, None),
+    _Field("sweep", _SWEEP, None),
+    _Field("soc", _SOC, None),
+    _Field("trend", _TREND, None),
+])
+
+# The config section that writes each echoed domain type.
+_ECHOED = {
+    StackSpec: _STACK,
+    DesignParams: _DESIGN,
+    EnergyWeights: _WEIGHTS,
+    CarbonParams: _CARBON,
+    SocBlock: _BLOCK,
+}
+
+
+def to_dict(value) -> dict | None:
+    """A stack, design, energy weights, carbon parameters or SoC block as its
+    config section writes it; None stays None."""
+    return None if value is None else _ECHOED[type(value)].dump(value)
 
 
 def stack_to_dict(stack: StackSpec) -> dict:
     """Serialize a stack to the config document schema."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "technology_node": stack.technology_node,
-        "layers": [
-            {
-                "name": layer.name,
-                "region": layer.region.value,
-                "pitch_nm": layer.pitch_nm,
-                "metal_process": layer.metal_process,
-                "via_process": layer.via_process,
-                "tags": sorted(layer.tags),
-            }
-            for layer in stack.layers
-        ],
-    }
-
-
-_LAYER_KEYS = {"name", "region", "pitch_nm", "metal_process", "via_process", "tags"}
-_STACK_KEYS = {"schema_version", "technology_node", "layers"}
-
-
-def _parse_layer(obj, path: str, col: _Collector) -> LayerSpec | None:
-    if not col.section(obj, _LAYER_KEYS, path, "layer "):
-        return None
-    name = col.value(obj, "name", path, "string", required=True)
-    region_name = col.value(obj, "region", path, "string", required=True)
-    region = None
-    if region_name is not None:
-        try:
-            region = Region(region_name)
-        except ValueError:
-            col.error(
-                f"{path}.region",
-                f"must be one of {', '.join(r.value for r in Region)}, got {region_name!r}",
-            )
-    pitch = col.value(obj, "pitch_nm", path, "number", nullable=True)
-    processes = {
-        key: col.value(obj, key, path, "string", nullable=True)
-        for key in ("metal_process", "via_process")
-    }
-    tags = obj.get("tags", [])
-    if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
-        col.error(f"{path}.tags", f"must be a list of strings, got {tags!r}")
-        tags = []
-    for tag in tags:
-        if tag not in KNOWN_TAGS:
-            col.error(
-                f"{path}.tags",
-                f"unknown tag {tag!r} (known: {', '.join(sorted(KNOWN_TAGS))})",
-            )
-    if name is None or region is None:
-        return None
-    return LayerSpec(
-        name=name,
-        region=region,
-        pitch_nm=pitch,
-        metal_process=processes["metal_process"],
-        via_process=processes["via_process"],
-        tags=frozenset(t for t in tags if t in KNOWN_TAGS),
-    )
-
-
-def stack_from_dict(obj: dict, path: str, col: _Collector) -> StackSpec | None:
-    if not col.section(obj, _STACK_KEYS, path, "stack document "):
-        return None
-    col.version(obj, f"{path}.schema_version")
-    node = col.value(obj, "technology_node", path, "string", required=True)
-    raw_layers = obj.get("layers")
-    if not isinstance(raw_layers, list):
-        col.error(f"{path}.layers", "required field must be a list of layers")
-        return None
-    layers = []
-    for i, raw in enumerate(raw_layers):
-        layer = _parse_layer(raw, f"{path}.layers[{i}]", col)
-        if layer is not None:
-            layers.append(layer)
-    if node is None or len(layers) != len(raw_layers):
-        return None
-    stack = StackSpec(technology_node=node, layers=tuple(layers))
-    for violation in stack_violations(stack, DEFAULT_CATALOG):
-        col.error(f"{path}.layers", str(violation))
-    return stack
-
-
-def _parse_stack_ref(value, path: str, col: _Collector) -> StackSpec | None:
-    if isinstance(value, str):
-        if value not in PRESETS:
-            col.error(path, f"unknown preset {value!r}; presets: {', '.join(PRESETS)}")
-            return None
-        return PRESETS[value]()
-    if isinstance(value, dict):
-        if "preset" in value and "layers" in value:
-            col.error(path, "exactly one stack source allowed: preset or inline layers")
-            return None
-        if "preset" in value:
-            col.check_keys(value, {"preset"}, path)
-            return _parse_stack_ref(value["preset"], f"{path}.preset", col)
-        if "layers" in value:
-            return stack_from_dict(value, path, col)
-        col.error(path, "stack object needs either a 'preset' or inline 'layers'")
-        return None
-    col.error(path, f"stack must be a preset name or an object, got {value!r}")
-    return None
-
-
-def _parse_design(obj, path: str, col: _Collector) -> DesignParams | None:
-    if not col.section(obj, {"area_cm2", "yield"}, path):
-        return None
-    values = col.numbers(obj, ("area_cm2", "yield"), path)
-    if values is None:
-        return None
-    return col.build(
-        DesignParams, path, area_cm2=values["area_cm2"], yield_fraction=values["yield"]
-    )
-
-
-_CARBON_KEYS = (
-    "carbon_intensity",
-    "energy_per_unit_litho",
-    "energy_per_area_base",
-    "gas_per_area",
-    "material_per_area",
-)
-
-
-def _parse_carbon(obj, path: str, col: _Collector) -> CarbonParams | None:
-    if not col.section(obj, set(_CARBON_KEYS), path):
-        return None
-    values = col.numbers(obj, _CARBON_KEYS, path)
-    return None if values is None else col.build(CarbonParams, path, **values)
-
-
-def _parse_ci_band(obj, path: str, col: _Collector) -> tuple[float, float] | None:
-    if not col.section(obj, {"low", "high"}, path):
-        return None
-    values = col.numbers(obj, ("low", "high"), path)
-    return None if values is None else col.build(validate_ci_band, path, **values)
-
-
-def _parse_fab(obj, path: str, col: _Collector):
-    weights, carbon, ci_band = EnergyWeights(), None, None
-    if not col.section(obj, {"energy_weights", "carbon", "ci_band"}, path):
-        return weights, carbon, ci_band
-    w, wpath = obj.get("energy_weights"), f"{path}.energy_weights"
-    if "energy_weights" in obj and col.section(w, {"per_euv_mask", "per_duv_mask"}, wpath):
-        values = col.numbers(w, ("per_euv_mask", "per_duv_mask"), wpath)
-        if values is not None:
-            weights = col.build(EnergyWeights, wpath, **values) or weights
-    if "carbon" in obj:
-        carbon = _parse_carbon(obj["carbon"], f"{path}.carbon", col)
-    if "ci_band" in obj:
-        ci_band = _parse_ci_band(obj["ci_band"], f"{path}.ci_band", col)
-    return weights, carbon, ci_band
-
-
-def _parse_compare(obj, path: str, col: _Collector) -> CompareSection | None:
-    if not col.section(obj, {"stack_a", "stack_b"}, path):
-        return None
-    if "stack_a" not in obj or "stack_b" not in obj:
-        col.error(path, "compare needs both stack_a and stack_b")
-        return None
-    a = _parse_stack_ref(obj["stack_a"], f"{path}.stack_a", col)
-    b = _parse_stack_ref(obj["stack_b"], f"{path}.stack_b", col)
-    if a is None or b is None:
-        return None
-    return CompareSection(stack_a=a, stack_b=b)
-
-
-def _parse_sweep(obj, path: str, col: _Collector) -> SweepSection | None:
-    if not col.section(obj, {"targets", "retain_power_grid", "beol_only"}, path):
-        return None
-    targets = obj.get("targets")
-    if not isinstance(targets, list) or not all(isinstance(t, str) for t in targets) or not targets:
-        col.error(f"{path}.targets", "required field must be a non-empty list of layer labels")
-        return None
-    return SweepSection(
-        targets=tuple(targets),
-        retain_power_grid=col.boolean(obj, "retain_power_grid", path, default=False),
-        beol_only=col.boolean(obj, "beol_only", path, default=False),
-    )
-
-
-def _parse_soc(obj, path: str, col: _Collector) -> SocSection | None:
-    if not col.section(obj, {"blocks", "target_top", "retain_power_grid"}, path):
-        return None
-    target = col.value(obj, "target_top", path, "string", required=True)
-    raw_blocks = obj.get("blocks")
-    if not isinstance(raw_blocks, list) or not raw_blocks:
-        col.error(f"{path}.blocks", "required field must be a non-empty list of blocks")
-        return None
-    blocks = []
-    for i, raw in enumerate(raw_blocks):
-        bpath = f"{path}.blocks[{i}]"
-        if not col.section(
-            raw, {"name", "area_cm2", "required_top", "area_overhead"}, bpath, "block "
-        ):
-            continue
-        name = col.value(raw, "name", bpath, "string", required=True)
-        area = col.value(raw, "area_cm2", bpath, "number", required=True)
-        required_top = col.value(raw, "required_top", bpath, "string", required=True)
-        overhead = raw.get("area_overhead", {})
-        if not isinstance(overhead, dict):
-            col.error(f"{bpath}.area_overhead", f"must be an object, got {overhead!r}")
-            overhead = {}
-        factors = col.numbers(overhead, overhead, f"{bpath}.area_overhead")
-        if None in (name, area, required_top, factors):
-            continue
-        block = col.build(
-            SocBlock,
-            bpath,
-            name=name,
-            baseline_area_cm2=float(area),
-            required_top_layer=required_top,
-            area_overhead=factors,
-        )
-        if block is not None:
-            blocks.append(block)
-    if target is None or len(blocks) != len(raw_blocks):
-        return None
-    return SocSection(
-        blocks=tuple(blocks),
-        target_top=target,
-        retain_power_grid=col.boolean(obj, "retain_power_grid", path, default=True),
-    )
-
-
-def _parse_trend(obj, path: str, col: _Collector) -> TrendSection | None:
-    if not col.section(obj, {"series", "reference"}, path):
-        return None
-    raw = obj.get("series")
-    if not isinstance(raw, list) or not raw:
-        col.error(f"{path}.series", "required field must be a non-empty list of [node, value] pairs")
-        return None
-    points = []
-    for i, pair in enumerate(raw):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not isinstance(pair[0], str)
-            or isinstance(pair[1], bool)
-            or not isinstance(pair[1], (int, float))
-            or not _finite(pair[1])
-        ):
-            col.error(f"{path}.series[{i}]", f"must be a [node, finite number] pair, got {pair!r}")
-        else:
-            points.append((pair[0], float(pair[1])))
-    if len(points) != len(raw):
-        return None
-    series = col.build(TrendSeries, f"{path}.series", points=tuple(points))
-    if series is None:
-        return None
-    return TrendSection(series=series, reference=col.value(obj, "reference", path, "string"))
-
-
-_TOP_KEYS = {"schema_version", "stack", "design", "fab", "compare", "sweep", "soc", "trend"}
+    return _STACK.dump(stack)
 
 
 def parse_config_dict(raw, strict: bool = False) -> ConfigDocument:
-    col = _Collector(strict)
     if not isinstance(raw, dict):
         raise ConfigError([("<document>", f"config must be a JSON object, got {raw!r}")])
-    col.check_keys(raw, _TOP_KEYS, "")
-    col.version(raw, "schema_version")
-
-    stack = _parse_stack_ref(raw["stack"], "stack", col) if "stack" in raw else None
-    design = _parse_design(raw["design"], "design", col) if "design" in raw else None
-    weights, carbon, ci_band = (
-        _parse_fab(raw["fab"], "fab", col) if "fab" in raw else (EnergyWeights(), None, None)
-    )
-    compare = _parse_compare(raw["compare"], "compare", col) if "compare" in raw else None
-    sweep = _parse_sweep(raw["sweep"], "sweep", col) if "sweep" in raw else None
-    soc = _parse_soc(raw["soc"], "soc", col) if "soc" in raw else None
-    trend = _parse_trend(raw["trend"], "trend", col) if "trend" in raw else None
-
-    if col.errors:
-        raise ConfigError(col.errors)
-    return ConfigDocument(
-        stack=stack,
-        design=design,
-        weights=weights,
-        carbon=carbon,
-        ci_band=ci_band,
-        compare=compare,
-        sweep=sweep,
-        soc=soc,
-        trend=trend,
-        warnings=tuple(col.warnings),
-    )
+    col = _Collector(strict)
+    sections = col.done(_DOCUMENT.values(raw, "", col))
+    fab = sections.pop("fab") or {}
+    return ConfigDocument(**sections, **fab, warnings=tuple(col.warnings))
 
 
 def _load_json(text: str):
@@ -513,20 +509,18 @@ def parse_carbon_profile(text: str, strict: bool = False):
     col = _Collector(strict)
     if not isinstance(raw, dict):
         raise ConfigError([("<document>", "carbon profile must be a JSON object")])
-    col.check_keys(raw, set(_CARBON_KEYS) | {"ci_band"}, "")
-    params = _parse_carbon({k: raw[k] for k in _CARBON_KEYS if k in raw}, "carbon", col)
-    ci_band = _parse_ci_band(raw["ci_band"], "ci_band", col) if "ci_band" in raw else None
-    if col.errors:
-        raise ConfigError(col.errors)
-    return params, ci_band, tuple(col.warnings)
+    col.check_keys(raw, _PROFILE, "")
+    carbon = {f.key: raw[f.key] for f in _CARBON.fields if f.key in raw}
+    params = _CARBON.parse(carbon, "carbon", col)
+    ci_band = _CI_BAND.kind.parse(raw["ci_band"], "ci_band", col) if "ci_band" in raw else None
+    return col.done((params, ci_band, tuple(col.warnings)))
 
 
 def load_stack_document(text: str, strict: bool = False) -> StackSpec:
     """Parse a standalone stack document or {"preset": name} reference."""
     raw = _load_json(text)
     col = _Collector(strict)
-    stack = _parse_stack_ref(raw, "stack", col)
-    if col.errors:
-        raise ConfigError(col.errors)
-    assert stack is not None
-    return stack
+    stack = _stack_ref.parse(raw, "stack", col)
+    if col.errors and isinstance(raw, dict) and "stack" in raw:
+        col.error("<document>", "a config document with a stack section; pass it with --config")
+    return col.done(stack)

@@ -249,21 +249,25 @@ def compose_soc(
 
     block_results = []
     chip_top_index = 0
+    # Areas add left to right: from Python 3.12 on, sum() rounds float sums
+    # differently, and reports must not depend on the interpreter.
+    baseline_area = constrained_area = 0.0
     for block in blocks:
         factor = block.overhead_factor(target_top)
+        constrained = block.baseline_area_cm2 * factor
         block_results.append(
             SocBlockResult(
                 block=block,
                 overhead_factor=factor,
-                constrained_area_cm2=block.baseline_area_cm2 * factor,
+                constrained_area_cm2=constrained,
             )
         )
         chip_top_index = max(
             chip_top_index, min(beol_index(block.required_top_layer), target_index)
         )
+        baseline_area += block.baseline_area_cm2
+        constrained_area += constrained
 
-    baseline_area = sum(b.baseline_area_cm2 for b in blocks)
-    constrained_area = sum(r.constrained_area_cm2 for r in block_results)
     for side, area in (("baseline", baseline_area), ("constrained", constrained_area)):
         if not math.isfinite(area):
             raise DomainError(f"{side} SoC area overflows: the sum of the {len(blocks)} "

@@ -100,6 +100,34 @@ def test_sweep_conflicting_flags():
     assert "beol-only" in proc.stderr
 
 
+@pytest.mark.parametrize("sweep, flags, message", [
+    ({"beol_only": True, "retain_power_grid": True}, (),
+     "sweep.beol_only excludes sweep.retain_power_grid"),
+    ({"beol_only": True}, ("--retain-power-grid",), "sweep.beol_only excludes --retain-power-grid"),
+    ({"retain_power_grid": True}, ("--beol-only",), "--beol-only excludes sweep.retain_power_grid"),
+], ids=["config", "config-beol-flag-retain", "flag-beol-config-retain"])
+def test_sweep_conflict_from_config_names_its_location(tmp_path, sweep, flags, message):
+    path = tmp_path / "config.json"
+    document = {"stack": "asap7", "sweep": {"targets": ["M5"], **sweep}}
+    path.write_text(json.dumps(document), encoding="utf-8")
+    proc = run_main("sweep", "--config", str(path), *flags)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
+
+
+def test_stack_file_holding_a_config_document_hints_config(monkeypatch):
+    monkeypatch.chdir(REPO_ROOT)
+    stack_file = "configs/custom_stack_example.json"
+    proc = run_main("analyze", "--stack", stack_file, "--area", "1", "--yield", "1")
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "error: stack: stack object needs either a 'preset' or inline 'layers'",
+        "error: <document>: a config document with a stack section; pass it with --config",
+    ]
+    assert run_main("analyze", "--config", stack_file, "--area", "1", "--yield", "1").returncode == 0
+
+
 def test_soc_report():
     report = _json_report("soc", "--config", str(CONFIGS / "soc_trainer.json"), "--format", "json")
     result = report["result"]
