@@ -174,8 +174,7 @@ class _Section(_Kind):
     """A JSON object read through its fields into ``make(**fields)``."""
 
     def __init__(self, make, fields: list[_Field], what: str = ""):
-        self.make, self.what = make, what
-        self.fields = fields
+        self.make, self.fields, self.what = make, fields, what
         self.keys = frozenset(f.key for f in fields)
         self.known = ", ".join(sorted(self.keys))
         self.to_key = {f.attr: f.key for f in fields if f.attr != f.key}
