@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 
 from .engine import DesignParams, StackMetrics
 from .errors import DomainError
+from .value import Value, set_field
 
 
 @dataclass(frozen=True)
@@ -45,11 +46,14 @@ class CarbonParams:
             raise DomainError("; ".join(message for _, message in failed), failed)
 
 
-@dataclass(frozen=True)
-class CarbonResult:
-    embodied_kg: float
-    low_kg: float | None = None
-    high_kg: float | None = None
+class CarbonResult(Value):
+    __slots__ = ("embodied_kg", "low_kg", "high_kg")
+
+    def __init__(self, embodied_kg: float, low_kg: float | None = None,
+                 high_kg: float | None = None):
+        set_field(self, "embodied_kg", embodied_kg)
+        set_field(self, "low_kg", low_kg)
+        set_field(self, "high_kg", high_kg)
 
 
 def embodied_carbon(

@@ -16,11 +16,12 @@ registered into a catalog instance without touching the built-ins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
 from .errors import InvalidProcessError, ProcessCollisionError, UnknownProcessError
+from .value import Value, set_field
 
 
 class ExposureClass(Enum):
@@ -35,26 +36,36 @@ class ExposureClass(Enum):
         return self is ExposureClass.EUV
 
 
-@dataclass(frozen=True)
-class StepCounts:
+# The step categories, in StepCounts field order.
+STEP_FIELDS = ("dry_etch", "litho", "metallization", "metrology", "wet_etch", "deposition")
+
+
+class StepCounts(Value):
     """Fabrication step counts by category for one patterned line."""
 
-    dry_etch: int = 0
-    litho: int = 0
-    metallization: int = 0
-    metrology: int = 0
-    wet_etch: int = 0
-    deposition: int = 0
+    __slots__ = STEP_FIELDS
+
+    def __init__(self, dry_etch: int = 0, litho: int = 0, metallization: int = 0,
+                 metrology: int = 0, wet_etch: int = 0, deposition: int = 0):
+        set_field(self, "dry_etch", dry_etch)
+        set_field(self, "litho", litho)
+        set_field(self, "metallization", metallization)
+        set_field(self, "metrology", metrology)
+        set_field(self, "wet_etch", wet_etch)
+        set_field(self, "deposition", deposition)
+        self.__post_init__()
 
     def __post_init__(self):
-        for name, value in zip(_STEP_FIELDS, self.as_tuple()):
+        # A method of its own, so that perfbench's tracer can count the
+        # StepCounts built per operation by wrapping it.
+        for name, value in zip(STEP_FIELDS, self.as_tuple()):
             if value < 0:
                 raise InvalidProcessError(
                     f"step count {name} must be >= 0, got {value}"
                 )
 
     def as_dict(self) -> dict[str, int]:
-        return dict(zip(_STEP_FIELDS, self.as_tuple()))
+        return dict(zip(STEP_FIELDS, self.as_tuple()))
 
     def total(self) -> int:
         return sum(self.as_tuple())
@@ -76,9 +87,6 @@ class StepCounts:
         )
 
 
-_STEP_FIELDS = tuple(f.name for f in fields(StepCounts))
-
-
 @dataclass(frozen=True)
 class ProcessClass:
     """A named patterning process: step counts, masks, exposure class."""
@@ -95,8 +103,7 @@ class ProcessClass:
             )
 
 
-@dataclass(frozen=True)
-class EnergyWeights:
+class EnergyWeights(Value):
     """Relative lithography energy per mask, by exposure class.
 
     An EUV exposure tool draws roughly ten times the power of a DUV tool,
@@ -104,13 +111,13 @@ class EnergyWeights:
     carries the DUV weight; no separate figure is modeled for it.
     """
 
-    per_euv_mask: float = 10.0
-    per_duv_mask: float = 1.0
+    __slots__ = ("per_euv_mask", "per_duv_mask")
 
-    def __post_init__(self):
+    def __init__(self, per_euv_mask: float = 10.0, per_duv_mask: float = 1.0):
+        set_field(self, "per_euv_mask", per_euv_mask)
+        set_field(self, "per_duv_mask", per_duv_mask)
         failed = []
-        for name, value in (("per_euv_mask", self.per_euv_mask),
-                            ("per_duv_mask", self.per_duv_mask)):
+        for name, value in (("per_euv_mask", per_euv_mask), ("per_duv_mask", per_duv_mask)):
             if not 0 < value < math.inf:
                 failed.append((name, f"energy weight {name} must be finite and > 0, got {value}"))
         if failed:

@@ -47,12 +47,16 @@ def _write_text(path: str, text: str):
         raise _CliError(f"{path}: cannot write report ({exc.strerror})") from None
 
 
+def _warn(path: str, warnings):
+    for warning in warnings:
+        print(f"warning: {path}: {warning}", file=sys.stderr)
+
+
 def _load_config(args) -> ConfigDocument:
     if args.config is None:
         return ConfigDocument()
     doc = parse_config(_read_text(args.config), strict=args.strict)
-    for warning in doc.warnings:
-        print(f"warning: {args.config}: {warning}", file=sys.stderr)
+    _warn(args.config, doc.warnings)
     return doc
 
 
@@ -67,7 +71,10 @@ def _resolve_stack(ref: str | None, fallback: StackSpec | None, args) -> StackSp
     if ref in PRESETS:
         return PRESETS[ref]()
     if Path(ref).exists():
-        return load_stack_document(_read_text(ref), strict=args.strict)
+        warnings = []
+        stack = load_stack_document(_read_text(ref), strict=args.strict, warnings=warnings)
+        _warn(ref, warnings)
+        return stack
     raise _CliError(
         f"stack {ref!r} is neither a preset ({', '.join(PRESETS)}) nor an existing file"
     )
@@ -97,8 +104,7 @@ def _resolve_carbon(args, cfg: ConfigDocument):
         params, ci_band, warnings = parse_carbon_profile(
             _read_text(args.carbon_profile), strict=args.strict
         )
-        for warning in warnings:
-            print(f"warning: {args.carbon_profile}: {warning}", file=sys.stderr)
+        _warn(args.carbon_profile, warnings)
         return params, ci_band
     return cfg.carbon, cfg.ci_band
 
@@ -122,12 +128,13 @@ def _cmd_analyze(args) -> dict:
     metrics = stack_metrics(stack, DEFAULT_CATALOG, cfg.weights)
     chip = chip_pfas(metrics, design)
     carbon = estimate_carbon(metrics, design, carbon_params, ci_band)
+    stack_echo = stack_to_dict(stack)
     inputs = {
-        "stack": stack_to_dict(stack),
+        "stack": stack_echo,
         **_model_echo(design, cfg.weights, carbon_params, ci_band),
     }
     result = {
-        "stack_metrics": rpt.metrics_to_dict(stack, metrics),
+        "stack_metrics": rpt.metrics_to_dict(stack_echo["layers"], metrics),
         "chip_pfas": rpt.chip_to_dict(chip),
         "carbon": rpt.carbon_to_dict(carbon),
     }

@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
 
 from .carbon import CarbonParams, validate_ci_band
-from .catalog import DEFAULT_CATALOG, EnergyWeights
+from .catalog import DEFAULT_CATALOG, DEFAULT_WEIGHTS, EnergyWeights
 from .engine import DesignParams
 from .errors import ConfigError, DomainError
 from .scenarios import SocBlock, TrendSeries
@@ -39,6 +38,7 @@ from .stack import (
     n7_fixture,
     stack_violations,
 )
+from .value import Value, set_field
 
 SCHEMA_VERSION = "1"
 
@@ -49,48 +49,78 @@ PRESETS = {
 }
 
 
-@dataclass(frozen=True)
-class CompareSection:
-    stack_a: StackSpec
-    stack_b: StackSpec
+class CompareSection(Value):
+    __slots__ = ("stack_a", "stack_b")
+
+    def __init__(self, stack_a: StackSpec, stack_b: StackSpec):
+        set_field(self, "stack_a", stack_a)
+        set_field(self, "stack_b", stack_b)
 
 
-@dataclass(frozen=True)
-class SweepSection:
-    targets: tuple[str, ...]
-    retain_power_grid: bool = False
-    beol_only: bool = False
+class SweepSection(Value):
+    __slots__ = ("targets", "retain_power_grid", "beol_only")
+
+    def __init__(self, targets: tuple[str, ...], retain_power_grid: bool = False,
+                 beol_only: bool = False):
+        set_field(self, "targets", targets)
+        set_field(self, "retain_power_grid", retain_power_grid)
+        set_field(self, "beol_only", beol_only)
 
 
-@dataclass(frozen=True)
-class SocSection:
-    blocks: tuple[SocBlock, ...]
-    target_top: str
-    retain_power_grid: bool = True
+class SocSection(Value):
+    __slots__ = ("blocks", "target_top", "retain_power_grid")
+
+    def __init__(self, blocks: tuple[SocBlock, ...], target_top: str,
+                 retain_power_grid: bool = True):
+        set_field(self, "blocks", blocks)
+        set_field(self, "target_top", target_top)
+        set_field(self, "retain_power_grid", retain_power_grid)
 
 
-@dataclass(frozen=True)
-class TrendSection:
-    series: TrendSeries
-    reference: str | None = None
+class TrendSection(Value):
+    __slots__ = ("series", "reference")
+
+    def __init__(self, series: TrendSeries, reference: str | None = None):
+        set_field(self, "series", series)
+        set_field(self, "reference", reference)
 
 
-@dataclass(frozen=True)
-class ConfigDocument:
-    stack: StackSpec | None = None
-    design: DesignParams | None = None
-    weights: EnergyWeights = EnergyWeights()
-    carbon: CarbonParams | None = None
-    ci_band: tuple[float, float] | None = None
-    compare: CompareSection | None = None
-    sweep: SweepSection | None = None
-    soc: SocSection | None = None
-    trend: TrendSection | None = None
-    warnings: tuple[str, ...] = ()
+class ConfigDocument(Value):
+    __slots__ = ("stack", "design", "weights", "carbon", "ci_band", "compare", "sweep",
+                 "soc", "trend", "warnings")
+
+    def __init__(
+        self,
+        stack: StackSpec | None = None,
+        design: DesignParams | None = None,
+        weights: EnergyWeights = DEFAULT_WEIGHTS,
+        carbon: CarbonParams | None = None,
+        ci_band: tuple[float, float] | None = None,
+        compare: CompareSection | None = None,
+        sweep: SweepSection | None = None,
+        soc: SocSection | None = None,
+        trend: TrendSection | None = None,
+        warnings: tuple[str, ...] = (),
+    ):
+        set_field(self, "stack", stack)
+        set_field(self, "design", design)
+        set_field(self, "weights", weights)
+        set_field(self, "carbon", carbon)
+        set_field(self, "ci_band", ci_band)
+        set_field(self, "compare", compare)
+        set_field(self, "sweep", sweep)
+        set_field(self, "soc", soc)
+        set_field(self, "trend", trend)
+        set_field(self, "warnings", warnings)
 
 
 _BAD = object()  # a value that failed its check; the error is already recorded
 _REQUIRED = object()  # the default of a field that has none
+
+
+def _at(path: str, key: str) -> str:
+    """The location of ``key`` in the object at ``path`` ("" for the top level)."""
+    return f"{path}.{key}" if path else key
 
 
 def _finite(value) -> bool:
@@ -117,9 +147,9 @@ class _Collector:
             if key not in section.keys:
                 note = f"unknown key {key!r} (known: {section.known})"
                 if self.strict:
-                    self.error(f"{path}.{key}" if path else key, note)
+                    self.error(_at(path, key), note)
                 else:
-                    self.warnings.append(f"{path + '.' if path else ''}{key}: {note}")
+                    self.warnings.append(f"{_at(path, key)}: {note}")
 
     def built(self, path: str, to_key: dict, make, /, *args, **kwargs):
         """``make(*args, **kwargs)``, or _BAD with each failing field of its
@@ -129,7 +159,7 @@ class _Collector:
             return make(*args, **kwargs)
         except DomainError as exc:
             for field, message in exc.fields or ((None, str(exc)),):
-                self.error(f"{path}.{to_key.get(field, field)}" if field else path, message)
+                self.error(_at(path, to_key.get(field, field)) if field else path, message)
             return _BAD
 
     def done(self, result):
@@ -193,14 +223,14 @@ class _Section(_Kind):
         values, failed = {}, False
         for key, parse, default, attr, missing in self._in:
             if key in obj:
-                value = parse(obj[key], f"{path}.{key}" if path else key, col)
+                value = parse(obj[key], _at(path, key), col)
                 if value is _BAD:
                     failed = failed or default is _REQUIRED
                     value = default
             else:
                 value = default
                 if value is _REQUIRED:
-                    col.error(f"{path}.{key}" if path else key, missing)
+                    col.error(_at(path, key), missing)
                     failed = True
             if attr:
                 values[attr] = value
@@ -395,13 +425,15 @@ _CI_BAND = _Field("ci_band", _numbers(validate_ci_band, "low", "high"), None)
 
 # Fills the weights, carbon and ci_band fields of ConfigDocument.
 _FAB = _Section(dict, [
-    _Field("energy_weights", _WEIGHTS, EnergyWeights(), attr="weights"),
+    _Field("energy_weights", _WEIGHTS, DEFAULT_WEIGHTS, attr="weights"),
     _Field("carbon", _CARBON, None),
     _CI_BAND,
 ])
 
-# A carbon profile file: the carbon fields and ci_band at its top level.
-_PROFILE = _Section(None, [*_CARBON.fields, _CI_BAND])
+# A carbon profile file: the carbon fields and ci_band at its top level,
+# read into (CarbonParams, ci_band).
+_PROFILE = _Section(lambda ci_band, **carbon: (CarbonParams(**carbon), ci_band),
+                    [*_CARBON.fields, _CI_BAND])
 
 _COMPARE = _Section(CompareSection, [
     _Field("stack_a", _stack_ref),
@@ -505,21 +537,25 @@ def parse_carbon_profile(text: str, strict: bool = False):
     """Parse a standalone carbon profile file: CarbonParams fields plus an
     optional ci_band. Returns (params, ci_band, warnings)."""
     raw = _load_json(text)
-    col = _Collector(strict)
     if not isinstance(raw, dict):
         raise ConfigError([("<document>", "carbon profile must be a JSON object")])
-    col.check_keys(raw, _PROFILE, "")
-    carbon = {f.key: raw[f.key] for f in _CARBON.fields if f.key in raw}
-    params = _CARBON.parse(carbon, "carbon", col)
-    ci_band = _CI_BAND.kind.parse(raw["ci_band"], "ci_band", col) if "ci_band" in raw else None
-    return col.done((params, ci_band, tuple(col.warnings)))
+    col = _Collector(strict)
+    params, ci_band = col.done(_PROFILE.parse(raw, "", col))
+    return params, ci_band, tuple(col.warnings)
 
 
-def load_stack_document(text: str, strict: bool = False) -> StackSpec:
-    """Parse a standalone stack document or {"preset": name} reference."""
+def load_stack_document(
+    text: str, strict: bool = False, warnings: list | None = None
+) -> StackSpec:
+    """Parse a standalone stack document or {"preset": name} reference. In
+    lenient mode its unknown-key warnings are appended to ``warnings`` when
+    that list is given."""
     raw = _load_json(text)
     col = _Collector(strict)
     stack = _stack_ref.parse(raw, "stack", col)
     if col.errors and isinstance(raw, dict) and "stack" in raw:
         col.error("<document>", "a config document with a stack section; pass it with --config")
-    return col.done(stack)
+    stack = col.done(stack)
+    if warnings is not None:
+        warnings.extend(col.warnings)
+    return stack

@@ -13,23 +13,23 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, fields
 from typing import NamedTuple
 
 from . import __version__
 from .carbon import CarbonResult
-from .catalog import ExposureClass, ProcessCatalog, StepCounts
-from .config import SCHEMA_VERSION, stack_to_dict
+from .catalog import STEP_FIELDS, ExposureClass, ProcessCatalog
+from .config import SCHEMA_VERSION
 from .engine import ChipPfas, StackMetrics
 from .scenarios import ComparisonResult, SocReport, SweepPoint, TrendSeries
-from .stack import Region, StackSpec
+from .stack import Region
 
 PFAS_UNIT = "layer*cm^2"
 
-_STEP_KEYS = tuple(f.name for f in fields(StepCounts))
 
-
-def metrics_to_dict(stack: StackSpec, metrics: StackMetrics) -> dict:
+def metrics_to_dict(layers: list[dict], metrics: StackMetrics) -> dict:
+    """The summary of ``metrics`` with a row per layer: the layer as the
+    stack echo writes it (``layers``, from ``stack_to_dict``), then its
+    figures."""
     summary = metrics_summary_dict(metrics)
     summary["per_layer"] = [
         {
@@ -40,7 +40,7 @@ def metrics_to_dict(stack: StackSpec, metrics: StackMetrics) -> dict:
             "pfas_layers": lm.pfas_layers,
             "steps": lm.total_steps.as_dict(),
         }
-        for layer, lm in zip(stack_to_dict(stack)["layers"], metrics.per_layer)
+        for layer, lm in zip(layers, metrics.per_layer)
     ]
     return summary
 
@@ -73,7 +73,9 @@ def chip_to_dict(chip: ChipPfas | None) -> dict | None:
 
 
 def carbon_to_dict(result: CarbonResult | None) -> dict | None:
-    return None if result is None else asdict(result)
+    if result is None:
+        return None
+    return {"embodied_kg": result.embodied_kg, "low_kg": result.low_kg, "high_kg": result.high_kg}
 
 
 def comparison_to_dict(cmp: ComparisonResult) -> dict:
@@ -253,7 +255,7 @@ _LAYER_FIGURES = ("litho_steps", "litho_energy", "pfas_layers")
 _ANALYZE_COLUMNS = (
     ("name", "Layer"), ("region", "Region"), ("pitch_nm", "M_pitch"),
     ("metal_process", "Metal"), ("via_process", "Via"),
-    *((key, None) for key in _STEP_KEYS), ("masks", None),
+    *((key, None) for key in STEP_FIELDS), ("masks", None),
     *zip(_LAYER_FIGURES, ("# Litho steps", "E_litho", "# PFAS_litho")),
 )
 
@@ -406,7 +408,7 @@ def _trend_view(report: dict) -> list:
     ]
 
 
-_CATALOG_COLUMNS = tuple((key, key) for key in ("id", "exposure", "masks", *_STEP_KEYS))
+_CATALOG_COLUMNS = tuple((key, key) for key in ("id", "exposure", "masks", *STEP_FIELDS))
 
 
 def _catalog_view(report: dict) -> list:

@@ -11,7 +11,7 @@ descriptive metadata only.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -20,11 +20,13 @@ from .catalog import (
     DEFAULT_WEIGHTS,
     EnergyWeights,
     ExposureClass,
+    STEP_FIELDS,
     ProcessCatalog,
     StepCounts,
     mask_energy,
 )
 from .errors import StackValidationError
+from .value import Value, set_field
 
 TAG_ROUTING = "routing"
 TAG_POWER_GRID = "power_grid"
@@ -72,15 +74,14 @@ class LayerSpec:
         return TAG_POWER_GRID in self.tags
 
 
-@dataclass(frozen=True)
-class StackSpec:
+class StackSpec(Value):
     """Ordered full stack: FEOL first, then MOL, then BEOL bottom-up."""
 
-    technology_node: str
-    layers: tuple[LayerSpec, ...]
+    __slots__ = ("technology_node", "layers")
 
-    def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(self.layers))
+    def __init__(self, technology_node: str, layers: Sequence[LayerSpec]):
+        set_field(self, "technology_node", technology_node)
+        set_field(self, "layers", tuple(layers))
 
     def names(self) -> tuple[str, ...]:
         return tuple(layer.name for layer in self.layers)
@@ -102,26 +103,31 @@ class StackSpec:
         return routing[-1].name if routing else None
 
 
-@dataclass(frozen=True)
-class Violation:
-    layer: str
-    rule: str
-    message: str
+class Violation(Value):
+    __slots__ = ("layer", "rule", "message")
+
+    def __init__(self, layer: str, rule: str, message: str):
+        set_field(self, "layer", layer)
+        set_field(self, "rule", rule)
+        set_field(self, "message", message)
 
     def __str__(self) -> str:
         return f"layer {self.layer!r}: [{self.rule}] {self.message}"
 
 
-@dataclass(frozen=True)
-class LayerMetrics:
+class LayerMetrics(Value):
     """Derived counts for one layer, summed over its metal and via processes."""
 
-    name: str
-    litho_steps: int
-    total_steps: StepCounts
-    masks: int
-    pfas_layers: int
-    litho_energy: float
+    __slots__ = ("name", "litho_steps", "total_steps", "masks", "pfas_layers", "litho_energy")
+
+    def __init__(self, name: str, litho_steps: int, total_steps: StepCounts, masks: int,
+                 pfas_layers: int, litho_energy: float):
+        set_field(self, "name", name)
+        set_field(self, "litho_steps", litho_steps)
+        set_field(self, "total_steps", total_steps)
+        set_field(self, "masks", masks)
+        set_field(self, "pfas_layers", pfas_layers)
+        set_field(self, "litho_energy", litho_energy)
 
 
 def stack_violations(stack: StackSpec, catalog: ProcessCatalog = DEFAULT_CATALOG) -> list[Violation]:
@@ -210,7 +216,7 @@ class LayerRow(NamedTuple):
 _REGIONS = tuple(Region)
 _EXPOSURES = tuple(ExposureClass)
 # Where each group of LayerRow.counts ends.
-_STEPS_END = len(fields(StepCounts))
+_STEPS_END = len(STEP_FIELDS)
 _REGIONS_END = _STEPS_END + len(_REGIONS)
 
 

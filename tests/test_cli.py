@@ -289,6 +289,20 @@ def test_strict_mode_rejects_unknown_config_keys(tmp_path):
     assert "extra" in strict.stderr
 
 
+def test_stack_file_unknown_keys_warn_or_fail_in_strict_mode(tmp_path):
+    path = tmp_path / "stack.json"
+    path.write_text('{"preset": "asap7", "colour": 1}', encoding="utf-8")
+    known = "(known: preset)"
+    lenient = run_main("compare", str(path), "asap7", "--format", "json")
+    assert lenient.returncode == 0
+    assert lenient.stderr == f"warning: {path}: stack.colour: unknown key 'colour' {known}\n"
+    assert json.loads(lenient.stdout)["result"]["ratio_pfas"] == 1.0
+    strict = run_main("compare", str(path), "asap7", "--strict")
+    assert strict.returncode == 1
+    assert strict.stdout == ""
+    assert strict.stderr == f"error: stack.colour: unknown key 'colour' {known}\n"
+
+
 def test_invalid_stack_file_reports_violations(tmp_path):
     path = tmp_path / "stack.json"
     path.write_text(

@@ -146,7 +146,21 @@ def test_carbon_profile_missing_field():
     with pytest.raises(ConfigError) as excinfo:
         parse_carbon_profile('{"carbon_intensity": 0.4}')
     locations = [loc for loc, _ in excinfo.value.entries]
-    assert "carbon.energy_per_unit_litho" in locations
+    assert "energy_per_unit_litho" in locations
+
+
+def test_carbon_profile_errors_name_top_level_keys():
+    profile = {"carbon_intensity": -1, "energy_per_unit_litho": 0.05,
+               "energy_per_area_base": 5.0, "gas_per_area": 0.3, "material_per_area": "x"}
+    with pytest.raises(ConfigError) as excinfo:
+        parse_carbon_profile(json.dumps(profile))
+    assert excinfo.value.entries == (("material_per_area", "must be a number, got 'x'"),)
+    profile["material_per_area"] = 0.5
+    with pytest.raises(ConfigError) as excinfo:
+        parse_carbon_profile(json.dumps(profile))
+    assert excinfo.value.entries == (
+        ("carbon_intensity", "carbon_intensity must be finite and >= 0, got -1.0"),
+    )
 
 
 def test_inverted_ci_band_rejected():
