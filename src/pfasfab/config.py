@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-from types import MappingProxyType
 
 from .carbon import CarbonParams, validate_ci_band
 from .catalog import DEFAULT_CATALOG, DEFAULT_WEIGHTS, EnergyWeights
@@ -451,7 +450,7 @@ _BLOCK = _Section(SocBlock, [
     _Field("area_cm2", _number, attr="baseline_area_cm2"),
     _Field("required_top", _string, attr="required_top_layer"),
     _Field("area_overhead", _Kind(_parse_factors, dump=lambda f: dict(sorted(f.items()))),
-           MappingProxyType({})),
+           None),
 ], what="block ")
 
 _SOC = _Section(SocSection, [

@@ -16,16 +16,16 @@ set_field = object.__setattr__
 class Value:
     __slots__ = ()
 
-    def _fields(self) -> tuple:
+    def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._astuple() == other._astuple()
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._astuple())
 
     def __repr__(self):
         fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
@@ -38,4 +38,4 @@ class Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), self._fields()
+        return type(self), self._astuple()

@@ -5,6 +5,7 @@ with defaults, and the fields named by constructor errors."""
 
 import copy
 import itertools
+import json
 import math
 import pickle
 
@@ -35,6 +36,7 @@ from pfasfab import (
     compose_soc,
     derive_layer_metrics,
     n7_fixture,
+    parse_config,
     stack_metrics,
     sweep_beol,
 )
@@ -205,6 +207,17 @@ def test_round_trips(sample, round_trip):
     assert type(again) is type(sample)
     assert again == sample
     assert repr(again) == repr(sample)
+
+
+def test_parsed_document_round_trips():
+    """A parsed document, blocks without overhead factors included."""
+    document = {"stack": "asap7", "soc": {"target_top": "M4", "blocks": [
+        {"name": "a", "area_cm2": 1, "required_top": "M3"},
+        {"name": "b", "area_cm2": 2, "required_top": "M5", "area_overhead": {"M4": 1.5}},
+    ]}}
+    parsed = parse_config(json.dumps(document))
+    for again in (copy.deepcopy(parsed), pickle.loads(pickle.dumps(parsed))):
+        assert again == parsed
 
 
 def test_construct_by_keyword(sample):
