@@ -1,9 +1,11 @@
 """The contract of the immutable value types: equality and hashing over the
 fields, the ``Type(field=value, ...)`` repr, read-only fields, round trips
 through copy, deepcopy and pickle, construction by keyword and by position
-with defaults, and the fields named by constructor errors."""
+with defaults, the constructor signatures, and the fields named by
+constructor errors."""
 
 import copy
+import inspect
 import itertools
 import json
 import math
@@ -22,6 +24,8 @@ from pfasfab import (
     EnergyWeights,
     InvalidProcessError,
     LayerMetrics,
+    LayerSpec,
+    Region,
     SocBlock,
     SocReport,
     StackMetrics,
@@ -68,11 +72,13 @@ def _samples() -> dict:
         StepCounts: StepCounts(1, 2, 3, 4, 5, 6),
         EnergyWeights: EnergyWeights(5.0, 2.0),
         StackSpec: asap7,
+        LayerSpec: asap7.layer("M4"),
         Violation: Violation("M1", "bad-pitch", "pitch_nm must be > 0, got -1"),
         LayerMetrics: derive_layer_metrics(asap7.layer("M4")),
         DesignParams: DESIGN,
         StackMetrics: metrics,
         ChipPfas: chip_pfas(metrics, DESIGN),
+        CarbonParams: PARAMS,
         CarbonResult: CarbonResult(1.5, 0.5, 2.5),
         ComparisonResult: compare_stacks(n7_fixture("duv"), asap7),
         SweepPoint: sweep_beol(asap7, ["M5"], design=DESIGN, carbon_params=PARAMS)[1],
@@ -93,6 +99,7 @@ def _samples() -> dict:
 FIELDS = {
     StepCounts: ("dry_etch", "litho", "metallization", "metrology", "wet_etch", "deposition"),
     EnergyWeights: ("per_euv_mask", "per_duv_mask"),
+    LayerSpec: ("name", "region", "pitch_nm", "metal_process", "via_process", "tags"),
     StackSpec: ("technology_node", "layers"),
     Violation: ("layer", "rule", "message"),
     LayerMetrics: ("name", "litho_steps", "total_steps", "masks", "pfas_layers", "litho_energy"),
@@ -100,6 +107,8 @@ FIELDS = {
     StackMetrics: ("technology_node", "total_pfas_layers", "by_region", "by_exposure",
                    "total_steps", "total_litho_steps", "total_litho_energy", "per_layer"),
     ChipPfas: ("value", "stack", "area_cm2", "yield_fraction"),
+    CarbonParams: ("carbon_intensity", "energy_per_unit_litho", "energy_per_area_base",
+                   "gas_per_area", "material_per_area"),
     CarbonResult: ("embodied_kg", "low_kg", "high_kg"),
     ComparisonResult: ("metrics_a", "metrics_b", "ratio_pfas", "ratio_litho_steps",
                        "ratio_total_steps", "ratio_energy", "pfas_ratio_by_region",
@@ -250,6 +259,42 @@ def test_defaults():
                if name not in ("weights", "warnings"))
 
 
+# Each type's constructor defaults; the fields not named here are required.
+DEFAULTS = {
+    StepCounts: dict.fromkeys(FIELDS[StepCounts], 0),
+    EnergyWeights: {"per_euv_mask": 10.0, "per_duv_mask": 1.0},
+    LayerSpec: {"pitch_nm": None, "metal_process": None, "via_process": None,
+                "tags": frozenset()},
+    CarbonResult: {"low_kg": None, "high_kg": None},
+    SweepPoint: {"chip": None, "carbon": None},
+    SocBlock: {"area_overhead": None},
+    SocReport: {"baseline_carbon": None, "constrained_carbon": None},
+    TrendSeries: {"reference": None},
+    SweepSection: {"retain_power_grid": False, "beol_only": False},
+    SocSection: {"retain_power_grid": True},
+    TrendSection: {"reference": None},
+    ConfigDocument: {**dict.fromkeys(FIELDS[ConfigDocument]), "weights": EnergyWeights(),
+                     "warnings": ()},
+}
+
+
+def test_signature(sample):
+    """Each constructor takes the fields in order, by position or keyword,
+    with the defaults above."""
+    cls = type(sample)
+    parameters = inspect.signature(cls).parameters.values()
+    assert [p.name for p in parameters] == list(FIELDS[cls])
+    assert {p.kind for p in parameters} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+    defaults = {p.name: p.default for p in parameters if p.default is not p.empty}
+    assert defaults == DEFAULTS.get(cls, {})
+
+
+def test_layer_spec_defaults():
+    layer = LayerSpec("V1", Region.BEOL, via_process="EUV_LE")
+    assert layer == LayerSpec("V1", Region.BEOL, None, None, "EUV_LE", frozenset())
+    assert layer.process_ids() == ("EUV_LE",) and not layer.is_power_grid
+
+
 def test_constructors_normalize_sequences():
     asap7 = asap7_preset()
     assert StackSpec("x", list(asap7.layers)).layers == asap7.layers
@@ -281,6 +326,10 @@ def test_constructor_error_fields():
                                "got 'X1'"),
         ("area_overhead.M3", "block 'b': overhead factor for M3 must be finite and >= 1, "
                              "got 0.5"),
+    )
+    assert _fields_of(DomainError, lambda: CarbonParams(-0.1, 1.0, math.inf, 0.0, 0.0)) == (
+        ("carbon_intensity", "carbon_intensity must be finite and >= 0, got -0.1"),
+        ("energy_per_area_base", "energy_per_area_base must be finite and >= 0, got inf"),
     )
     assert _fields_of(InvalidProcessError, lambda: StepCounts(litho=-1)) == ()
     assert _fields_of(DomainError, lambda: TrendSeries((("a", 1.0), ("a", 2.0)))) == ()
