@@ -16,44 +16,34 @@ provided with the CLI configs and is labeled as illustrative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 from .engine import DesignParams, StackMetrics
 from .errors import DomainError
-from .value import Value, set_field
+from .value import Value
 
 
-@dataclass(frozen=True)
-class CarbonParams:
-    carbon_intensity: float  # kg CO2e per kWh of fab electricity
-    energy_per_unit_litho: float  # kWh per cm2 per unit of relative litho energy
-    energy_per_area_base: float  # kWh per cm2, non-litho fab energy
-    gas_per_area: float  # kg CO2e per cm2, direct gas emissions
-    material_per_area: float  # kg CO2e per cm2, materials procurement
+class CarbonParams(Value):
+    """The five per-area and per-energy constants of the carbon model."""
+
+    __slots__ = (
+        "carbon_intensity",  # kg CO2e per kWh of fab electricity
+        "energy_per_unit_litho",  # kWh per cm2 per unit of relative litho energy
+        "energy_per_area_base",  # kWh per cm2, non-litho fab energy
+        "gas_per_area",  # kg CO2e per cm2, direct gas emissions
+        "material_per_area",  # kg CO2e per cm2, materials procurement
+    )
 
     def __post_init__(self):
-        failed = []
-        for name, value in (
-            ("carbon_intensity", self.carbon_intensity),
-            ("energy_per_unit_litho", self.energy_per_unit_litho),
-            ("energy_per_area_base", self.energy_per_area_base),
-            ("gas_per_area", self.gas_per_area),
-            ("material_per_area", self.material_per_area),
-        ):
-            if not 0 <= value < math.inf:
-                failed.append((name, f"{name} must be finite and >= 0, got {value}"))
+        failed = [(name, f"{name} must be finite and >= 0, got {value}")
+                  for name, value in zip(self.__slots__, self._astuple())
+                  if not 0 <= value < math.inf]
         if failed:
             raise DomainError("; ".join(message for _, message in failed), failed)
 
 
 class CarbonResult(Value):
     __slots__ = ("embodied_kg", "low_kg", "high_kg")
-
-    def __init__(self, embodied_kg: float, low_kg: float | None = None,
-                 high_kg: float | None = None):
-        set_field(self, "embodied_kg", embodied_kg)
-        set_field(self, "low_kg", low_kg)
-        set_field(self, "high_kg", high_kg)
+    _defaults = {"low_kg": None, "high_kg": None}
 
 
 def embodied_carbon(
@@ -97,8 +87,8 @@ def carbon_band(
     band spanned between a low and a high grid intensity."""
     validate_ci_band(ci_low, ci_high)
     nominal = embodied_carbon(metrics, design, params)
-    low = embodied_carbon(metrics, design, replace(params, carbon_intensity=ci_low))
-    high = embodied_carbon(metrics, design, replace(params, carbon_intensity=ci_high))
+    low = embodied_carbon(metrics, design, params._replace(carbon_intensity=ci_low))
+    high = embodied_carbon(metrics, design, params._replace(carbon_intensity=ci_high))
     return CarbonResult(
         embodied_kg=nominal.embodied_kg,
         low_kg=low.embodied_kg,

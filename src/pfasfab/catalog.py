@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from .errors import InvalidProcessError, ProcessCollisionError, UnknownProcessError
-from .value import Value, set_field
+from .value import Value
 
 
 class ExposureClass(Enum):
@@ -44,16 +44,7 @@ class StepCounts(Value):
     """Fabrication step counts by category for one patterned line."""
 
     __slots__ = STEP_FIELDS
-
-    def __init__(self, dry_etch: int = 0, litho: int = 0, metallization: int = 0,
-                 metrology: int = 0, wet_etch: int = 0, deposition: int = 0):
-        set_field(self, "dry_etch", dry_etch)
-        set_field(self, "litho", litho)
-        set_field(self, "metallization", metallization)
-        set_field(self, "metrology", metrology)
-        set_field(self, "wet_etch", wet_etch)
-        set_field(self, "deposition", deposition)
-        self.__post_init__()
+    _defaults = dict.fromkeys(STEP_FIELDS, 0)
 
     def __post_init__(self):
         # A method of its own, so that perfbench's tracer can count the
@@ -112,14 +103,12 @@ class EnergyWeights(Value):
     """
 
     __slots__ = ("per_euv_mask", "per_duv_mask")
+    _defaults = {"per_euv_mask": 10.0, "per_duv_mask": 1.0}
 
-    def __init__(self, per_euv_mask: float = 10.0, per_duv_mask: float = 1.0):
-        set_field(self, "per_euv_mask", per_euv_mask)
-        set_field(self, "per_duv_mask", per_duv_mask)
-        failed = []
-        for name, value in (("per_euv_mask", per_euv_mask), ("per_duv_mask", per_duv_mask)):
-            if not 0 < value < math.inf:
-                failed.append((name, f"energy weight {name} must be finite and > 0, got {value}"))
+    def __post_init__(self):
+        failed = [(name, f"energy weight {name} must be finite and > 0, got {value}")
+                  for name, value in zip(self.__slots__, self._astuple())
+                  if not 0 < value < math.inf]
         if failed:
             raise InvalidProcessError("; ".join(message for _, message in failed), failed)
 

@@ -37,7 +37,7 @@ from .stack import (
     n7_fixture,
     stack_violations,
 )
-from .value import Value, set_field
+from .value import Value
 
 SCHEMA_VERSION = "1"
 
@@ -51,66 +51,26 @@ PRESETS = {
 class CompareSection(Value):
     __slots__ = ("stack_a", "stack_b")
 
-    def __init__(self, stack_a: StackSpec, stack_b: StackSpec):
-        set_field(self, "stack_a", stack_a)
-        set_field(self, "stack_b", stack_b)
-
 
 class SweepSection(Value):
     __slots__ = ("targets", "retain_power_grid", "beol_only")
-
-    def __init__(self, targets: tuple[str, ...], retain_power_grid: bool = False,
-                 beol_only: bool = False):
-        set_field(self, "targets", targets)
-        set_field(self, "retain_power_grid", retain_power_grid)
-        set_field(self, "beol_only", beol_only)
+    _defaults = {"retain_power_grid": False, "beol_only": False}
 
 
 class SocSection(Value):
     __slots__ = ("blocks", "target_top", "retain_power_grid")
-
-    def __init__(self, blocks: tuple[SocBlock, ...], target_top: str,
-                 retain_power_grid: bool = True):
-        set_field(self, "blocks", blocks)
-        set_field(self, "target_top", target_top)
-        set_field(self, "retain_power_grid", retain_power_grid)
+    _defaults = {"retain_power_grid": True}
 
 
 class TrendSection(Value):
     __slots__ = ("series", "reference")
-
-    def __init__(self, series: TrendSeries, reference: str | None = None):
-        set_field(self, "series", series)
-        set_field(self, "reference", reference)
+    _defaults = {"reference": None}
 
 
 class ConfigDocument(Value):
     __slots__ = ("stack", "design", "weights", "carbon", "ci_band", "compare", "sweep",
                  "soc", "trend", "warnings")
-
-    def __init__(
-        self,
-        stack: StackSpec | None = None,
-        design: DesignParams | None = None,
-        weights: EnergyWeights = DEFAULT_WEIGHTS,
-        carbon: CarbonParams | None = None,
-        ci_band: tuple[float, float] | None = None,
-        compare: CompareSection | None = None,
-        sweep: SweepSection | None = None,
-        soc: SocSection | None = None,
-        trend: TrendSection | None = None,
-        warnings: tuple[str, ...] = (),
-    ):
-        set_field(self, "stack", stack)
-        set_field(self, "design", design)
-        set_field(self, "weights", weights)
-        set_field(self, "carbon", carbon)
-        set_field(self, "ci_band", ci_band)
-        set_field(self, "compare", compare)
-        set_field(self, "sweep", sweep)
-        set_field(self, "soc", soc)
-        set_field(self, "trend", trend)
-        set_field(self, "warnings", warnings)
+    _defaults = {**dict.fromkeys(__slots__), "weights": DEFAULT_WEIGHTS, "warnings": ()}
 
 
 _BAD = object()  # a value that failed its check; the error is already recorded
@@ -131,7 +91,8 @@ def _finite(value) -> bool:
 
 
 class _Collector:
-    """Accumulates (path, message) errors and unknown-key warnings."""
+    """Accumulates (path, message) errors, with the document's own at
+    ``<document>``, and unknown-key warnings."""
 
     def __init__(self, strict: bool):
         self.strict = strict
@@ -139,7 +100,7 @@ class _Collector:
         self.warnings: list[str] = []
 
     def error(self, path: str, message: str):
-        self.errors.append((path, message))
+        self.errors.append((path or "<document>", message))
 
     def check_keys(self, obj: dict, section: _Section, path: str):
         for key in obj:
@@ -546,12 +507,13 @@ def parse_carbon_profile(text: str, strict: bool = False):
 def load_stack_document(
     text: str, strict: bool = False, warnings: list | None = None
 ) -> StackSpec:
-    """Parse a standalone stack document or {"preset": name} reference. In
+    """Parse a standalone stack document or {"preset": name} reference,
+    reporting its keys at their paths from the top of the document. In
     lenient mode its unknown-key warnings are appended to ``warnings`` when
     that list is given."""
     raw = _load_json(text)
     col = _Collector(strict)
-    stack = _stack_ref.parse(raw, "stack", col)
+    stack = _stack_ref.parse(raw, "", col)
     if col.errors and isinstance(raw, dict) and "stack" in raw:
         col.error("<document>", "a config document with a stack section; pass it with --config")
     stack = col.done(stack)

@@ -20,8 +20,8 @@ from .catalog import (
     StepCounts,
 )
 from .errors import DomainError
-from .stack import LayerMetrics, LayerRow, Region, StackSpec, layer_table, row_totals
-from .value import Value, set_field
+from .stack import LayerRow, StackSpec, layer_table, row_totals
+from .value import Value
 
 
 class DesignParams(Value):
@@ -29,15 +29,13 @@ class DesignParams(Value):
 
     __slots__ = ("area_cm2", "yield_fraction")
 
-    def __init__(self, area_cm2: float, yield_fraction: float):
-        set_field(self, "area_cm2", area_cm2)
-        set_field(self, "yield_fraction", yield_fraction)
+    def __post_init__(self):
         failed = []
-        if not 0 < area_cm2 < math.inf:
-            failed.append(("area_cm2", f"area_cm2 must be finite and > 0, got {area_cm2}"))
-        if not 0 < yield_fraction <= 1:
+        if not 0 < self.area_cm2 < math.inf:
+            failed.append(("area_cm2", f"area_cm2 must be finite and > 0, got {self.area_cm2}"))
+        if not 0 < self.yield_fraction <= 1:
             failed.append(("yield_fraction", "yield must be within (0, 1] (the 0 - 1 range "
-                           f"with zero excluded), got {yield_fraction}"))
+                           f"with zero excluded), got {self.yield_fraction}"))
         if failed:
             raise DomainError("; ".join(message for _, message in failed), failed)
 
@@ -45,26 +43,6 @@ class DesignParams(Value):
 class StackMetrics(Value):
     __slots__ = ("technology_node", "total_pfas_layers", "by_region", "by_exposure",
                  "total_steps", "total_litho_steps", "total_litho_energy", "per_layer")
-
-    def __init__(
-        self,
-        technology_node: str,
-        total_pfas_layers: int,
-        by_region: dict[Region, int],
-        by_exposure: dict[ExposureClass, int],
-        total_steps: StepCounts,
-        total_litho_steps: int,
-        total_litho_energy: float,
-        per_layer: tuple[LayerMetrics, ...],
-    ):
-        set_field(self, "technology_node", technology_node)
-        set_field(self, "total_pfas_layers", total_pfas_layers)
-        set_field(self, "by_region", by_region)
-        set_field(self, "by_exposure", by_exposure)
-        set_field(self, "total_steps", total_steps)
-        set_field(self, "total_litho_steps", total_litho_steps)
-        set_field(self, "total_litho_energy", total_litho_energy)
-        set_field(self, "per_layer", per_layer)
 
     @property
     def euv_masks(self) -> int:
@@ -83,12 +61,6 @@ class ChipPfas(Value):
     PFAS-containing layers x cm2 per good die."""
 
     __slots__ = ("value", "stack", "area_cm2", "yield_fraction")
-
-    def __init__(self, value: float, stack: str, area_cm2: float, yield_fraction: float):
-        set_field(self, "value", value)
-        set_field(self, "stack", stack)
-        set_field(self, "area_cm2", area_cm2)
-        set_field(self, "yield_fraction", yield_fraction)
 
 
 def metrics_from_rows(technology_node: str, rows: Sequence[LayerRow]) -> StackMetrics:

@@ -10,12 +10,12 @@ can run in parallel.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+import sys
+from typing import Sequence
 
-from .carbon import CarbonParams, CarbonResult, estimate_carbon
+from .carbon import CarbonParams, estimate_carbon
 from .catalog import DEFAULT_CATALOG, DEFAULT_WEIGHTS, EnergyWeights, ProcessCatalog
-from .engine import ChipPfas, DesignParams, StackMetrics, chip_pfas, metrics_from_rows
-from .engine import stack_metrics
+from .engine import DesignParams, chip_pfas, metrics_from_rows, stack_metrics
 from .errors import DomainError, DuplicateTargetError, MissingOverheadError, TrendReferenceError
 from .errors import UnknownTargetError
 from .stack import LayerRow, Region, StackSpec, beol_index, layer_table, validate_stack
@@ -33,26 +33,6 @@ class ComparisonResult(Value):
     __slots__ = ("metrics_a", "metrics_b", "ratio_pfas", "ratio_litho_steps",
                  "ratio_total_steps", "ratio_energy", "pfas_ratio_by_region",
                  "percent_reduction")
-
-    def __init__(
-        self,
-        metrics_a: StackMetrics,
-        metrics_b: StackMetrics,
-        ratio_pfas: float | None,
-        ratio_litho_steps: float | None,
-        ratio_total_steps: float | None,
-        ratio_energy: float | None,
-        pfas_ratio_by_region: dict[Region, float | None],
-        percent_reduction: float | None,
-    ):
-        set_field(self, "metrics_a", metrics_a)
-        set_field(self, "metrics_b", metrics_b)
-        set_field(self, "ratio_pfas", ratio_pfas)
-        set_field(self, "ratio_litho_steps", ratio_litho_steps)
-        set_field(self, "ratio_total_steps", ratio_total_steps)
-        set_field(self, "ratio_energy", ratio_energy)
-        set_field(self, "pfas_ratio_by_region", pfas_ratio_by_region)
-        set_field(self, "percent_reduction", percent_reduction)
 
 
 def compare_stacks(
@@ -91,14 +71,7 @@ def compare_stacks(
 
 class SweepPoint(Value):
     __slots__ = ("top_routing_layer", "stack", "metrics", "chip", "carbon")
-
-    def __init__(self, top_routing_layer: str | None, stack: StackSpec, metrics: StackMetrics,
-                 chip: ChipPfas | None = None, carbon: CarbonResult | None = None):
-        set_field(self, "top_routing_layer", top_routing_layer)
-        set_field(self, "stack", stack)
-        set_field(self, "metrics", metrics)
-        set_field(self, "chip", chip)
-        set_field(self, "carbon", carbon)
+    _defaults = {"chip": None, "carbon": None}
 
 
 def _cap_levels(rows: Sequence[LayerRow], retain_power_grid: bool) -> list[float]:
@@ -181,24 +154,25 @@ class SocBlock(Value):
     (none by default)."""
 
     __slots__ = ("name", "baseline_area_cm2", "required_top_layer", "area_overhead")
+    _defaults = {"area_overhead": None}
 
-    def __init__(self, name: str, baseline_area_cm2: float, required_top_layer: str,
-                 area_overhead: Mapping[str, float] | None = None):
-        if area_overhead is None:
-            area_overhead = {}
-        set_field(self, "name", name)
-        set_field(self, "baseline_area_cm2", baseline_area_cm2)
-        set_field(self, "required_top_layer", required_top_layer)
-        set_field(self, "area_overhead", area_overhead)
+    def __post_init__(self):
+        if self.area_overhead is None:
+            set_field(self, "area_overhead", {})
+        name = self.name
         failed = []
-        if not 0 < baseline_area_cm2 < math.inf:
+        if not 0 < self.baseline_area_cm2 < math.inf:
             failed.append(("baseline_area_cm2", f"block {name!r}: baseline_area_cm2 must "
-                           f"be finite and > 0, got {baseline_area_cm2}"))
-        if beol_index(required_top_layer) is None:
+                           f"be finite and > 0, got {self.baseline_area_cm2}"))
+        if beol_index(self.required_top_layer) is None:
             failed.append(("required_top_layer", f"block {name!r}: required_top_layer must "
-                           f"be a BEOL label M<k>, got {required_top_layer!r}"))
-        for target, factor in area_overhead.items():
-            if not 1 <= factor < math.inf:
+                           f"be a BEOL label M<k>, got {self.required_top_layer!r}"))
+        for target, factor in self.area_overhead.items():
+            if beol_index(target) is None:
+                failed.append((f"area_overhead.{target}", f"block {name!r}: area_overhead "
+                               f"keys must be BEOL labels M<k>, got {target!r}"))
+            # An int beyond the float range is not finite here: float() of it overflows.
+            elif not 1 <= factor <= sys.float_info.max:
                 failed.append((f"area_overhead.{target}", f"block {name!r}: overhead factor "
                                f"for {target} must be finite and >= 1, got {factor}"))
         if failed:
@@ -222,11 +196,6 @@ class SocBlock(Value):
 class SocBlockResult(Value):
     __slots__ = ("block", "overhead_factor", "constrained_area_cm2")
 
-    def __init__(self, block: SocBlock, overhead_factor: float, constrained_area_cm2: float):
-        set_field(self, "block", block)
-        set_field(self, "overhead_factor", overhead_factor)
-        set_field(self, "constrained_area_cm2", constrained_area_cm2)
-
 
 class SocReport(Value):
     """An SoC before and after its constraint; ``area_increase`` is
@@ -236,38 +205,7 @@ class SocReport(Value):
                  "constrained_metrics", "baseline_area_cm2", "constrained_area_cm2",
                  "area_increase", "baseline_chip", "constrained_chip", "pfas_layer_ratio",
                  "chip_pfas_ratio", "baseline_carbon", "constrained_carbon")
-
-    def __init__(
-        self,
-        target_top: str,
-        retain_power_grid: bool,
-        blocks: tuple[SocBlockResult, ...],
-        baseline_metrics: StackMetrics,
-        constrained_metrics: StackMetrics,
-        baseline_area_cm2: float,
-        constrained_area_cm2: float,
-        area_increase: float,
-        baseline_chip: ChipPfas,
-        constrained_chip: ChipPfas,
-        pfas_layer_ratio: float | None,
-        chip_pfas_ratio: float | None,
-        baseline_carbon: CarbonResult | None = None,
-        constrained_carbon: CarbonResult | None = None,
-    ):
-        set_field(self, "target_top", target_top)
-        set_field(self, "retain_power_grid", retain_power_grid)
-        set_field(self, "blocks", blocks)
-        set_field(self, "baseline_metrics", baseline_metrics)
-        set_field(self, "constrained_metrics", constrained_metrics)
-        set_field(self, "baseline_area_cm2", baseline_area_cm2)
-        set_field(self, "constrained_area_cm2", constrained_area_cm2)
-        set_field(self, "area_increase", area_increase)
-        set_field(self, "baseline_chip", baseline_chip)
-        set_field(self, "constrained_chip", constrained_chip)
-        set_field(self, "pfas_layer_ratio", pfas_layer_ratio)
-        set_field(self, "chip_pfas_ratio", chip_pfas_ratio)
-        set_field(self, "baseline_carbon", baseline_carbon)
-        set_field(self, "constrained_carbon", constrained_carbon)
+    _defaults = {"baseline_carbon": None, "constrained_carbon": None}
 
 
 def compose_soc(
@@ -354,10 +292,10 @@ class TrendSeries(Value):
     """Ordered (node label, value) pairs, optionally normalized to a node."""
 
     __slots__ = ("points", "reference")
+    _defaults = {"reference": None}
 
-    def __init__(self, points: Sequence[tuple[str, float]], reference: str | None = None):
-        set_field(self, "points", tuple((str(n), float(v)) for n, v in points))
-        set_field(self, "reference", reference)
+    def __post_init__(self):
+        set_field(self, "points", tuple((str(n), float(v)) for n, v in self.points))
         labels = [n for n, _ in self.points]
         if len(labels) != len(set(labels)):
             raise DomainError("trend series has duplicate node labels")

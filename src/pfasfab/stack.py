@@ -11,7 +11,6 @@ descriptive metadata only.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -55,16 +54,12 @@ def beol_index(name: str) -> int | None:
         return None
 
 
-@dataclass(frozen=True)
-class LayerSpec:
+class LayerSpec(Value):
     """One fabricated layer; via-only layers leave metal_process unset."""
 
-    name: str
-    region: Region
-    pitch_nm: float | None = None
-    metal_process: str | None = None
-    via_process: str | None = None
-    tags: frozenset[str] = frozenset()
+    __slots__ = ("name", "region", "pitch_nm", "metal_process", "via_process", "tags")
+    _defaults = {"pitch_nm": None, "metal_process": None, "via_process": None,
+                 "tags": frozenset()}
 
     def process_ids(self) -> tuple[str, ...]:
         return tuple([p for p in (self.metal_process, self.via_process) if p is not None])
@@ -79,9 +74,8 @@ class StackSpec(Value):
 
     __slots__ = ("technology_node", "layers")
 
-    def __init__(self, technology_node: str, layers: Sequence[LayerSpec]):
-        set_field(self, "technology_node", technology_node)
-        set_field(self, "layers", tuple(layers))
+    def __post_init__(self):
+        set_field(self, "layers", tuple(self.layers))
 
     def names(self) -> tuple[str, ...]:
         return tuple(layer.name for layer in self.layers)
@@ -106,11 +100,6 @@ class StackSpec(Value):
 class Violation(Value):
     __slots__ = ("layer", "rule", "message")
 
-    def __init__(self, layer: str, rule: str, message: str):
-        set_field(self, "layer", layer)
-        set_field(self, "rule", rule)
-        set_field(self, "message", message)
-
     def __str__(self) -> str:
         return f"layer {self.layer!r}: [{self.rule}] {self.message}"
 
@@ -119,15 +108,6 @@ class LayerMetrics(Value):
     """Derived counts for one layer, summed over its metal and via processes."""
 
     __slots__ = ("name", "litho_steps", "total_steps", "masks", "pfas_layers", "litho_energy")
-
-    def __init__(self, name: str, litho_steps: int, total_steps: StepCounts, masks: int,
-                 pfas_layers: int, litho_energy: float):
-        set_field(self, "name", name)
-        set_field(self, "litho_steps", litho_steps)
-        set_field(self, "total_steps", total_steps)
-        set_field(self, "masks", masks)
-        set_field(self, "pfas_layers", pfas_layers)
-        set_field(self, "litho_energy", litho_energy)
 
 
 def stack_violations(stack: StackSpec, catalog: ProcessCatalog = DEFAULT_CATALOG) -> list[Violation]:
@@ -354,8 +334,7 @@ def n7_fixture(variant: str) -> StackSpec:
         if sub is not None:
             metal, via = sub
             layers.append(
-                replace(
-                    layer,
+                layer._replace(
                     metal_process=metal if metal is not None else layer.metal_process,
                     via_process=via if via is not None else layer.via_process,
                 )

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -56,7 +55,7 @@ def test_linear_in_carbon_intensity(asap7):
     metrics = stack_metrics(asap7)
     base = embodied_carbon(metrics, UNIT_DESIGN, LITHO_ONLY).embodied_kg
     doubled = embodied_carbon(
-        metrics, UNIT_DESIGN, replace(LITHO_ONLY, carbon_intensity=2.0)
+        metrics, UNIT_DESIGN, LITHO_ONLY._replace(carbon_intensity=2.0)
     ).embodied_kg
     assert doubled == 2 * base
 
@@ -149,7 +148,7 @@ _DELTA = st.floats(min_value=0.0, max_value=5.0)
 def test_monotone_in_every_parameter(ci, e_litho, base, gas, material, delta, field):
     metrics = stack_metrics(asap7_preset())
     params = CarbonParams(ci, e_litho, base, gas, material)
-    bumped = replace(params, **{field: getattr(params, field) + delta})
+    bumped = params._replace(**{field: getattr(params, field) + delta})
     low = embodied_carbon(metrics, UNIT_DESIGN, params).embodied_kg
     high = embodied_carbon(metrics, UNIT_DESIGN, bumped).embodied_kg
     assert high >= low
@@ -189,7 +188,7 @@ def test_beol_reduction_shifts_carbon_by_litho_delta_only(asap7):
     assert math.isclose(carbon_delta, 0.4 * 0.05 * energy_delta, rel_tol=1e-9)
 
     # large fixed terms shrink the relative change
-    heavy = replace(params, material_per_area=500.0)
+    heavy = params._replace(material_per_area=500.0)
     heavy_points = sweep_beol(
         asap7, ["M7", "M3"], retain_power_grid=True, design=design, carbon_params=heavy
     )

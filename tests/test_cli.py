@@ -122,7 +122,7 @@ def test_stack_file_holding_a_config_document_hints_config(monkeypatch):
     proc = run_main("analyze", "--stack", stack_file, "--area", "1", "--yield", "1")
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [
-        "error: stack: stack object needs either a 'preset' or inline 'layers'",
+        "error: <document>: stack object needs either a 'preset' or inline 'layers'",
         "error: <document>: a config document with a stack section; pass it with --config",
     ]
     assert run_main("analyze", "--config", stack_file, "--area", "1", "--yield", "1").returncode == 0
@@ -295,12 +295,28 @@ def test_stack_file_unknown_keys_warn_or_fail_in_strict_mode(tmp_path):
     known = "(known: preset)"
     lenient = run_main("compare", str(path), "asap7", "--format", "json")
     assert lenient.returncode == 0
-    assert lenient.stderr == f"warning: {path}: stack.colour: unknown key 'colour' {known}\n"
+    assert lenient.stderr == f"warning: {path}: colour: unknown key 'colour' {known}\n"
     assert json.loads(lenient.stdout)["result"]["ratio_pfas"] == 1.0
     strict = run_main("compare", str(path), "asap7", "--strict")
     assert strict.returncode == 1
     assert strict.stdout == ""
-    assert strict.stderr == f"error: stack.colour: unknown key 'colour' {known}\n"
+    assert strict.stderr == f"error: colour: unknown key 'colour' {known}\n"
+
+
+def test_stack_file_errors_are_located_from_its_top_level(tmp_path):
+    path = tmp_path / "stack.json"
+    layer = {"name": "M1", "region": "BEOL", "metal_process": "EUV_LE", "pitch_nm": "x"}
+    path.write_text(json.dumps({"technology_node": "t", "colour": 1, "layers": [layer]}),
+                    encoding="utf-8")
+    proc = run_main("compare", str(path), "asap7", "--strict")
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "error: colour: unknown key 'colour' (known: layers, schema_version, technology_node)",
+        "error: layers[0].pitch_nm: must be a number or null, got 'x'",
+    ]
+    path.write_text("[]", encoding="utf-8")
+    proc = run_main("compare", str(path), "asap7")
+    assert proc.stderr == "error: <document>: stack must be a preset name or an object, got []\n"
 
 
 def test_invalid_stack_file_reports_violations(tmp_path):

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -108,7 +106,7 @@ def test_fixture_unknown_variant():
 
 def _with_layer(stack, target, **changes):
     layers = tuple(
-        replace(layer, **changes) if layer.name == target else layer for layer in stack.layers
+        layer._replace(**changes) if layer.name == target else layer for layer in stack.layers
     )
     return StackSpec(stack.technology_node, layers)
 
@@ -168,7 +166,7 @@ def test_unknown_process_violation_names_layer(asap7):
 @given(pitch=st.floats(min_value=0.5, max_value=500, allow_nan=False))
 def test_metrics_invariant_under_pitch(pitch):
     layer = asap7_preset().layer("M4")
-    altered = replace(layer, pitch_nm=pitch)
+    altered = layer._replace(pitch_nm=pitch)
     assert derive_layer_metrics(altered) == derive_layer_metrics(layer)
 
 

@@ -46,6 +46,7 @@ from pfasfab import (
 )
 from pfasfab.config import CompareSection, SocSection, SweepSection, TrendSection
 from pfasfab.scenarios import SocBlockResult
+from pfasfab.value import Value
 
 from conftest import GOLDEN
 
@@ -295,6 +296,60 @@ def test_layer_spec_defaults():
     assert layer.process_ids() == ("EUV_LE",) and not layer.is_power_grid
 
 
+def test_defaults_must_name_the_trailing_fields():
+    with pytest.raises(TypeError, match=r"\.Bad\._defaults must name its trailing fields"):
+        class Bad(Value):
+            __slots__ = ("a", "b")
+            _defaults = {"a": 1}
+
+
+def test_post_init_runs_after_the_fields_are_set():
+    class Checked(Value):
+        __slots__ = ("a", "b")
+        _defaults = {"b": 2}
+
+        def __post_init__(self):
+            if self.a > self.b:
+                raise ValueError("a > b")
+
+    assert Checked(1) == Checked(a=1, b=2)
+    with pytest.raises(ValueError):
+        Checked(3)
+
+
+def test_replace_returns_an_equal_new_value(sample):
+    again = sample._replace()
+    assert type(again) is type(sample)
+    assert again == sample and again is not sample
+
+
+def test_replace_changes_only_the_named_fields():
+    layer = asap7_preset().layer("M4")
+    variant = layer._replace(metal_process="ArFi_SAQP", pitch_nm=40)
+    assert variant == LayerSpec("M4", Region.BEOL, 40, "ArFi_SAQP", "ArFi_LE2",
+                                frozenset({"routing"}))
+    assert layer.metal_process == "ArFi_SADP" and layer.pitch_nm == 48
+
+
+def test_replace_runs_the_checks_again():
+    assert _fields_of(DomainError, lambda: PARAMS._replace(gas_per_area=-1)) == (
+        ("gas_per_area", "gas_per_area must be finite and >= 0, got -1"),
+    )
+    assert _fields_of(DomainError, lambda: DESIGN._replace(yield_fraction=0)) == (
+        ("yield_fraction", "yield must be within (0, 1] (the 0 - 1 range with zero "
+                           "excluded), got 0"),
+    )
+    asap7 = asap7_preset()
+    assert asap7._replace(layers=list(asap7.layers[:3])).layers == asap7.layers[:3]
+
+
+def test_replace_rejects_an_unknown_field():
+    with pytest.raises(TypeError, match="colour"):
+        PARAMS._replace(colour=1)
+    with pytest.raises(TypeError, match="colour"):
+        asap7_preset().layer("M4")._replace(colour=1)
+
+
 def test_constructors_normalize_sequences():
     asap7 = asap7_preset()
     assert StackSpec("x", list(asap7.layers)).layers == asap7.layers
@@ -330,6 +385,14 @@ def test_constructor_error_fields():
     assert _fields_of(DomainError, lambda: CarbonParams(-0.1, 1.0, math.inf, 0.0, 0.0)) == (
         ("carbon_intensity", "carbon_intensity must be finite and >= 0, got -0.1"),
         ("energy_per_area_base", "energy_per_area_base must be finite and >= 0, got inf"),
+    )
+    assert _fields_of(DomainError, lambda: SocBlock("b", 1.0, "M5", {"m4": 1.5, "M3": 2})) == (
+        ("area_overhead.m4", "block 'b': area_overhead keys must be BEOL labels M<k>, "
+                             "got 'm4'"),
+    )
+    assert _fields_of(DomainError, lambda: SocBlock("b", 1.0, "M3", {"M2": 10**400})) == (
+        ("area_overhead.M2", f"block 'b': overhead factor for M2 must be finite and >= 1, "
+                             f"got {10**400}"),
     )
     assert _fields_of(InvalidProcessError, lambda: StepCounts(litho=-1)) == ()
     assert _fields_of(DomainError, lambda: TrendSeries((("a", 1.0), ("a", 2.0)))) == ()
