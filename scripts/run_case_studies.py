@@ -9,8 +9,9 @@ Covers four analyses over the built-in 7 nm stacks:
      per-block area overheads
   4. cross-node trend normalization of user-style series values
 
-Outputs land in --outdir as JSON plus a CSV per sweep. The carbon profile
-is the illustrative example shipped in configs/.
+Outputs land in --outdir as JSON plus a CSV per sweep. The inputs are read
+from configs/: the illustrative carbon profile in carbon_profile_example.json,
+and the design and SoC blocks in soc_trainer.json.
 """
 
 import argparse
@@ -18,16 +19,15 @@ import json
 from pathlib import Path
 
 from pfasfab import (
-    CarbonParams,
-    DesignParams,
     Region,
-    SocBlock,
     TrendSeries,
     asap7_preset,
     compare_stacks,
     compose_soc,
     n7_fixture,
     normalize_trend,
+    parse_carbon_profile,
+    parse_config,
     stack_metrics,
     sweep_beol,
 )
@@ -39,15 +39,11 @@ from pfasfab.report import (
     trend_to_dict,
 )
 
-CARBON_EXAMPLE = CarbonParams(
-    carbon_intensity=0.4,
-    energy_per_unit_litho=0.05,
-    energy_per_area_base=5.0,
-    gas_per_area=0.3,
-    material_per_area=0.5,
-)
-CI_BAND = (0.02, 0.82)  # illustrative renewable-to-coal grid intensities
-DESIGN = DesignParams(area_cm2=1.0, yield_fraction=0.875)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def read_config(name: str) -> str:
+    return (CONFIGS / name).read_text(encoding="utf-8")
 
 
 def save(outdir: Path, name: str, payload: dict):
@@ -68,17 +64,15 @@ def case_euv_vs_duv(outdir: Path):
     save(outdir, "case1_euv_vs_duv", comparison_to_dict(result))
 
 
-def case_beol_sweep(outdir: Path):
+def case_beol_sweep(outdir: Path, model: dict):
     print("case 2: routing-BEOL reduction sweep on the 7 nm stack")
     stack = asap7_preset()
     targets = ["M7", "M5", "M3"]
-    routing = sweep_beol(stack, targets, retain_power_grid=False,
-                         design=DESIGN, carbon_params=CARBON_EXAMPLE, ci_band=CI_BAND)
+    routing = sweep_beol(stack, targets, retain_power_grid=False, **model)
     series = {p.top_routing_layer: p.metrics.by_region[Region.BEOL] for p in routing[1:]}
     print("  routing-BEOL PFAS layers:",
           ", ".join(f"{t}={series[t]}" for t in targets))
-    retained = sweep_beol(stack, targets, retain_power_grid=True,
-                          design=DESIGN, carbon_params=CARBON_EXAMPLE, ci_band=CI_BAND)
+    retained = sweep_beol(stack, targets, retain_power_grid=True, **model)
     base = retained[0].metrics.total_pfas_layers
     m3 = [p for p in retained if p.top_routing_layer == "M3"][0]
     print(f"  overall with power grid retained: {base} -> "
@@ -91,15 +85,11 @@ def case_beol_sweep(outdir: Path):
     print(f"  wrote {outdir / 'case2_sweep_retained.csv'}")
 
 
-def case_soc(outdir: Path):
+def case_soc(outdir: Path, trainer, model: dict):
     print("case 3: trainer SoC constrained to M4 with per-block area overheads")
-    blocks = [
-        SocBlock("cortex_m0", 0.051, "M7", {"M4": 1.47}),
-        SocBlock("systolic_array", 0.6, "M7", {"M4": 1.0}),
-        SocBlock("sram", 0.349, "M4", {}),
-    ]
-    report = compose_soc(blocks, asap7_preset(), "M4", retain_power_grid=True,
-                         design=DESIGN, carbon_params=CARBON_EXAMPLE, ci_band=CI_BAND)
+    soc = trainer.soc
+    report = compose_soc(soc.blocks, trainer.stack, soc.target_top,
+                         retain_power_grid=soc.retain_power_grid, **model)
     print(f"  total area {report.baseline_area_cm2:.3f} -> "
           f"{report.constrained_area_cm2:.5f} cm^2 "
           f"({report.area_increase * 100:.2f}% increase)")
@@ -128,9 +118,13 @@ def main():
     args = parser.parse_args()
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    carbon_params, ci_band, _ = parse_carbon_profile(read_config("carbon_profile_example.json"))
+    trainer = parse_config(read_config("soc_trainer.json"))
+    # The design, carbon parameters and band that cases 2 and 3 evaluate.
+    model = {"design": trainer.design, "carbon_params": carbon_params, "ci_band": ci_band}
     case_euv_vs_duv(outdir)
-    case_beol_sweep(outdir)
-    case_soc(outdir)
+    case_beol_sweep(outdir, model)
+    case_soc(outdir, trainer, model)
     case_trend(outdir)
 
 

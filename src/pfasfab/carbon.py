@@ -19,7 +19,7 @@ import math
 
 from .engine import DesignParams, StackMetrics
 from .errors import DomainError
-from .value import Value
+from .value import Value, finite
 
 
 class CarbonParams(Value):
@@ -34,11 +34,9 @@ class CarbonParams(Value):
     )
 
     def __post_init__(self):
-        failed = [(name, f"{name} must be finite and >= 0, got {value}")
-                  for name, value in zip(self.__slots__, self._astuple())
-                  if not 0 <= value < math.inf]
-        if failed:
-            raise DomainError("; ".join(message for _, message in failed), failed)
+        DomainError.check([(name, f"{name} must be finite and >= 0, got {value}")
+                           for name, value in zip(self.__slots__, self._astuple())
+                           if not (finite(value) and value >= 0)])
 
 
 class CarbonResult(Value):
@@ -68,7 +66,7 @@ def embodied_carbon(
 
 def validate_ci_band(low: float, high: float) -> tuple[float, float]:
     """``(low, high)`` if both are finite and >= 0 and low <= high, else DomainError."""
-    if not (0 <= low < math.inf and 0 <= high < math.inf):
+    if not (finite(low) and finite(high) and low >= 0 and high >= 0):
         raise DomainError(
             f"carbon-intensity band bounds must be finite and >= 0, got {low}, {high}")
     if low > high:

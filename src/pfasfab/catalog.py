@@ -15,13 +15,12 @@ registered into a catalog instance without touching the built-ins.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
 from .errors import InvalidProcessError, ProcessCollisionError, UnknownProcessError
-from .value import Value
+from .value import Value, finite
 
 
 class ExposureClass(Enum):
@@ -88,7 +87,7 @@ class ProcessClass:
     exposure: ExposureClass
 
     def __post_init__(self):
-        if self.masks < 1:
+        if not (finite(self.masks) and self.masks >= 1):
             raise InvalidProcessError(
                 f"process {self.id!r}: masks must be >= 1, got {self.masks}"
             )
@@ -106,11 +105,11 @@ class EnergyWeights(Value):
     _defaults = {"per_euv_mask": 10.0, "per_duv_mask": 1.0}
 
     def __post_init__(self):
-        failed = [(name, f"energy weight {name} must be finite and > 0, got {value}")
-                  for name, value in zip(self.__slots__, self._astuple())
-                  if not 0 < value < math.inf]
-        if failed:
-            raise InvalidProcessError("; ".join(message for _, message in failed), failed)
+        InvalidProcessError.check([
+            (name, f"energy weight {name} must be finite and > 0, got {value}")
+            for name, value in zip(self.__slots__, self._astuple())
+            if not (finite(value) and value > 0)
+        ])
 
     def per_mask(self, exposure: ExposureClass) -> float:
         return self.per_euv_mask if exposure.is_euv else self.per_duv_mask

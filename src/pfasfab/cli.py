@@ -26,7 +26,7 @@ from .engine import DesignParams, chip_pfas, stack_metrics
 from .carbon import estimate_carbon
 from .errors import PfasfabError
 from .scenarios import compare_stacks, compose_soc, normalize_trend, sweep_beol
-from .stack import StackSpec, validate_stack
+from .stack import StackSpec
 
 
 class _CliError(PfasfabError):
@@ -122,7 +122,6 @@ def _model_echo(design, weights, carbon, ci_band) -> dict:
 def _cmd_analyze(args) -> dict:
     cfg = _load_config(args)
     stack = _resolve_stack(args.stack, cfg.stack, args)
-    validate_stack(stack)
     design = _resolve_design(args, cfg)
     carbon_params, ci_band = _resolve_carbon(args, cfg)
     metrics = stack_metrics(stack, DEFAULT_CATALOG, cfg.weights)

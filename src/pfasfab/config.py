@@ -21,10 +21,9 @@ check fails its object; an optional one falls back to its default.
 from __future__ import annotations
 
 import json
-import math
 
 from .carbon import CarbonParams, validate_ci_band
-from .catalog import DEFAULT_CATALOG, DEFAULT_WEIGHTS, EnergyWeights
+from .catalog import DEFAULT_WEIGHTS, EnergyWeights
 from .engine import DesignParams
 from .errors import ConfigError, DomainError
 from .scenarios import SocBlock, TrendSeries
@@ -35,9 +34,9 @@ from .stack import (
     StackSpec,
     asap7_preset,
     n7_fixture,
-    stack_violations,
+    validate_stack,
 )
-from .value import Value
+from .value import Value, finite
 
 SCHEMA_VERSION = "1"
 
@@ -80,14 +79,6 @@ _REQUIRED = object()  # the default of a field that has none
 def _at(path: str, key: str) -> str:
     """The location of ``key`` in the object at ``path`` ("" for the top level)."""
     return f"{path}.{key}" if path else key
-
-
-def _finite(value) -> bool:
-    """True for a finite number; an int too large for a float is not."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 class _Collector:
@@ -242,7 +233,7 @@ def _scalar(name: str, types, convert=None, nullable=False) -> _Kind:
         if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
             col.error(path, f"{expected}{value!r}")
             return _BAD
-        if name == "number" and not _finite(value):
+        if name == "number" and not finite(value):
             col.error(path, "must be a finite number within floating-point range")
             return _BAD
         return value if convert is None else convert(value)
@@ -317,7 +308,7 @@ def _parse_pair(value, path, col):
         or not isinstance(value[0], str)
         or isinstance(value[1], bool)
         or not isinstance(value[1], (int, float))
-        or not _finite(value[1])
+        or not finite(value[1])
     ):
         col.error(path, f"must be a [node, finite number] pair, got {value!r}")
         return _BAD
@@ -343,16 +334,6 @@ def _parse_stack_ref(value, path, col):
     return _BAD
 
 
-def _checked_stack(technology_node: str, layers: tuple[LayerSpec, ...]) -> StackSpec:
-    """The stack, or a DomainError with each stack violation at ``layers``."""
-    stack = StackSpec(technology_node=technology_node, layers=layers)
-    violations = stack_violations(stack, DEFAULT_CATALOG)
-    if violations:
-        messages = [str(v) for v in violations]
-        raise DomainError("; ".join(messages), [("layers", m) for m in messages])
-    return stack
-
-
 _version = _Kind(_parse_version, dump=lambda _: SCHEMA_VERSION)
 
 _LAYER = _Section(LayerSpec, [
@@ -364,7 +345,8 @@ _LAYER = _Section(LayerSpec, [
     _Field("tags", _Kind(_parse_tags, dump=sorted), frozenset()),
 ], what="layer ")
 
-_STACK = _Section(_checked_stack, [
+# Each stack violation is reported at ``<path>.layers``.
+_STACK = _Section(lambda **fields: validate_stack(StackSpec(**fields)), [
     _Field("schema_version", _version, None, attr=""),
     _Field("technology_node", _string),
     _Field("layers", _List(_LAYER, "required field must be a list of layers")),

@@ -21,7 +21,7 @@ from .catalog import (
 )
 from .errors import DomainError
 from .stack import LayerRow, StackSpec, layer_table, row_totals
-from .value import Value
+from .value import Value, finite
 
 
 class DesignParams(Value):
@@ -31,13 +31,12 @@ class DesignParams(Value):
 
     def __post_init__(self):
         failed = []
-        if not 0 < self.area_cm2 < math.inf:
+        if not (finite(self.area_cm2) and self.area_cm2 > 0):
             failed.append(("area_cm2", f"area_cm2 must be finite and > 0, got {self.area_cm2}"))
         if not 0 < self.yield_fraction <= 1:
             failed.append(("yield_fraction", "yield must be within (0, 1] (the 0 - 1 range "
                            f"with zero excluded), got {self.yield_fraction}"))
-        if failed:
-            raise DomainError("; ".join(message for _, message in failed), failed)
+        DomainError.check(failed)
 
 
 class StackMetrics(Value):

@@ -33,23 +33,31 @@ class DomainError(PfasfabError, ValueError):
         super().__init__(message)
         self.fields = tuple(fields)
 
+    @classmethod
+    def check(cls, failed):
+        """Raise one error for the (field, message) pairs of ``failed``, if any."""
+        if failed:
+            raise cls("; ".join(message for _, message in failed), failed)
+
 
 class InvalidProcessError(DomainError):
     """A process record violates a field invariant."""
 
 
-class StackValidationError(PfasfabError):
+class StackValidationError(DomainError):
     """One or more stack invariants are violated.
 
     Carries the complete list of violations, each naming the offending
-    layer and the rule it broke.
+    layer and the rule it broke; ``fields`` holds one ``("layers", message)``
+    pair per violation.
     """
 
     def __init__(self, violations):
         self.violations = tuple(violations)
         self.details = tuple(str(v) for v in self.violations)
         super().__init__(
-            f"{len(self.violations)} stack violation(s): " + "; ".join(self.details)
+            f"{len(self.violations)} stack violation(s): " + "; ".join(self.details),
+            [("layers", detail) for detail in self.details],
         )
 
 

@@ -10,7 +10,6 @@ can run in parallel.
 from __future__ import annotations
 
 import math
-import sys
 from typing import Sequence
 
 from .carbon import CarbonParams, estimate_carbon
@@ -19,7 +18,7 @@ from .engine import DesignParams, chip_pfas, metrics_from_rows, stack_metrics
 from .errors import DomainError, DuplicateTargetError, MissingOverheadError, TrendReferenceError
 from .errors import UnknownTargetError
 from .stack import LayerRow, Region, StackSpec, beol_index, layer_table, validate_stack
-from .value import Value, set_field
+from .value import Value, finite, set_field
 
 
 def _ratio(a: float, b: float) -> float | None:
@@ -70,7 +69,9 @@ def compare_stacks(
 
 
 class SweepPoint(Value):
-    __slots__ = ("top_routing_layer", "stack", "metrics", "chip", "carbon")
+    """One point of a sweep; ``metrics.per_layer`` names the layers it keeps."""
+
+    __slots__ = ("top_routing_layer", "metrics", "chip", "carbon")
     _defaults = {"chip": None, "carbon": None}
 
 
@@ -138,8 +139,7 @@ def sweep_beol(
         metrics = metrics_from_rows(node, kept)
         chip = chip_pfas(metrics, design) if design is not None else None
         carbon = estimate_carbon(metrics, design, carbon_params, ci_band)
-        variant = StackSpec(technology_node=node, layers=tuple([row.spec for row in kept]))
-        return SweepPoint(label, variant, metrics, chip, carbon)
+        return SweepPoint(label, metrics, chip, carbon)
 
     top = stack.top_routing_layer()
     points = [point(top, beol_index(top) if top is not None else None)]
@@ -161,7 +161,7 @@ class SocBlock(Value):
             set_field(self, "area_overhead", {})
         name = self.name
         failed = []
-        if not 0 < self.baseline_area_cm2 < math.inf:
+        if not (finite(self.baseline_area_cm2) and self.baseline_area_cm2 > 0):
             failed.append(("baseline_area_cm2", f"block {name!r}: baseline_area_cm2 must "
                            f"be finite and > 0, got {self.baseline_area_cm2}"))
         if beol_index(self.required_top_layer) is None:
@@ -171,12 +171,10 @@ class SocBlock(Value):
             if beol_index(target) is None:
                 failed.append((f"area_overhead.{target}", f"block {name!r}: area_overhead "
                                f"keys must be BEOL labels M<k>, got {target!r}"))
-            # An int beyond the float range is not finite here: float() of it overflows.
-            elif not 1 <= factor <= sys.float_info.max:
+            elif not (finite(factor) and factor >= 1):
                 failed.append((f"area_overhead.{target}", f"block {name!r}: overhead factor "
                                f"for {target} must be finite and >= 1, got {factor}"))
-        if failed:
-            raise DomainError("; ".join(message for _, message in failed), failed)
+        DomainError.check(failed)
 
     def overhead_factor(self, target: str) -> float:
         target_index = beol_index(target)
@@ -295,13 +293,14 @@ class TrendSeries(Value):
     _defaults = {"reference": None}
 
     def __post_init__(self):
-        set_field(self, "points", tuple((str(n), float(v)) for n, v in self.points))
-        labels = [n for n, _ in self.points]
+        points = [(str(n), v) for n, v in self.points]
+        labels = [n for n, _ in points]
         if len(labels) != len(set(labels)):
             raise DomainError("trend series has duplicate node labels")
-        for node, value in self.points:
-            if not math.isfinite(value):
+        for node, value in points:
+            if not finite(value):
                 raise DomainError(f"trend value for {node!r} must be finite, got {value}")
+        set_field(self, "points", tuple([(n, float(v)) for n, v in points]))
 
     def values(self) -> dict[str, float]:
         return dict(self.points)

@@ -25,7 +25,7 @@ from .catalog import (
     mask_energy,
 )
 from .errors import StackValidationError
-from .value import Value, set_field
+from .value import Value, finite, set_field
 
 TAG_ROUTING = "routing"
 TAG_POWER_GRID = "power_grid"
@@ -149,9 +149,10 @@ def stack_violations(stack: StackSpec, catalog: ProcessCatalog = DEFAULT_CATALOG
                     )
                 )
 
-        if layer.pitch_nm is not None and not layer.pitch_nm > 0:
+        pitch = layer.pitch_nm
+        if pitch is not None and not (finite(pitch) and pitch > 0):
             violations.append(
-                Violation(layer.name, "bad-pitch", f"pitch_nm must be > 0, got {layer.pitch_nm}")
+                Violation(layer.name, "bad-pitch", f"pitch_nm must be finite and > 0, got {pitch}")
             )
 
         if layer.region is Region.BEOL:

@@ -15,9 +15,21 @@ class whose fields are equal, a hash over the fields, the
 a field, ``_replace(**changes)`` for a variant (checked again by the
 constructor), and a ``__reduce__`` that rebuilds the value through its
 constructor, so that ``copy``, ``deepcopy`` and ``pickle`` work.
+
+``finite`` is the one test of whether an input number is usable.
 """
 
+import math
+
 set_field = object.__setattr__
+
+
+def finite(value) -> bool:
+    """True for a finite number; an int too large for a float is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _compile_init(cls):

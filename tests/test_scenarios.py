@@ -99,8 +99,7 @@ def test_sweep_with_retention_overall_ratio(asap7):
 def test_sweep_topmost_target_is_noop(asap7):
     points = sweep_beol(asap7, ["M7"], retain_power_grid=True)
     baseline, target = points
-    assert target.stack == asap7
-    assert target.stack == baseline.stack
+    assert target.metrics == stack_metrics(asap7)
     assert target.metrics == baseline.metrics
 
 
@@ -123,7 +122,7 @@ def test_sweep_duplicate_target_rejected(asap7):
 
 def test_sweep_power_grid_dropped_without_retention(asap7):
     points = sweep_beol(asap7, ["M7"], retain_power_grid=False)
-    names = points[1].stack.names()
+    names = [lm.name for lm in points[1].metrics.per_layer]
     assert "M8" not in names and "M9" not in names
     assert points[1].metrics.total_pfas_layers == 25
 
@@ -150,8 +149,8 @@ def test_sweep_retention_keeps_power_grid_contribution_constant(asap7):
     for point in points:
         pg = sum(
             lm.pfas_layers
-            for lm, layer in zip(point.metrics.per_layer, point.stack.layers)
-            if layer.is_power_grid
+            for lm in point.metrics.per_layer
+            if asap7.layer(lm.name).is_power_grid
         )
         contributions.append(pg)
     assert len(set(contributions)) == 1
@@ -249,8 +248,9 @@ def test_sweep_points_equal_fresh_evaluation(stack, retain, data, weights):
     assert len(points) == len(targets) + 1
     for point in points:
         top = point.top_routing_layer
-        assert point.stack == _truncate_beol(stack, beol_index(top) if top else None, retain)
-        _assert_fresh(point.metrics, point.stack, weights)
+        expected = _truncate_beol(stack, beol_index(top) if top else None, retain)
+        assert [lm.name for lm in point.metrics.per_layer] == list(expected.names())
+        _assert_fresh(point.metrics, expected, weights)
 
 
 @given(stack=_random_stacks(), retain=st.booleans(), data=st.data(),

@@ -114,7 +114,7 @@ FIELDS = {
     ComparisonResult: ("metrics_a", "metrics_b", "ratio_pfas", "ratio_litho_steps",
                        "ratio_total_steps", "ratio_energy", "pfas_ratio_by_region",
                        "percent_reduction"),
-    SweepPoint: ("top_routing_layer", "stack", "metrics", "chip", "carbon"),
+    SweepPoint: ("top_routing_layer", "metrics", "chip", "carbon"),
     SocBlock: ("name", "baseline_area_cm2", "required_top_layer", "area_overhead"),
     SocBlockResult: ("block", "overhead_factor", "constrained_area_cm2"),
     SocReport: ("target_top", "retain_power_grid", "blocks", "baseline_metrics",
@@ -243,7 +243,7 @@ def test_defaults():
     assert CarbonResult(1.0) == CarbonResult(1.0, None, None)
     asap7 = asap7_preset()
     metrics = stack_metrics(asap7)
-    assert SweepPoint("M5", asap7, metrics) == SweepPoint("M5", asap7, metrics, None, None)
+    assert SweepPoint("M5", metrics) == SweepPoint("M5", metrics, None, None)
     assert SocBlock("a", 1.0, "M3").area_overhead == {}
     assert SocBlock("a", 1.0, "M3").area_overhead is not SocBlock("a", 1.0, "M3").area_overhead
     assert TrendSeries((("7nm", 1.0),)).reference is None
