@@ -66,9 +66,11 @@ def embodied_carbon(
 
 def validate_ci_band(low: float, high: float) -> tuple[float, float]:
     """``(low, high)`` if both are finite and >= 0 and low <= high, else DomainError."""
-    if not (finite(low) and finite(high) and low >= 0 and high >= 0):
-        raise DomainError(
-            f"carbon-intensity band bounds must be finite and >= 0, got {low}, {high}")
+    DomainError.check([
+        (name, f"carbon-intensity band bound {name} must be finite and >= 0, got {value}")
+        for name, value in (("low", low), ("high", high))
+        if not (finite(value) and value >= 0)
+    ])
     if low > high:
         raise DomainError(f"inverted carbon-intensity band: low {low} > high {high}")
     return (low, high)

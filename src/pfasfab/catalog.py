@@ -87,6 +87,13 @@ class ProcessClass:
     exposure: ExposureClass
 
     def __post_init__(self):
+        # StepCounts checks only ``< 0``, as it is built on the hot path; the
+        # finite test runs here, once per process class.
+        InvalidProcessError.check([
+            (f"steps.{name}", f"process {self.id!r}: step count {name} must be finite, got {value}")
+            for name, value in zip(STEP_FIELDS, self.steps.as_tuple())
+            if not finite(value)
+        ])
         if not (finite(self.masks) and self.masks >= 1):
             raise InvalidProcessError(
                 f"process {self.id!r}: masks must be >= 1, got {self.masks}"

@@ -3,11 +3,17 @@
 Exit codes: 0 success, 1 validation error, 2 usage error. Reports go to
 stdout (or --out); errors and warnings go to stderr. Identical inputs and
 flags produce byte-identical output.
+
+``main(argv)`` may be called any number of times in one process. It builds
+the argument parser on its first call and reuses it after, and returns the
+exit code; a usage error (or ``--help``) raises ``SystemExit(2)`` (or
+``SystemExit(0)``) as argparse does.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -298,6 +304,10 @@ def _add_carbon(parser):
     )
 
 
+# Built on the first main() call, not at import, and then reused: the parser
+# holds no per-call state (parse_args returns a fresh Namespace, and argparse
+# makes a new formatter, sized to the terminal, for each usage or help print).
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pfasfab",

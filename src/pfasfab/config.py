@@ -36,9 +36,7 @@ from .stack import (
     n7_fixture,
     validate_stack,
 )
-from .value import Value, finite
-
-SCHEMA_VERSION = "1"
+from .value import SCHEMA_VERSION, Value, finite
 
 PRESETS = {
     "asap7": asap7_preset,

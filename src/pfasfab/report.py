@@ -13,15 +13,17 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
-from .carbon import CarbonResult
 from .catalog import STEP_FIELDS, ExposureClass, ProcessCatalog
-from .config import SCHEMA_VERSION
-from .engine import ChipPfas, StackMetrics
-from .scenarios import ComparisonResult, SocReport, SweepPoint, TrendSeries
 from .stack import Region
+from .value import SCHEMA_VERSION
+
+if TYPE_CHECKING:
+    from .carbon import CarbonResult
+    from .engine import ChipPfas, StackMetrics
+    from .scenarios import ComparisonResult, SocReport, SweepPoint, TrendSeries
 
 PFAS_UNIT = "layer*cm^2"
 

@@ -17,9 +17,13 @@ constructor), and a ``__reduce__`` that rebuilds the value through its
 constructor, so that ``copy``, ``deepcopy`` and ``pickle`` work.
 
 ``finite`` is the one test of whether an input number is usable.
+``SCHEMA_VERSION`` is the version of the config and report documents; it
+lives in this leaf module so that reports need not import the config parser.
 """
 
 import math
+
+SCHEMA_VERSION = "1"
 
 set_field = object.__setattr__
 

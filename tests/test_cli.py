@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from pfasfab import cli
 from pfasfab.report import render_json
 
 from conftest import CONFIGS, GOLDEN, REPO_ROOT, run_cli, run_main
@@ -260,6 +261,25 @@ def test_usage_error_exits_two():
     assert proc.returncode == 2
     proc = run_cli("analyze", "--format", "yaml")
     assert proc.returncode == 2
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_repeated_main_calls_match_fresh_processes(monkeypatch):
+    # One parser serves every call: a usage error leaves nothing behind,
+    # each subcommand keeps its own defaults (export-catalog's --format is
+    # json), and usage text is wrapped to the width at each call.
+    analyze = ("analyze", "--stack", "asap7", "--area", "1", "--yield", "0.875", "--format", "json")
+    usage = ("sweep", "--format", "xml")
+    for columns, argv in [("80", usage), ("80", analyze), ("80", ("export-catalog",)),
+                          ("80", analyze), ("50", usage)]:
+        monkeypatch.setenv("COLUMNS", columns)
+        got, want = run_main(*argv), run_cli(*argv)
+        assert (got.returncode, got.stdout, got.stderr) == (
+            want.returncode, want.stdout, want.stderr)
+    assert got.returncode == 2
 
 
 def test_unwritable_out_path_exits_one():

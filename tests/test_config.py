@@ -310,11 +310,12 @@ def test_bad_energy_weights_rejected_at_their_fields():
 
 
 def test_range_messages_come_from_the_domain_types():
-    with pytest.raises(ConfigError) as excinfo:
-        parse_config('{"fab": {"ci_band": {"low": -1, "high": 0.5}}}')
-    with pytest.raises(DomainError) as domain:
-        validate_ci_band(-1.0, 0.5)
-    assert excinfo.value.entries == (("fab.ci_band", str(domain.value)),)
+    for low, high, bad in [(-1.0, 0.5, "low"), (0.5, -1.0, "high")]:
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(json.dumps({"fab": {"ci_band": {"low": low, "high": high}}}))
+        with pytest.raises(DomainError) as domain:
+            validate_ci_band(low, high)
+        assert excinfo.value.entries == ((f"fab.ci_band.{bad}", str(domain.value)),)
 
 
 def test_integer_beyond_the_digit_limit_rejected():

@@ -64,10 +64,12 @@ CHECKED = [
      "trend value for 'a' must be finite"),
     ("ProcessClass.masks", lambda x: ProcessClass("X", StepCounts(), x, ExposureClass.EUV),
      InvalidProcessError, None, "masks must be >= 1"),
-    ("validate_ci_band low", lambda x: validate_ci_band(x, 1.0), DomainError, None,
-     "band bounds must be finite and >= 0"),
-    ("validate_ci_band high", lambda x: validate_ci_band(0.0, x), DomainError, None,
-     "band bounds must be finite and >= 0"),
+    ("ProcessClass.steps", lambda x: ProcessClass("X", StepCounts(litho=x), 1, ExposureClass.EUV),
+     InvalidProcessError, "steps.litho", "step count litho must be finite"),
+    ("validate_ci_band low", lambda x: validate_ci_band(x, 1.0), DomainError, "low",
+     "band bound low must be finite and >= 0"),
+    ("validate_ci_band high", lambda x: validate_ci_band(0.0, x), DomainError, "high",
+     "band bound high must be finite and >= 0"),
     ("LayerSpec.pitch_nm", _pitch, StackValidationError, "layers",
      "[bad-pitch] pitch_nm must be finite and > 0"),
 ]

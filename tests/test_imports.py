@@ -1,0 +1,43 @@
+"""Which modules an import loads, read from ``sys.modules`` of a fresh
+interpreter. Nothing here is timed."""
+
+import importlib.util
+import subprocess
+import sys
+
+from conftest import REPO_ROOT
+
+
+def _loaded(module: str) -> set[str]:
+    """The names in ``sys.modules`` after ``import <module>`` in a fresh interpreter."""
+    code = f"import sys; import {module}; print(*sys.modules, sep='\\n')"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=REPO_ROOT, check=True)
+    return set(proc.stdout.split())
+
+
+def _pfasfab(modules: set[str]) -> set[str]:
+    return {name for name in modules if name == "pfasfab" or name.startswith("pfasfab.")}
+
+
+def test_package_import_loads_no_submodule():
+    loaded = _loaded("pfasfab")
+    assert _pfasfab(loaded) == {"pfasfab"}
+    assert "dataclasses" not in loaded
+
+
+def test_report_loads_no_model_or_config_module():
+    assert _pfasfab(_loaded("pfasfab.report")) == {
+        "pfasfab", "pfasfab.report", "pfasfab.catalog", "pfasfab.stack", "pfasfab.value",
+        "pfasfab.errors",
+    }
+
+
+def test_cli_loads_every_traced_layer():
+    # perfbench's Tracer.install imports pfasfab.cli and then wraps the
+    # functions of every layer in SPANS, which it finds in sys.modules; so
+    # cli must import them all until the tracer imports each layer itself.
+    spec = importlib.util.spec_from_file_location("tracing", REPO_ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert {f"pfasfab.{layer}" for layer in tracing.SPANS} <= _loaded("pfasfab.cli")
