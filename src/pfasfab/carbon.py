@@ -44,12 +44,13 @@ class CarbonResult(Value):
     _defaults = {"low_kg": None, "high_kg": None}
 
 
-def embodied_carbon(
-    metrics: StackMetrics, design: DesignParams, params: CarbonParams
-) -> CarbonResult:
-    """Embodied kg CO2e for one good chip of the given stack and design."""
+def _embodied_kg(
+    metrics: StackMetrics, design: DesignParams, params: CarbonParams, carbon_intensity: float
+) -> float:
+    """Embodied kg CO2e per good chip with the profile's constants at the
+    given carbon intensity."""
     per_cm2 = (
-        params.carbon_intensity
+        carbon_intensity
         * (
             params.energy_per_unit_litho * metrics.total_litho_energy
             + params.energy_per_area_base
@@ -61,7 +62,14 @@ def embodied_carbon(
     if not math.isfinite(embodied_kg):
         raise DomainError(f"embodied carbon overflows: {design.area_cm2} cm2 / yield "
                           f"{design.yield_fraction} x {per_cm2} kg CO2e/cm2 is {embodied_kg}")
-    return CarbonResult(embodied_kg=embodied_kg)
+    return embodied_kg
+
+
+def embodied_carbon(
+    metrics: StackMetrics, design: DesignParams, params: CarbonParams
+) -> CarbonResult:
+    """Embodied kg CO2e for one good chip of the given stack and design."""
+    return CarbonResult(_embodied_kg(metrics, design, params, params.carbon_intensity))
 
 
 def validate_ci_band(low: float, high: float) -> tuple[float, float]:
@@ -84,15 +92,14 @@ def carbon_band(
     ci_high: float,
 ) -> CarbonResult:
     """Embodied carbon at the profile's nominal carbon intensity, plus the
-    band spanned between a low and a high grid intensity."""
+    band spanned between a low and a high grid intensity. The three figures
+    share ``embodied_carbon``'s expression, with only the intensity changed;
+    the band's bounds are checked once, by ``validate_ci_band``."""
     validate_ci_band(ci_low, ci_high)
-    nominal = embodied_carbon(metrics, design, params)
-    low = embodied_carbon(metrics, design, params._replace(carbon_intensity=ci_low))
-    high = embodied_carbon(metrics, design, params._replace(carbon_intensity=ci_high))
     return CarbonResult(
-        embodied_kg=nominal.embodied_kg,
-        low_kg=low.embodied_kg,
-        high_kg=high.embodied_kg,
+        _embodied_kg(metrics, design, params, params.carbon_intensity),
+        _embodied_kg(metrics, design, params, ci_low),
+        _embodied_kg(metrics, design, params, ci_high),
     )
 
 

@@ -47,12 +47,13 @@ class StepCounts(Value):
 
     def __post_init__(self):
         # A method of its own, so that perfbench's tracer can count the
-        # StepCounts built per operation by wrapping it.
-        for name, value in zip(STEP_FIELDS, self.as_tuple()):
-            if value < 0:
-                raise InvalidProcessError(
-                    f"step count {name} must be >= 0, got {value}"
-                )
+        # StepCounts built per operation by wrapping it. One chained test of
+        # all six fields; the loop runs only to name the field that failed.
+        if (self.dry_etch < 0 or self.litho < 0 or self.metallization < 0
+                or self.metrology < 0 or self.wet_etch < 0 or self.deposition < 0):
+            for name, value in zip(STEP_FIELDS, self.as_tuple()):
+                if value < 0:
+                    raise InvalidProcessError(f"step count {name} must be >= 0, got {value}")
 
     def as_dict(self) -> dict[str, int]:
         return dict(zip(STEP_FIELDS, self.as_tuple()))
@@ -152,11 +153,16 @@ class ProcessCatalog:
 
     ``register`` returns a new catalog extended with the given process;
     existing instances, including the shared default, are never mutated,
-    so catalogs are safe to share across threads.
+    so catalogs are safe to share across threads. Two processes with one
+    id are a ProcessCollisionError, whether passed together or registered.
     """
 
     def __init__(self, processes: Iterable[ProcessClass] = BUILTIN_PROCESSES):
-        self._processes = {p.id: p for p in processes}
+        self._processes = {}
+        for p in processes:
+            if p.id in self._processes:
+                raise ProcessCollisionError(f"process id {p.id!r} is already registered")
+            self._processes[p.id] = p
 
     def ids(self) -> tuple[str, ...]:
         return tuple(self._processes)
@@ -168,10 +174,6 @@ class ProcessCatalog:
             raise UnknownProcessError(process_id, self.ids()) from None
 
     def register(self, custom: ProcessClass) -> "ProcessCatalog":
-        if custom.id in self._processes:
-            raise ProcessCollisionError(
-                f"process id {custom.id!r} is already registered"
-            )
         return ProcessCatalog((*self._processes.values(), custom))
 
     def __contains__(self, process_id: str) -> bool:

@@ -134,13 +134,13 @@ def stack_violations(stack: StackSpec, catalog: ProcessCatalog = DEFAULT_CATALOG
             )
         max_rank = max(max_rank, layer.region.rank)
 
-        process_ids = layer.process_ids()
-        if not process_ids:
+        metal, via = layer.metal_process, layer.via_process
+        if metal is None and via is None:
             violations.append(
                 Violation(layer.name, "missing-process", "neither metal_process nor via_process is set")
             )
-        for pid in process_ids:
-            if pid not in catalog:
+        for pid in (metal, via):
+            if pid is not None and pid not in catalog:
                 violations.append(
                     Violation(
                         layer.name,
@@ -196,6 +196,7 @@ class LayerRow(NamedTuple):
 
 _REGIONS = tuple(Region)
 _EXPOSURES = tuple(ExposureClass)
+_EXPOSURE_SLOT = {exposure: i for i, exposure in enumerate(_EXPOSURES)}
 # Where each group of LayerRow.counts ends.
 _STEPS_END = len(STEP_FIELDS)
 _REGIONS_END = _STEPS_END + len(_REGIONS)
@@ -209,18 +210,23 @@ def layer_row(
     """Look up each process of the layer once and derive its figures.
 
     The PFAS-containing-layer count of a layer equals its total mask count:
-    an absent metal or via process contributes nothing.
+    an absent metal or via process contributes nothing. A one-process
+    layer's ``total_steps`` is that process's own (immutable) StepCounts.
     """
-    processes = [catalog.lookup(pid) for pid in layer.process_ids()]
-    steps = StepCounts(*[sum(c) for c in zip(*[p.steps.as_tuple() for p in processes])])
+    steps = None
     masks = 0
     energy = 0.0
     by_region = [0] * len(_REGIONS)
     by_exposure = [0] * len(_EXPOSURES)
-    for proc in processes:
-        masks += proc.masks
-        energy += mask_energy(proc, weights)
-        by_exposure[_EXPOSURES.index(proc.exposure)] += proc.masks
+    for pid in (layer.metal_process, layer.via_process):
+        if pid is not None:
+            proc = catalog.lookup(pid)
+            steps = proc.steps if steps is None else steps + proc.steps
+            masks += proc.masks
+            energy += mask_energy(proc, weights)
+            by_exposure[_EXPOSURE_SLOT[proc.exposure]] += proc.masks
+    if steps is None:
+        steps = StepCounts()
     by_region[layer.region.rank] = masks
     metrics = LayerMetrics(layer.name, steps.litho, steps, masks, masks, energy)
     counts = (*steps.as_tuple(), *by_region, *by_exposure)

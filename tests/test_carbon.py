@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from pfasfab import (
     CarbonParams,
+    CarbonResult,
     DesignParams,
     DomainError,
     StackSpec,
@@ -198,3 +199,43 @@ def test_beol_reduction_shifts_carbon_by_litho_delta_only(asap7):
         heavy_by_label["M7"].carbon.embodied_kg - heavy_by_label["M3"].carbon.embodied_kg
     ) / heavy_by_label["M7"].carbon.embodied_kg
     assert rel_heavy < rel_light
+
+
+# ---------------------------------------------------------------------------
+# A band is embodied_carbon at three carbon intensities, to the last bit
+
+_ASAP7_METRICS = stack_metrics(asap7_preset())
+# Integers too, so that an int where a float belongs shows in a repr.
+_AMOUNT = _PARAM | st.integers(min_value=0, max_value=10)
+
+
+@pytest.mark.guard
+@given(energy=st.floats(min_value=0.0, max_value=1e5),
+       design=st.builds(DesignParams, st.floats(min_value=1e-3, max_value=1e3),
+                        st.floats(min_value=1e-3, max_value=1.0)),
+       params=st.builds(CarbonParams, _AMOUNT, _AMOUNT, _AMOUNT, _AMOUNT, _AMOUNT),
+       bounds=st.lists(_AMOUNT, min_size=2, max_size=2).map(sorted))
+def test_band_is_embodied_carbon_at_each_intensity(energy, design, params, bounds):
+    metrics = _ASAP7_METRICS._replace(total_litho_energy=energy)
+    low, high = bounds
+    expected = CarbonResult(
+        embodied_carbon(metrics, design, params).embodied_kg,
+        embodied_carbon(metrics, design, params._replace(carbon_intensity=low)).embodied_kg,
+        embodied_carbon(metrics, design, params._replace(carbon_intensity=high)).embodied_kg,
+    )
+    assert repr(carbon_band(metrics, design, params, low, high)) == repr(expected)
+
+
+@pytest.mark.guard
+def test_band_overflowing_at_its_high_bound_only(asap7):
+    metrics = stack_metrics(asap7)
+    design = DesignParams(1.0, 0.5)
+    params = CarbonParams(0.4, 0.05, 5.0, 0.3, 0.5)
+    carbon_band(metrics, design, params, 0.02, 0.82)
+    with pytest.raises(DomainError) as alone:
+        embodied_carbon(metrics, design, params._replace(carbon_intensity=1e308))
+    with pytest.raises(DomainError) as banded:
+        carbon_band(metrics, design, params, 0.02, 1e308)
+    assert str(banded.value) == str(alone.value) == (
+        "embodied carbon overflows: 1.0 cm2 / yield 0.5 x inf kg CO2e/cm2 is inf"
+    )

@@ -9,6 +9,7 @@ from pfasfab import (
     ExposureClass,
     DomainError,
     InvalidProcessError,
+    ProcessCatalog,
     ProcessClass,
     ProcessCollisionError,
     StepCounts,
@@ -79,6 +80,14 @@ def test_register_extension_resolves():
 def test_register_collision_with_builtin():
     clash = ProcessClass("EUV_LE", StepCounts(litho=1), 1, ExposureClass.EUV)
     with pytest.raises(ProcessCollisionError):
+        DEFAULT_CATALOG.register(clash)
+
+
+def test_catalog_of_duplicate_ids_rejected():
+    clash = ProcessClass("EUV_LE", StepCounts(litho=1), 1, ExposureClass.EUV)
+    with pytest.raises(ProcessCollisionError, match="process id 'EUV_LE' is already registered"):
+        ProcessCatalog((*BUILTIN_PROCESSES, clash))
+    with pytest.raises(ProcessCollisionError, match="process id 'EUV_LE' is already registered"):
         DEFAULT_CATALOG.register(clash)
 
 

@@ -10,10 +10,8 @@ from pfasfab import (
     DesignParams,
     DomainError,
     DuplicateTargetError,
-    EnergyWeights,
     ExposureClass,
     LayerMetrics,
-    LayerSpec,
     MissingOverheadError,
     Region,
     SocBlock,
@@ -32,7 +30,7 @@ from pfasfab import (
     stack_metrics,
     sweep_beol,
 )
-from pfasfab.stack import TAG_POWER_GRID, TAG_ROUTING
+from conftest import NON_INTEGER_WEIGHTS, random_stacks
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +168,8 @@ def test_sweep_fills_chip_and_carbon_when_given(asap7):
 
 
 # ---------------------------------------------------------------------------
-# Sweep and SoC points equal a fresh layer-by-layer evaluation of their stack
+# Compared stacks, sweep points and SoC stacks equal a fresh layer-by-layer
+# evaluation of their stack
 
 
 def _truncate_beol(stack, top_index, retain_power_grid):
@@ -217,30 +216,16 @@ def _assert_fresh(metrics, stack, weights):
     assert repr(metrics) == repr(_layer_by_layer(stack, weights))
 
 
-_PROCESSES = st.sampled_from(DEFAULT_CATALOG.ids())
-_NON_INTEGER = st.floats(min_value=0.1, max_value=40.0).filter(lambda w: w != int(w))
+@pytest.mark.guard
+@given(a=random_stacks(), b=random_stacks(), weights=NON_INTEGER_WEIGHTS)
+def test_compared_metrics_equal_fresh_evaluation(a, b, weights):
+    comparison = compare_stacks(a, b, weights=weights)
+    _assert_fresh(comparison.metrics_a, a, weights)
+    _assert_fresh(comparison.metrics_b, b, weights)
 
 
-@st.composite
-def _random_stacks(draw):
-    """Valid stacks with power-grid layers anywhere in the BEOL."""
-    layers = []
-    for region, most in ((Region.FEOL, 3), (Region.MOL, 2)):
-        for i in range(draw(st.integers(0, most))):
-            metal = draw(st.none() | _PROCESSES)
-            via = draw(_PROCESSES) if metal is None else draw(st.none() | _PROCESSES)
-            layers.append(LayerSpec(f"{region.value}{i}", region, None, metal, via))
-    for k in sorted(draw(st.sets(st.integers(1, 14), min_size=1, max_size=9))):
-        tag = draw(st.sampled_from((TAG_ROUTING, TAG_POWER_GRID)))
-        layers.append(LayerSpec(
-            f"M{k}", Region.BEOL, None, draw(_PROCESSES), draw(st.none() | _PROCESSES),
-            frozenset({tag}),
-        ))
-    return StackSpec("random", tuple(layers))
-
-
-@given(stack=_random_stacks(), retain=st.booleans(), data=st.data(),
-       weights=st.builds(EnergyWeights, _NON_INTEGER, _NON_INTEGER))
+@pytest.mark.guard
+@given(stack=random_stacks(), retain=st.booleans(), data=st.data(), weights=NON_INTEGER_WEIGHTS)
 def test_sweep_points_equal_fresh_evaluation(stack, retain, data, weights):
     beol = [l.name for l in stack.beol_layers()]
     targets = data.draw(st.lists(st.sampled_from(beol), min_size=1, unique=True))
@@ -253,8 +238,8 @@ def test_sweep_points_equal_fresh_evaluation(stack, retain, data, weights):
         _assert_fresh(point.metrics, expected, weights)
 
 
-@given(stack=_random_stacks(), retain=st.booleans(), data=st.data(),
-       weights=st.builds(EnergyWeights, _NON_INTEGER, _NON_INTEGER))
+@pytest.mark.guard
+@given(stack=random_stacks(), retain=st.booleans(), data=st.data(), weights=NON_INTEGER_WEIGHTS)
 def test_soc_metrics_equal_fresh_evaluation(stack, retain, data, weights):
     beol = [l.name for l in stack.beol_layers()]
     target = data.draw(st.sampled_from(beol))

@@ -3,13 +3,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pfasfab import (
+    DEFAULT_CATALOG,
+    LayerMetrics,
     LayerSpec,
     Region,
     StackSpec,
     StackValidationError,
+    StepCounts,
     asap7_preset,
     beol_index,
     derive_layer_metrics,
+    mask_energy,
     n7_fixture,
     stack_violations,
     validate_stack,
@@ -185,3 +189,35 @@ def test_via_only_layer_counts_once():
     metrics = derive_layer_metrics(layer)
     assert metrics.pfas_layers == 1
     assert metrics.litho_steps == 3
+
+
+# ---------------------------------------------------------------------------
+# One layer's figures are its processes' catalog rows, summed
+
+
+@pytest.mark.guard
+def test_layer_without_process_derives_zeros():
+    metrics = derive_layer_metrics(LayerSpec("X", Region.MOL))
+    assert repr(metrics) == repr(LayerMetrics("X", 0, StepCounts(), 0, 0, 0.0))
+
+
+@pytest.mark.guard
+@pytest.mark.parametrize("slot", ["metal_process", "via_process"])
+def test_one_process_layer_is_its_catalog_row(slot):
+    for proc in DEFAULT_CATALOG:
+        metrics = derive_layer_metrics(LayerSpec("M1", Region.BEOL, **{slot: proc.id}))
+        # The process's own StepCounts: values are immutable, so it is shared.
+        assert metrics.total_steps is proc.steps
+        assert repr(metrics) == repr(LayerMetrics(
+            "M1", proc.steps.litho, proc.steps, proc.masks, proc.masks, mask_energy(proc)))
+
+
+@pytest.mark.guard
+def test_two_process_layer_sums_its_catalog_rows():
+    for metal in DEFAULT_CATALOG:
+        for via in DEFAULT_CATALOG:
+            layer = LayerSpec("M1", Region.BEOL, metal_process=metal.id, via_process=via.id)
+            steps = metal.steps + via.steps
+            masks = metal.masks + via.masks
+            assert repr(derive_layer_metrics(layer)) == repr(LayerMetrics(
+                "M1", steps.litho, steps, masks, masks, mask_energy(metal) + mask_energy(via)))
