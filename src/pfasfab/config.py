@@ -313,22 +313,27 @@ def _parse_pair(value, path, col):
     return (value[0], float(value[1]))
 
 
+def _parse_preset(value, path, col):
+    if isinstance(value, str) and value in PRESETS:
+        return PRESETS[value]()
+    if isinstance(value, str):
+        col.error(path, f"unknown preset {value!r}; presets: {', '.join(PRESETS)}")
+    elif isinstance(value, dict):  # a stack object in a {"preset": ...} reference
+        col.error(path, f"must be a preset name ({', '.join(PRESETS)}), got an object")
+    else:
+        col.error(path, f"stack must be a preset name or an object, got {value!r}")
+    return _BAD
+
+
 def _parse_stack_ref(value, path, col):
     """A preset name, a ``{"preset": <name>}`` object or an inline stack."""
-    if isinstance(value, str):
-        if value in PRESETS:
-            return PRESETS[value]()
-        col.error(path, f"unknown preset {value!r}; presets: {', '.join(PRESETS)}")
-    elif not isinstance(value, dict):
-        col.error(path, f"stack must be a preset name or an object, got {value!r}")
-    elif "preset" in value and "layers" in value:
-        col.error(path, "exactly one stack source allowed: preset or inline layers")
-    elif "preset" in value:
-        return _PRESET_REF.parse(value, path, col)
-    elif "layers" in value:
-        return _STACK.parse(value, path, col)
-    else:
-        col.error(path, "stack object needs either a 'preset' or inline 'layers'")
+    if not isinstance(value, dict):
+        return _parse_preset(value, path, col)
+    sources = [key for key in ("preset", "layers") if key in value]
+    if len(sources) == 1:
+        return (_PRESET_REF if sources == ["preset"] else _STACK).parse(value, path, col)
+    col.error(path, "exactly one stack source allowed: preset or inline layers" if sources
+              else "stack object needs either a 'preset' or inline 'layers'")
     return _BAD
 
 
@@ -351,7 +356,7 @@ _STACK = _Section(lambda **fields: validate_stack(StackSpec(**fields)), [
 ])
 
 _stack_ref = _Kind(_parse_stack_ref, dump=_STACK.dump)
-_PRESET_REF = _Section(lambda preset: preset, [_Field("preset", _stack_ref)])
+_PRESET_REF = _Section(lambda preset: preset, [_Field("preset", _Kind(_parse_preset))])
 
 _DESIGN = _Section(DesignParams, [
     _Field("area_cm2", _number),

@@ -129,6 +129,16 @@ def test_stack_file_holding_a_config_document_hints_config(monkeypatch):
     assert run_main("analyze", "--config", stack_file, "--area", "1", "--yield", "1").returncode == 0
 
 
+def test_stack_file_preset_reference_takes_only_a_preset_name(tmp_path):
+    path = tmp_path / "stack.json"
+    inline = json.loads((CONFIGS / "custom_stack_example.json").read_text())["stack"]
+    path.write_text(json.dumps({"preset": inline}))
+    proc = run_main("analyze", "--stack", str(path), "--area", "1", "--yield", "1")
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: preset: must be a preset name (asap7, n7_euv, n7_duv), "
+                           "got an object\n")
+
+
 def test_soc_report():
     report = _json_report("soc", "--config", str(CONFIGS / "soc_trainer.json"), "--format", "json")
     result = report["result"]

@@ -125,6 +125,27 @@ def test_load_stack_document_preset_reference():
     assert load_stack_document('"n7_duv"') == n7_fixture("duv")
 
 
+_NOT_PRESET_NAMES = {
+    "inline-stack": stack_to_dict(asap7_preset()),
+    "preset-reference": {"preset": "asap7"},
+    "number": 5,
+}
+
+
+@pytest.mark.parametrize("value", _NOT_PRESET_NAMES.values(), ids=_NOT_PRESET_NAMES)
+def test_preset_reference_takes_only_a_preset_name(value):
+    for document, location in (
+        ({"stack": {"preset": value}}, "stack.preset"),
+        ({"compare": {"stack_a": {"preset": value}, "stack_b": "asap7"}}, "compare.stack_a.preset"),
+    ):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(json.dumps(document))
+        assert [loc for loc, _ in excinfo.value.entries] == [location]
+    with pytest.raises(ConfigError) as excinfo:
+        load_stack_document(json.dumps({"preset": value}))
+    assert [loc for loc, _ in excinfo.value.entries] == ["preset"]
+
+
 def test_carbon_profile_parses():
     text = json.dumps(
         {
