@@ -1,5 +1,10 @@
 """Command-line surface: analyze, compare, sweep, soc, trend, export-catalog.
 
+Each subcommand is declared by its one row in ``_TABLE``: its help line, its
+arguments in ``--help`` order and the function that computes its report from
+the parsed arguments and the config document. A flag that is given wins over
+the config's section, which wins over the default (``_pick``).
+
 Exit codes: 0 success, 1 validation error, 2 usage error. Reports go to
 stdout (or --out); errors and warnings go to stderr. Identical inputs and
 flags produce byte-identical output.
@@ -19,15 +24,8 @@ from pathlib import Path
 
 from . import report as rpt
 from .catalog import DEFAULT_CATALOG
-from .config import (
-    PRESETS,
-    ConfigDocument,
-    load_stack_document,
-    parse_carbon_profile,
-    parse_config,
-    stack_to_dict,
-    to_dict,
-)
+from .config import PRESETS, ConfigDocument, load_stack_document, parse_carbon_profile
+from .config import parse_config, stack_to_dict, to_dict
 from .engine import DesignParams, chip_pfas, stack_metrics
 from .carbon import estimate_carbon
 from .errors import PfasfabError
@@ -69,10 +67,8 @@ def _load_config(args) -> ConfigDocument:
 def _resolve_stack(ref: str | None, fallback: StackSpec | None, args) -> StackSpec:
     if ref is None:
         if fallback is None:
-            raise _CliError(
-                "no stack given: pass --stack <preset|path> or a config with a "
-                f"stack section (presets: {', '.join(PRESETS)})"
-            )
+            raise _CliError("no stack given: pass --stack <preset|path> or a config with a "
+                            f"stack section (presets: {', '.join(PRESETS)})")
         return fallback
     if ref in PRESETS:
         return PRESETS[ref]()
@@ -81,23 +77,26 @@ def _resolve_stack(ref: str | None, fallback: StackSpec | None, args) -> StackSp
         stack = load_stack_document(_read_text(ref), strict=args.strict, warnings=warnings)
         _warn(ref, warnings)
         return stack
-    raise _CliError(
-        f"stack {ref!r} is neither a preset ({', '.join(PRESETS)}) nor an existing file"
-    )
+    raise _CliError(f"stack {ref!r} is neither a preset ({', '.join(PRESETS)}) nor an "
+                    "existing file")
+
+
+def _pick(flag, section, key: str, default=None):
+    """A flag that is given wins, even when empty; else the config section's
+    ``key``; else the default."""
+    if flag is not None:
+        return flag
+    return default if section is None else getattr(section, key)
 
 
 def _resolve_design(args, cfg: ConfigDocument, required=True) -> DesignParams | None:
-    area, yield_fraction = args.area, args.yield_fraction
-    if cfg.design is not None:
-        area = cfg.design.area_cm2 if area is None else area
-        yield_fraction = cfg.design.yield_fraction if yield_fraction is None else yield_fraction
+    area = _pick(args.area, cfg.design, "area_cm2")
+    yield_fraction = _pick(args.yield_fraction, cfg.design, "yield_fraction")
     if area is None and yield_fraction is None:
         if not required:
             return None
-        raise _CliError(
-            "design parameters missing: pass --area and --yield or a config "
-            "with a design section"
-        )
+        raise _CliError("design parameters missing: pass --area and --yield or a config "
+                        "with a design section")
     if area is None or yield_fraction is None:
         missing = "--area" if area is None else "--yield"
         raise _CliError(f"design parameter missing: pass {missing} too, or a config "
@@ -105,153 +104,115 @@ def _resolve_design(args, cfg: ConfigDocument, required=True) -> DesignParams | 
     return DesignParams(area_cm2=float(area), yield_fraction=float(yield_fraction))
 
 
-def _resolve_carbon(args, cfg: ConfigDocument):
+def _model(args, cfg: ConfigDocument, design) -> tuple[dict, dict]:
+    """The keywords of a scenario call (weights, design, carbon parameters and
+    band, from --carbon-profile if given) and their echo in a report's inputs."""
     if args.carbon_profile is not None:
-        params, ci_band, warnings = parse_carbon_profile(
-            _read_text(args.carbon_profile), strict=args.strict
-        )
+        text = _read_text(args.carbon_profile)
+        params, ci_band, warnings = parse_carbon_profile(text, strict=args.strict)
         _warn(args.carbon_profile, warnings)
-        return params, ci_band
-    return cfg.carbon, cfg.ci_band
-
-
-def _model_echo(design, weights, carbon, ci_band) -> dict:
-    """The design, energy-weight and carbon inputs, as every report echoes them."""
-    return {
+    else:
+        params, ci_band = cfg.carbon, cfg.ci_band
+    model = {"weights": cfg.weights, "design": design, "carbon_params": params, "ci_band": ci_band}
+    echo = {
         "design": to_dict(design),
-        "energy_weights": to_dict(weights),
-        "carbon": to_dict(carbon),
+        "energy_weights": to_dict(cfg.weights),
+        "carbon": to_dict(params),
         "ci_band": list(ci_band) if ci_band is not None else None,
     }
+    return model, echo
 
 
-def _cmd_analyze(args) -> dict:
-    cfg = _load_config(args)
+def _analyze(args, cfg: ConfigDocument):
     stack = _resolve_stack(args.stack, cfg.stack, args)
     design = _resolve_design(args, cfg)
-    carbon_params, ci_band = _resolve_carbon(args, cfg)
+    model, echo = _model(args, cfg, design)
     metrics = stack_metrics(stack, DEFAULT_CATALOG, cfg.weights)
     chip = chip_pfas(metrics, design)
-    carbon = estimate_carbon(metrics, design, carbon_params, ci_band)
+    carbon = estimate_carbon(metrics, design, model["carbon_params"], model["ci_band"])
     stack_echo = stack_to_dict(stack)
-    inputs = {
-        "stack": stack_echo,
-        **_model_echo(design, cfg.weights, carbon_params, ci_band),
-    }
-    result = {
+    return {"stack": stack_echo, **echo}, {
         "stack_metrics": rpt.metrics_to_dict(stack_echo["layers"], metrics),
         "chip_pfas": rpt.chip_to_dict(chip),
         "carbon": rpt.carbon_to_dict(carbon),
     }
-    return rpt.build_report("analyze", inputs, result)
 
 
-def _cmd_compare(args) -> dict:
-    cfg = _load_config(args)
-    section = cfg.compare
-    if args.stack_a is not None or args.stack_b is not None:
-        if args.stack_a is None or args.stack_b is None:
-            raise _CliError("compare needs both stacks: pass two positional stack refs")
-        a = _resolve_stack(args.stack_a, None, args)
-        b = _resolve_stack(args.stack_b, None, args)
-    elif section is not None:
-        a, b = section.stack_a, section.stack_b
+def _compare(args, cfg: ConfigDocument):
+    refs = (args.stack_a, args.stack_b)
+    if None not in refs:
+        a, b = (_resolve_stack(ref, None, args) for ref in refs)
+    elif refs != (None, None):
+        raise _CliError("compare needs both stacks: pass two positional stack refs")
+    elif cfg.compare is None:
+        raise _CliError("compare needs two stacks: pass them as arguments or in the "
+                        "config's compare section")
     else:
-        raise _CliError(
-            "compare needs two stacks: pass them as arguments or in the config's "
-            "compare section"
-        )
+        a, b = cfg.compare.stack_a, cfg.compare.stack_b
     comparison = compare_stacks(a, b, DEFAULT_CATALOG, cfg.weights)
     inputs = {
         "stack_a": stack_to_dict(a),
         "stack_b": stack_to_dict(b),
         "energy_weights": to_dict(cfg.weights),
     }
-    return rpt.build_report("compare", inputs, rpt.comparison_to_dict(comparison))
+    return inputs, rpt.comparison_to_dict(comparison)
 
 
-def _cmd_sweep(args) -> dict:
-    cfg = _load_config(args)
+def _sweep(args, cfg: ConfigDocument):
     section = cfg.sweep
     stack = _resolve_stack(args.stack, cfg.stack, args)
-    targets = [t.strip() for t in args.targets.split(",")] if args.targets else None
-    if targets is None and section is not None:
-        targets = list(section.targets)
+    targets = _pick(args.targets, section, "targets")
     if not targets:
         raise _CliError("sweep needs --targets M7,M5,... or a config sweep section")
-    retain = args.retain_power_grid
-    beol_only = args.beol_only
-    if retain is None:
-        retain = section.retain_power_grid if section is not None else False
-    if not beol_only and section is not None:
-        beol_only = section.beol_only
+    retain = _pick(args.retain_power_grid, section, "retain_power_grid", False)
+    beol_only = _pick(args.beol_only, section, "beol_only", False)
     if beol_only and retain:
         beol_from = "--beol-only" if args.beol_only else "sweep.beol_only"
         retain_from = "--retain-power-grid" if args.retain_power_grid else "sweep.retain_power_grid"
         raise _CliError(f"{beol_from} excludes {retain_from}")
     design = _resolve_design(args, cfg, required=False)
-    carbon_params, ci_band = _resolve_carbon(args, cfg)
-    points = sweep_beol(
-        stack,
-        targets,
-        retain_power_grid=retain,
-        weights=cfg.weights,
-        design=design,
-        carbon_params=carbon_params,
-        ci_band=ci_band,
-    )
+    model, echo = _model(args, cfg, design)
+    points = sweep_beol(stack, targets, retain_power_grid=retain, **model)
     inputs = {
         "stack": stack_to_dict(stack),
         "targets": list(targets),
         "retain_power_grid": retain,
         "beol_only": beol_only,
-        **_model_echo(design, cfg.weights, carbon_params, ci_band),
+        **echo,
     }
-    return rpt.build_report("sweep", inputs, rpt.sweep_to_dict(points, retain, beol_only))
+    return inputs, rpt.sweep_to_dict(points, retain, beol_only)
 
 
-def _cmd_soc(args) -> dict:
-    cfg = _load_config(args)
+def _soc(args, cfg: ConfigDocument):
     section = cfg.soc
     if section is None:
         raise _CliError("soc needs a config with an soc section (blocks and target_top)")
     stack = _resolve_stack(args.stack, cfg.stack, args)
-    target = args.target or section.target_top
-    retain = args.retain_power_grid
-    if retain is None:
-        retain = section.retain_power_grid
-    design = cfg.design
-    if args.yield_fraction is not None:  # compose_soc reads only the yield
-        design = DesignParams(1.0 if design is None else design.area_cm2, args.yield_fraction)
-    carbon_params, ci_band = _resolve_carbon(args, cfg)
-    soc = compose_soc(
-        section.blocks,
-        stack,
-        target,
-        retain_power_grid=retain,
-        design=design,
-        weights=cfg.weights,
-        carbon_params=carbon_params,
-        ci_band=ci_band,
-    )
+    target = _pick(args.target, section, "target_top")
+    retain = _pick(args.retain_power_grid, section, "retain_power_grid")
+    yield_fraction = _pick(args.yield_fraction, cfg.design, "yield_fraction")
+    design = None
+    if yield_fraction is not None:  # compose_soc reads only the yield
+        design = DesignParams(1.0 if cfg.design is None else cfg.design.area_cm2, yield_fraction)
+    model, echo = _model(args, cfg, design)
+    soc = compose_soc(section.blocks, stack, target, retain_power_grid=retain, **model)
     if cfg.design is None and design is not None:  # echo the area the chip figures use
-        design = DesignParams(soc.baseline_area_cm2, design.yield_fraction)
+        echo["design"] = to_dict(DesignParams(soc.baseline_area_cm2, yield_fraction))
     inputs = {
         "stack": stack_to_dict(stack),
         "blocks": [to_dict(block) for block in section.blocks],
         "target_top": target,
         "retain_power_grid": retain,
-        **_model_echo(design, cfg.weights, carbon_params, ci_band),
+        **echo,
     }
-    return rpt.build_report("soc", inputs, rpt.soc_to_dict(soc))
+    return inputs, rpt.soc_to_dict(soc)
 
 
-def _cmd_trend(args) -> dict:
-    cfg = _load_config(args)
+def _trend(args, cfg: ConfigDocument):
     section = cfg.trend
     if section is None:
         raise _CliError("trend needs a config with a trend section (series and reference)")
-    reference = args.ref or section.reference
+    reference = _pick(args.ref, section, "reference")
     if reference is None:
         raise _CliError("trend needs a reference node: pass --ref or set it in the config")
     normalized = normalize_trend(section.series, reference)
@@ -259,49 +220,60 @@ def _cmd_trend(args) -> dict:
         "series": [[node, value] for node, value in section.series.points],
         "reference": reference,
     }
-    return rpt.build_report("trend", inputs, rpt.trend_to_dict(section.series, normalized))
+    return inputs, rpt.trend_to_dict(section.series, normalized)
 
 
-def _cmd_export_catalog(args) -> dict:
-    return rpt.catalog_to_dict(DEFAULT_CATALOG)
+def _arg(name: str, help_text: str, **options):
+    """An argument as ``(name, add_argument options)``."""
+    return name, {"help": help_text, **options}
 
 
-_COMMANDS = {
-    "analyze": _cmd_analyze,
-    "compare": _cmd_compare,
-    "sweep": _cmd_sweep,
-    "soc": _cmd_soc,
-    "trend": _cmd_trend,
-    "export-catalog": _cmd_export_catalog,
+_FORMATS = ("table", "csv", "json")
+_STACK = _arg("--stack", "stack preset name or path to a stack JSON file")
+_IO = (
+    _arg("--config", "path to a JSON config document"),
+    _arg("--format", "output format", choices=_FORMATS, default="table"),
+    _arg("--out", "write the report to this path instead of stdout"),
+    _arg("--strict", "reject unknown config keys instead of warning", action="store_true"),
+)
+_AREA = _arg("--area", "die area in cm^2", type=float)
+_YIELD = _arg("--yield", "fab yield in (0, 1]", dest="yield_fraction", type=float)
+_CARBON = _arg("--carbon-profile",
+               "path to a carbon parameter profile JSON (five factors plus optional ci_band)")
+
+# One row per subcommand: help line, arguments in --help order and the function
+# that returns the report's (inputs, result); export-catalog reads no config.
+_TABLE = {
+    "analyze": ("per-layer and total metrics for one stack",
+                (_STACK, *_IO, _AREA, _YIELD, _CARBON), _analyze),
+    "compare": ("ratios between two stacks (a vs b)", (
+        _arg("stack_a", "first stack: preset name or path", nargs="?"),
+        _arg("stack_b", "second stack: preset name or path", nargs="?"),
+        *_IO,
+    ), _compare),
+    "sweep": ("cap the routing BEOL at each target layer", (
+        _STACK, *_IO, _AREA, _YIELD, _CARBON,
+        _arg("--targets", "comma-separated BEOL layer labels, e.g. M7,M5,M3",
+             type=lambda text: [label.strip() for label in text.split(",")]),
+        _arg("--retain-power-grid", "keep power-grid-tagged layers in every variant "
+             "(default: off for sweep)", action=argparse.BooleanOptionalAction, default=None),
+        _arg("--beol-only", "label the table '(routing BEOL focus)' and echo beol_only in the "
+             "JSON; the figures are the default sweep's, with the power grid dropped "
+             "(not combinable with --retain-power-grid)", action="store_true", default=None),
+    ), _sweep),
+    "soc": ("constrain SoC blocks to a target routing layer", (
+        _STACK, *_IO, _YIELD, _CARBON,
+        _arg("--target", "target top routing layer (overrides config)"),
+        _arg("--retain-power-grid", "keep power-grid-tagged layers (default: on for soc)",
+             action=argparse.BooleanOptionalAction, default=None),
+    ), _soc),
+    "trend": ("normalize a per-node series to a reference node",
+              (*_IO, _arg("--ref", "reference node label (overrides config)")), _trend),
+    "export-catalog": ("emit the built-in process catalog", (
+        _arg("--format", "output format", choices=_FORMATS, default="json"),
+        _arg("--out", "write the catalog to this path instead of stdout"),
+    ), None),
 }
-
-
-def _add_common(parser, with_stack=True):
-    if with_stack:
-        parser.add_argument("--stack", help="stack preset name or path to a stack JSON file")
-    parser.add_argument("--config", help="path to a JSON config document")
-    parser.add_argument(
-        "--format", choices=("table", "csv", "json"), default="table", help="output format"
-    )
-    parser.add_argument("--out", help="write the report to this path instead of stdout")
-    parser.add_argument(
-        "--strict", action="store_true", help="reject unknown config keys instead of warning"
-    )
-
-
-def _add_design(parser, with_area=True):
-    if with_area:
-        parser.add_argument("--area", type=float, help="die area in cm^2")
-    parser.add_argument(
-        "--yield", dest="yield_fraction", type=float, help="fab yield in (0, 1]"
-    )
-
-
-def _add_carbon(parser):
-    parser.add_argument(
-        "--carbon-profile",
-        help="path to a carbon parameter profile JSON (five factors plus optional ci_band)",
-    )
 
 
 # Built on the first main() call, not at import, and then reused: the parser
@@ -317,65 +289,22 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="per-layer and total metrics for one stack")
-    _add_common(p)
-    _add_design(p)
-    _add_carbon(p)
-
-    p = sub.add_parser("compare", help="ratios between two stacks (a vs b)")
-    p.add_argument("stack_a", nargs="?", help="first stack: preset name or path")
-    p.add_argument("stack_b", nargs="?", help="second stack: preset name or path")
-    _add_common(p, with_stack=False)
-
-    p = sub.add_parser("sweep", help="cap the routing BEOL at each target layer")
-    _add_common(p)
-    _add_design(p)
-    _add_carbon(p)
-    p.add_argument("--targets", help="comma-separated BEOL layer labels, e.g. M7,M5,M3")
-    p.add_argument(
-        "--retain-power-grid",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="keep power-grid-tagged layers in every variant (default: off for sweep)",
-    )
-    p.add_argument(
-        "--beol-only",
-        action="store_true",
-        help="label the table '(routing BEOL focus)' and echo beol_only in the JSON; "
-        "the figures are the default sweep's, with the power grid dropped "
-        "(not combinable with --retain-power-grid)",
-    )
-
-    p = sub.add_parser("soc", help="constrain SoC blocks to a target routing layer")
-    _add_common(p)
-    _add_design(p, with_area=False)
-    _add_carbon(p)
-    p.add_argument("--target", help="target top routing layer (overrides config)")
-    p.add_argument(
-        "--retain-power-grid",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="keep power-grid-tagged layers (default: on for soc)",
-    )
-
-    p = sub.add_parser("trend", help="normalize a per-node series to a reference node")
-    _add_common(p, with_stack=False)
-    p.add_argument("--ref", help="reference node label (overrides config)")
-
-    p = sub.add_parser("export-catalog", help="emit the built-in process catalog")
-    p.add_argument(
-        "--format", choices=("table", "csv", "json"), default="json", help="output format"
-    )
-    p.add_argument("--out", help="write the catalog to this path instead of stdout")
-
+    for name, (help_line, arguments, _) in _TABLE.items():
+        command = sub.add_parser(name, help=help_line)
+        for flag, options in arguments:
+            command.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    build = _TABLE[args.command][2]
     try:
-        text = rpt.render(_COMMANDS[args.command](args), args.format)
+        if build is None:
+            report = rpt.catalog_to_dict(DEFAULT_CATALOG)
+        else:
+            report = rpt.build_report(args.command, *build(args, _load_config(args)))
+        text = rpt.render(report, args.format)
         if args.out:
             _write_text(args.out, text)
         else:

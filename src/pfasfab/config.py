@@ -318,17 +318,19 @@ def _parse_preset(value, path, col):
         return PRESETS[value]()
     if isinstance(value, str):
         col.error(path, f"unknown preset {value!r}; presets: {', '.join(PRESETS)}")
-    elif isinstance(value, dict):  # a stack object in a {"preset": ...} reference
-        col.error(path, f"must be a preset name ({', '.join(PRESETS)}), got an object")
-    else:
-        col.error(path, f"stack must be a preset name or an object, got {value!r}")
+    else:  # the value of a {"preset": ...} reference
+        got = "an object" if isinstance(value, dict) else repr(value)
+        col.error(path, f"must be a preset name ({', '.join(PRESETS)}), got {got}")
     return _BAD
 
 
 def _parse_stack_ref(value, path, col):
     """A preset name, a ``{"preset": <name>}`` object or an inline stack."""
-    if not isinstance(value, dict):
+    if isinstance(value, str):
         return _parse_preset(value, path, col)
+    if not isinstance(value, dict):
+        col.error(path, f"stack must be a preset name or an object, got {value!r}")
+        return _BAD
     sources = [key for key in ("preset", "layers") if key in value]
     if len(sources) == 1:
         return (_PRESET_REF if sources == ["preset"] else _STACK).parse(value, path, col)

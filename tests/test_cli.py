@@ -157,6 +157,22 @@ def test_trend_ref_override():
     assert points["28nm"] == 20 / 29
 
 
+@pytest.mark.parametrize("args, message", [
+    (("trend", "--config", str(CONFIGS / "trend_nodes.json"), "--ref", ""),
+     "error: reference node '' not in series; nodes: 28nm, 14nm, 7nm\n"),
+    (("soc", "--config", str(CONFIGS / "soc_trainer.json"), "--target", ""),
+     "error: target '' is not a BEOL layer of 7nm-ASAP7; BEOL layers: "
+     "M1, M2, M3, M4, M5, M6, M7, M8, M9\n"),
+    (("sweep", "--config", str(CONFIGS / "sweep_asap7.json"), "--targets", ""),
+     "error: target '' is not a BEOL layer of 7nm-ASAP7; BEOL layers: "
+     "M1, M2, M3, M4, M5, M6, M7, M8, M9\n"),
+], ids=["trend-ref", "soc-target", "sweep-targets"])
+def test_given_empty_flag_wins_over_config(args, message):
+    # A flag that is given overrides the config's section even when empty.
+    proc = run_main(*args)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)
+
+
 def test_carbon_profile_flag():
     report = _json_report(
         "analyze", "--stack", "asap7", "--area", "1", "--yield", "1",
