@@ -37,6 +37,13 @@ class _CliError(PfasfabError):
     """Validation-level CLI failure; message goes to stderr, exit code 1."""
 
 
+def _path(flag: str, path: str) -> str:
+    """The value of a path flag; an empty one would name the current directory."""
+    if not path:
+        raise _CliError(f"{flag}: empty path, expected a file name")
+    return path
+
+
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -59,7 +66,7 @@ def _warn(path: str, warnings):
 def _load_config(args) -> ConfigDocument:
     if args.config is None:
         return ConfigDocument()
-    doc = parse_config(_read_text(args.config), strict=args.strict)
+    doc = parse_config(_read_text(_path("--config", args.config)), strict=args.strict)
     _warn(args.config, doc.warnings)
     return doc
 
@@ -72,7 +79,7 @@ def _resolve_stack(ref: str | None, fallback: StackSpec | None, args) -> StackSp
         return fallback
     if ref in PRESETS:
         return PRESETS[ref]()
-    if Path(ref).exists():
+    if ref and Path(ref).exists():
         warnings = []
         stack = load_stack_document(_read_text(ref), strict=args.strict, warnings=warnings)
         _warn(ref, warnings)
@@ -108,7 +115,7 @@ def _model(args, cfg: ConfigDocument, design) -> tuple[dict, dict]:
     """The keywords of a scenario call (weights, design, carbon parameters and
     band, from --carbon-profile if given) and their echo in a report's inputs."""
     if args.carbon_profile is not None:
-        text = _read_text(args.carbon_profile)
+        text = _read_text(_path("--carbon-profile", args.carbon_profile))
         params, ci_band, warnings = parse_carbon_profile(text, strict=args.strict)
         _warn(args.carbon_profile, warnings)
     else:
@@ -305,8 +312,8 @@ def main(argv=None) -> int:
         else:
             report = rpt.build_report(args.command, *build(args, _load_config(args)))
         text = rpt.render(report, args.format)
-        if args.out:
-            _write_text(args.out, text)
+        if args.out is not None:
+            _write_text(_path("--out", args.out), text)
         else:
             sys.stdout.write(text)
     except PfasfabError as exc:

@@ -87,7 +87,8 @@ def stack_metrics(
     catalog: ProcessCatalog = DEFAULT_CATALOG,
     weights: EnergyWeights = DEFAULT_WEIGHTS,
 ) -> StackMetrics:
-    """Totals and FEOL/MOL/BEOL and exposure-class breakdowns for a stack."""
+    """Totals and FEOL/MOL/BEOL and exposure-class breakdowns for a stack;
+    an invalid stack raises StackValidationError (``layer_table``)."""
     return metrics_from_rows(stack.technology_node, layer_table(stack, catalog, weights))
 
 

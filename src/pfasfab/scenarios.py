@@ -1,4 +1,4 @@
-"""Trade-off analyses over validated stacks.
+"""Trade-off analyses over stacks, each validated where its table is built.
 
 Four scenario operations: two-stack comparison, routing-layer reduction
 sweeps with optional power-grid retention, SoC composition under per-block
@@ -17,7 +17,7 @@ from .catalog import DEFAULT_CATALOG, DEFAULT_WEIGHTS, EnergyWeights, ProcessCat
 from .engine import DesignParams, chip_pfas, metrics_from_rows, stack_metrics
 from .errors import DomainError, DuplicateTargetError, MissingOverheadError, TrendReferenceError
 from .errors import UnknownTargetError
-from .stack import LayerRow, Region, StackSpec, beol_index, layer_table, validate_stack
+from .stack import LayerRow, Region, StackSpec, beol_index, layer_table
 from .value import Value, finite, set_field
 
 
@@ -45,8 +45,6 @@ def compare_stacks(
     Ratios with a zero denominator are reported as absent (None) rather
     than raising; a region empty in stack ``b`` simply has no ratio.
     """
-    validate_stack(a, catalog)
-    validate_stack(b, catalog)
     ma = stack_metrics(a, catalog, weights)
     mb = stack_metrics(b, catalog, weights)
     return ComparisonResult(
@@ -128,9 +126,8 @@ def sweep_beol(
     and carbon are filled in when ``design`` / ``carbon_params`` are given.
     Each layer is derived once; every point sums the rows it keeps.
     """
-    validate_stack(stack, catalog)
-    resolved = _resolve_targets(stack, targets)
     rows = layer_table(stack, catalog, weights)
+    resolved = _resolve_targets(stack, targets)
     levels = _cap_levels(rows, retain_power_grid)
     node = stack.technology_node
 
@@ -227,7 +224,7 @@ def compose_soc(
     """
     if not blocks:
         raise DomainError("compose_soc requires at least one block")
-    validate_stack(chip_stack, catalog)
+    rows = layer_table(chip_stack, catalog, weights)
     target_index = _resolve_targets(chip_stack, [target_top])[target_top]
     yield_fraction = design.yield_fraction if design is not None else 1.0
 
@@ -256,7 +253,6 @@ def compose_soc(
         if not math.isfinite(area):
             raise DomainError(f"{side} SoC area overflows: the sum of the {len(blocks)} "
                               f"{side} block areas is {area}")
-    rows = layer_table(chip_stack, catalog, weights)
     baseline_metrics = metrics_from_rows(chip_stack.technology_node, rows)
     kept = _capped_rows(rows, _cap_levels(rows, retain_power_grid), chip_top_index)
     constrained_metrics = metrics_from_rows(chip_stack.technology_node, kept)

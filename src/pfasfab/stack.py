@@ -45,9 +45,9 @@ _BEOL_NAME = re.compile(r"M([1-9][0-9]*)\Z")
 
 
 def beol_index(name: str) -> int | None:
-    """Metal index k for a BEOL layer named M<k>, else None (also when k has
-    more digits than ``int`` converts)."""
-    m = _BEOL_NAME.fullmatch(name)
+    """Metal index k for a BEOL layer named M<k>, else None (also for a name
+    that is not a string, or when k has more digits than ``int`` converts)."""
+    m = _BEOL_NAME.fullmatch(name) if isinstance(name, str) else None
     try:
         return int(m.group(1)) if m else None
     except ValueError:
@@ -124,7 +124,12 @@ def stack_violations(stack: StackSpec, catalog: ProcessCatalog = DEFAULT_CATALOG
             )
         seen.add(layer.name)
 
-        if layer.region.rank < max_rank:
+        if not isinstance(layer.region, Region):
+            violations.append(
+                Violation(layer.name, "bad-region",
+                          f"region must be a Region (FEOL, MOL or BEOL), got {layer.region!r}")
+            )
+        elif layer.region.rank < max_rank:
             violations.append(
                 Violation(
                     layer.name,
@@ -132,7 +137,8 @@ def stack_violations(stack: StackSpec, catalog: ProcessCatalog = DEFAULT_CATALOG
                     f"{layer.region.value} layer appears after a later region",
                 )
             )
-        max_rank = max(max_rank, layer.region.rank)
+        else:
+            max_rank = layer.region.rank
 
         metal, via = layer.metal_process, layer.via_process
         if metal is None and via is None:
@@ -152,7 +158,7 @@ def stack_violations(stack: StackSpec, catalog: ProcessCatalog = DEFAULT_CATALOG
         pitch = layer.pitch_nm
         if pitch is not None and not (finite(pitch) and pitch > 0):
             violations.append(
-                Violation(layer.name, "bad-pitch", f"pitch_nm must be finite and > 0, got {pitch}")
+                Violation(layer.name, "bad-pitch", f"pitch_nm must be finite and > 0, got {pitch!r}")
             )
 
         if layer.region is Region.BEOL:
@@ -250,7 +256,9 @@ def layer_table(
     catalog: ProcessCatalog = DEFAULT_CATALOG,
     weights: EnergyWeights = DEFAULT_WEIGHTS,
 ) -> tuple[LayerRow, ...]:
-    """The stack's rows, bottom-up, each layer derived once."""
+    """The stack's rows, bottom-up, each layer derived once. Every figure is
+    summed from this table, so an invalid stack raises StackValidationError here."""
+    validate_stack(stack, catalog)
     return tuple([layer_row(layer, catalog, weights) for layer in stack.layers])
 
 

@@ -29,10 +29,11 @@ set_field = object.__setattr__
 
 
 def finite(value) -> bool:
-    """True for a finite number; an int too large for a float is not."""
+    """True for a finite number; an int too large for a float, or a value that
+    is not a number, is not."""
     try:
         return math.isfinite(value)
-    except OverflowError:
+    except (OverflowError, TypeError):
         return False
 
 

@@ -157,6 +157,10 @@ def test_trend_ref_override():
     assert points["28nm"] == 20 / 29
 
 
+_ANALYZE = ("analyze", "--stack", "asap7", "--area", "1", "--yield", "1")
+_NO_STACK = "error: stack '' is neither a preset (asap7, n7_euv, n7_duv) nor an existing file\n"
+
+
 @pytest.mark.parametrize("args, message", [
     (("trend", "--config", str(CONFIGS / "trend_nodes.json"), "--ref", ""),
      "error: reference node '' not in series; nodes: 28nm, 14nm, 7nm\n"),
@@ -166,9 +170,18 @@ def test_trend_ref_override():
     (("sweep", "--config", str(CONFIGS / "sweep_asap7.json"), "--targets", ""),
      "error: target '' is not a BEOL layer of 7nm-ASAP7; BEOL layers: "
      "M1, M2, M3, M4, M5, M6, M7, M8, M9\n"),
-], ids=["trend-ref", "soc-target", "sweep-targets"])
+    (("analyze", "--stack", "", "--area", "1", "--yield", "1"), _NO_STACK),
+    (("compare", "", "asap7"), _NO_STACK),
+    (("analyze", "--config", ""), "error: --config: empty path, expected a file name\n"),
+    ((*_ANALYZE, "--carbon-profile", ""),
+     "error: --carbon-profile: empty path, expected a file name\n"),
+    ((*_ANALYZE, "--out", ""), "error: --out: empty path, expected a file name\n"),
+], ids=["trend-ref", "soc-target", "sweep-targets", "stack", "compare-stack", "config",
+        "carbon-profile", "out"])
 def test_given_empty_flag_wins_over_config(args, message):
     # A flag that is given overrides the config's section even when empty.
+    # An empty path, which would name the current directory, is refused by
+    # name before the file system is asked; --out "" is no request for stdout.
     proc = run_main(*args)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)
 

@@ -17,6 +17,7 @@ from pfasfab import (
     derive_layer_metrics,
     n7_fixture,
     stack_metrics,
+    stack_violations,
     step_totals,
 )
 
@@ -155,9 +156,13 @@ def _sub_stack(indices):
 @given(indices=_LAYER_INDICES, extra=st.integers(min_value=0, max_value=15))
 def test_additivity_of_appended_layer(indices, extra):
     preset = asap7_preset()
-    base = _sub_stack(indices)
+    # Only layers below the appended one, so that the stack stays valid: a
+    # repeated or out-of-order layer makes its figures raise, as
+    # tests/test_scenarios.py checks.
+    base = _sub_stack([i for i in indices if i < extra])
     layer = preset.layers[extra]
     appended = StackSpec("sub", base.layers + (layer,))
+    assert not stack_violations(appended)
     before = stack_metrics(base)
     after = stack_metrics(appended)
     delta = derive_layer_metrics(layer)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pfasfab.stack
 from pfasfab import (
     DEFAULT_CATALOG,
     CarbonParams,
@@ -12,11 +13,13 @@ from pfasfab import (
     DuplicateTargetError,
     ExposureClass,
     LayerMetrics,
+    LayerSpec,
     MissingOverheadError,
     Region,
     SocBlock,
     StackMetrics,
     StackSpec,
+    StackValidationError,
     StepCounts,
     TrendReferenceError,
     TrendSeries,
@@ -28,6 +31,8 @@ from pfasfab import (
     n7_fixture,
     normalize_trend,
     stack_metrics,
+    stack_violations,
+    step_totals,
     sweep_beol,
 )
 from conftest import NON_INTEGER_WEIGHTS, random_stacks
@@ -249,6 +254,79 @@ def test_soc_metrics_equal_fresh_evaluation(stack, retain, data, weights):
     chip_top = max(min(beol_index(top), beol_index(target)) for top in required)
     _assert_fresh(report.baseline_metrics, stack, weights)
     _assert_fresh(report.constrained_metrics, _truncate_beol(stack, chip_top, retain), weights)
+
+
+# ---------------------------------------------------------------------------
+# Every function that derives figures from a stack validates it, once
+
+
+@st.composite
+def broken_stacks(draw):
+    """A valid stack broken by one mutation."""
+    stack = draw(random_stacks())
+    layers = list(stack.layers)
+    i = draw(st.integers(0, len(layers) - 1))
+    b = draw(st.sampled_from([j for j, l in enumerate(layers) if l.region is Region.BEOL]))
+    mutation = draw(st.sampled_from(
+        ("duplicate", "feol-after-beol", "rename", "swap", "process", "pitch")
+    ))
+    if mutation == "duplicate":
+        layers.insert(i, layers[i])
+    elif mutation == "feol-after-beol":
+        layers.append(LayerSpec("Late", Region.FEOL, metal_process="EUV_LE"))
+    elif mutation == "rename":
+        layers[b] = layers[b]._replace(name="X1")
+    elif mutation == "swap":  # with a new top layer, above every drawn index
+        layers.append(LayerSpec("M15", Region.BEOL, metal_process="EUV_LE"))
+        layers[b], layers[-1] = layers[-1], layers[b]
+    elif mutation == "process":
+        layers[i] = layers[i]._replace(metal_process="ArFi_LE9")
+    else:
+        layers[i] = layers[i]._replace(pitch_nm=-1)
+    return StackSpec(stack.technology_node, tuple(layers))
+
+
+def _figure_calls(stack, other, target):
+    """Each function that derives figures, called on ``stack`` (and on
+    ``other`` where it takes two stacks), with the stacks it validates."""
+    block = SocBlock("b", 1.0, "M1")
+    return {
+        "stack_metrics": (lambda: stack_metrics(stack), [stack]),
+        "step_totals": (lambda: step_totals(stack), [stack]),
+        "compare_stacks a": (lambda: compare_stacks(stack, other), [stack, other]),
+        "compare_stacks b": (lambda: compare_stacks(other, stack), [other, stack]),
+        "sweep_beol": (lambda: sweep_beol(stack, [target]), [stack]),
+        "compose_soc": (lambda: compose_soc([block], stack, target), [stack]),
+    }
+
+
+@pytest.mark.guard
+@given(stack=broken_stacks())
+def test_every_figure_of_an_invalid_stack_raises_its_violations(stack):
+    violations = tuple(stack_violations(stack))
+    assert violations
+    # M99 is no layer of the stack: the stack is checked before the target
+    for name, (call, _) in _figure_calls(stack, asap7_preset(), "M99").items():
+        with pytest.raises(StackValidationError) as excinfo:
+            call()
+        assert excinfo.value.violations == violations, name
+
+
+def test_each_figure_call_validates_each_stack_once(monkeypatch, asap7, n7_duv):
+    # Counted where validate_stack looks its rules up, so that a call through
+    # a name imported from pfasfab.stack into another module counts too.
+    validated = []
+    violations = pfasfab.stack.stack_violations
+
+    def counting(stack, catalog):
+        validated.append(stack)
+        return violations(stack, catalog)
+
+    monkeypatch.setattr(pfasfab.stack, "stack_violations", counting)
+    for name, (call, stacks) in _figure_calls(asap7, n7_duv, "M4").items():
+        validated.clear()
+        call()
+        assert [id(s) for s in validated] == [id(s) for s in stacks], name
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,10 @@ def _with_layer(stack, target, **changes):
         (lambda s: _with_layer(s, "M4", name="MX4"), "beol-name", "MX4"),
         (lambda s: _with_layer(s, "Gate", name="Fin"), "duplicate-name", "Fin"),
         (lambda s: _with_layer(s, "VIA0", region=Region.FEOL), "region-order", "VIA0"),
+        # a wrongly typed field is a violation too, not an error from the check
+        (lambda s: _with_layer(s, "M5", region="BEOL"), "bad-region", "M5"),
+        (lambda s: _with_layer(s, "Active", pitch_nm="108"), "bad-pitch", "Active"),
+        (lambda s: _with_layer(s, "M4", name=4), "beol-name", 4),
     ],
 )
 def test_single_mutation_single_violation(asap7, mutate, rule, layer_name):
