@@ -30,9 +30,13 @@ class ExposureClass(Enum):
     DUV_IMMERSION = "DUV_IMMERSION"  # 193 nm ArF, water immersion
     EUV = "EUV"  # 13.5 nm
 
-    @property
-    def is_euv(self) -> bool:
-        return self is ExposureClass.EUV
+    def __init__(self, value):
+        self.slot = len(type(self).__members__)  # 0, 1, 2 in declaration order
+        self.is_euv = value == "EUV"
+
+    # Members are singletons compared by identity; Enum's own __hash__ hashes
+    # the member name in Python on every dict key.
+    __hash__ = object.__hash__
 
 
 # The step categories, in StepCounts field order.

@@ -20,7 +20,9 @@ from .catalog import (
     StepCounts,
 )
 from .errors import DomainError
-from .stack import LayerRow, StackSpec, layer_table, row_totals
+from .stack import (
+    COUNTS_END, REGIONS_END, STEPS_END, LayerMetrics, Region, StackSpec, layer_table,
+)
 from .value import Value, finite
 
 
@@ -62,24 +64,44 @@ class ChipPfas(Value):
     __slots__ = ("value", "stack", "area_cm2", "yield_fraction")
 
 
-def metrics_from_rows(technology_node: str, rows: Sequence[LayerRow]) -> StackMetrics:
-    """Totals and breakdowns summed over per-layer rows."""
-    litho_energy = 0.0
-    for row in rows:  # in stack order, so the float sum is the layer-by-layer one
-        litho_energy += row.metrics.litho_energy
+_REGIONS = tuple(Region)
+_EXPOSURES = tuple(ExposureClass)
+
+
+def metrics_from_totals(
+    technology_node: str,
+    litho_energy: float,
+    counts: Sequence[int],
+    per_layer: tuple[LayerMetrics, ...],
+) -> StackMetrics:
+    """The one StackMetrics builder, from a stack's litho energy, its rows'
+    column sums (``stack.layer_row`` ``counts`` layout) and its per-layer
+    metrics; an energy that overflows raises DomainError."""
     if not math.isfinite(litho_energy):
         raise DomainError(f"total litho energy of {technology_node} overflows to {litho_energy}")
-    total_steps, by_region, by_exposure = row_totals(rows)
+    total_steps = StepCounts(*counts[:STEPS_END])
+    by_region = counts[STEPS_END:REGIONS_END]
     return StackMetrics(
         technology_node=technology_node,
-        total_pfas_layers=sum(by_region.values()),
-        by_region=by_region,
-        by_exposure=by_exposure,
+        total_pfas_layers=sum(by_region),
+        by_region=dict(zip(_REGIONS, by_region)),
+        by_exposure=dict(zip(_EXPOSURES, counts[REGIONS_END:])),
         total_steps=total_steps,
         total_litho_steps=total_steps.litho,
         total_litho_energy=litho_energy,
-        per_layer=tuple([row.metrics for row in rows]),
+        per_layer=per_layer,
     )
+
+
+def metrics_from_rows(technology_node: str, rows: Sequence[tuple]) -> StackMetrics:
+    """Totals and breakdowns summed over ``layer_table`` rows."""
+    litho_energy = 0.0
+    per_layer = []
+    for _, metrics, _ in rows:  # in stack order, so the float sum is the layer-by-layer one
+        litho_energy += metrics.litho_energy
+        per_layer.append(metrics)
+    counts = [sum(column) for column in zip(*[row[2] for row in rows])] or (0,) * COUNTS_END
+    return metrics_from_totals(technology_node, litho_energy, counts, tuple(per_layer))
 
 
 def stack_metrics(

@@ -10,14 +10,15 @@ can run in parallel.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 from .carbon import CarbonParams, estimate_carbon
 from .catalog import DEFAULT_CATALOG, DEFAULT_WEIGHTS, EnergyWeights, ProcessCatalog
-from .engine import DesignParams, chip_pfas, metrics_from_rows, stack_metrics
+from .engine import DesignParams, chip_pfas, metrics_from_rows, metrics_from_totals, stack_metrics
 from .errors import DomainError, DuplicateTargetError, MissingOverheadError, TrendReferenceError
 from .errors import UnknownTargetError
-from .stack import LayerRow, Region, StackSpec, beol_index, layer_table
+from .stack import COUNTS_END, Region, StackSpec, beol_index, layer_table
 from .value import Value, finite, set_field
 
 
@@ -73,23 +74,45 @@ class SweepPoint(Value):
     _defaults = {"chip": None, "carbon": None}
 
 
-def _cap_levels(rows: Sequence[LayerRow], retain_power_grid: bool) -> list[float]:
-    """The lowest routing cap that keeps each row: 0 for FEOL and MOL rows,
-    the BEOL index for routing rows, and 0 or infinity for power-grid rows,
-    which are kept verbatim when retention is on and dropped otherwise."""
-    power_grid = 0 if retain_power_grid else math.inf
-    return [
-        0 if row.spec.region is not Region.BEOL
-        else power_grid if row.spec.is_power_grid
-        else beol_index(row.spec.name)
-        for row in rows
-    ]
+def _capper(node: str, rows: Sequence[tuple], retain_power_grid: bool):
+    """``capped(top_index)``: the StackMetrics of the ``layer_table`` rows
+    kept when BEOL routing is capped at ``top_index`` (None keeps none).
 
+    A cap keeps every FEOL and MOL row, each routing row whose BEOL index is
+    at most the cap, and power-grid rows only with retention. Routing
+    indices rise in stack order (the ``beol-order`` rule), so that is the
+    prefix before the first routing row above the cap, read from running
+    totals, plus the retained power-grid rows after it, added one by one.
+    Both add in stack order, so every float is the layer-by-layer sum's.
+    """
+    per_layer, energies, totals = [], [0.0], [(0,) * COUNTS_END]
+    routing_at, routing_index, grid_at, grid = [], [], [], []
+    for row in rows:
+        spec, metrics, counts = row
+        if spec.region is Region.BEOL:
+            if not spec.is_power_grid:
+                routing_at.append(len(per_layer))
+                routing_index.append(beol_index(spec.name))
+            elif retain_power_grid:
+                grid_at.append(len(per_layer))
+                grid.append(row)
+            else:
+                continue
+        per_layer.append(metrics)
+        energies.append(energies[-1] + metrics.litho_energy)
+        totals.append(tuple([a + b for a, b in zip(totals[-1], counts)]))
+    routing_at.append(len(per_layer))  # a cap at or above every routing layer keeps all
 
-def _capped_rows(rows: Sequence[LayerRow], levels: list[float], top_index: int | None):
-    """The rows kept when BEOL routing is capped at ``top_index``."""
-    cap = top_index or 0
-    return [row for row, level in zip(rows, levels) if level <= cap]
+    def capped(top_index: int | None):
+        end = routing_at[bisect_right(routing_index, top_index or 0)]
+        energy, counts, layers = energies[end], totals[end], per_layer[:end]
+        for _, metrics, row_counts in grid[bisect_left(grid_at, end):]:
+            energy += metrics.litho_energy
+            counts = tuple([a + b for a, b in zip(counts, row_counts)])
+            layers.append(metrics)
+        return metrics_from_totals(node, energy, counts, tuple(layers))
+
+    return capped
 
 
 def _resolve_targets(stack: StackSpec, targets: Sequence[str]) -> dict[str, int]:
@@ -124,16 +147,16 @@ def sweep_beol(
     routing layer, which with power-grid retention on is the unmodified
     stack. Target points follow in descending layer order. Chip scaling
     and carbon are filled in when ``design`` / ``carbon_params`` are given.
-    Each layer is derived once; every point sums the rows it keeps.
+    Each layer is derived once. Running totals over the rows give each
+    point's totals in one lookup, plus one addition per retained power-grid
+    layer above its cap, instead of a sum over every row it keeps.
     """
     rows = layer_table(stack, catalog, weights)
     resolved = _resolve_targets(stack, targets)
-    levels = _cap_levels(rows, retain_power_grid)
-    node = stack.technology_node
+    capped = _capper(stack.technology_node, rows, retain_power_grid)
 
     def point(label: str | None, top_index: int | None) -> SweepPoint:
-        kept = _capped_rows(rows, levels, top_index)
-        metrics = metrics_from_rows(node, kept)
+        metrics = capped(top_index)
         chip = chip_pfas(metrics, design) if design is not None else None
         carbon = estimate_carbon(metrics, design, carbon_params, ci_band)
         return SweepPoint(label, metrics, chip, carbon)
@@ -220,7 +243,9 @@ def compose_soc(
     the highest layer any block still needs after the constraint; blocks
     forced below their required top pay their tabulated area-overhead
     factor. Chip areas come from the blocks; ``design`` supplies the yield
-    (its area, if any, is ignored here).
+    (its area, if any, is ignored here). The stack's layers are derived
+    once: the baseline sums every row, and the constrained stack is read
+    from running totals over the rows its cap can keep.
     """
     if not blocks:
         raise DomainError("compose_soc requires at least one block")
@@ -253,9 +278,9 @@ def compose_soc(
         if not math.isfinite(area):
             raise DomainError(f"{side} SoC area overflows: the sum of the {len(blocks)} "
                               f"{side} block areas is {area}")
-    baseline_metrics = metrics_from_rows(chip_stack.technology_node, rows)
-    kept = _capped_rows(rows, _cap_levels(rows, retain_power_grid), chip_top_index)
-    constrained_metrics = metrics_from_rows(chip_stack.technology_node, kept)
+    node = chip_stack.technology_node
+    baseline_metrics = metrics_from_rows(node, rows)
+    constrained_metrics = _capper(node, rows, retain_power_grid)(chip_top_index)
     baseline_design = DesignParams(baseline_area, yield_fraction)
     constrained_design = DesignParams(constrained_area, yield_fraction)
     baseline_chip = chip_pfas(baseline_metrics, baseline_design)

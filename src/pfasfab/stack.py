@@ -10,9 +10,7 @@ descriptive metadata only.
 
 from __future__ import annotations
 
-import re
 from enum import Enum
-from typing import NamedTuple, Sequence
 
 from .catalog import (
     DEFAULT_CATALOG,
@@ -40,16 +38,21 @@ class Region(Enum):
     def __init__(self, value):
         self.rank = len(type(self).__members__)  # 0, 1, 2 in stack order
 
-
-_BEOL_NAME = re.compile(r"M([1-9][0-9]*)\Z")
+    # Identity hash, as for ExposureClass: members key every by_region dict.
+    __hash__ = object.__hash__
 
 
 def beol_index(name: str) -> int | None:
-    """Metal index k for a BEOL layer named M<k>, else None (also for a name
-    that is not a string, or when k has more digits than ``int`` converts)."""
-    m = _BEOL_NAME.fullmatch(name) if isinstance(name, str) else None
+    """Metal index k for a BEOL layer named M<k>, k ASCII digits without a
+    leading zero, else None (also for a name that is not a string, or when
+    k has more digits than ``int`` converts)."""
+    if not (isinstance(name, str) and name[:1] == "M"):
+        return None
+    digits = name[1:]
+    if not (digits.isascii() and digits.isdigit()) or digits[0] == "0":
+        return None
     try:
-        return int(m.group(1)) if m else None
+        return int(digits)
     except ValueError:
         return None
 
@@ -97,11 +100,22 @@ class StackSpec(Value):
         return routing[-1].name if routing else None
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for a message, without the decimal form of an integer
+    beyond floating-point range, which can be too long to print."""
+    if isinstance(value, int) and not finite(value):
+        return "an integer beyond floating-point range"
+    try:
+        return repr(value)
+    except ValueError:  # holds an integer past int's string-conversion limit
+        return f"a {type(value).__name__} holding an integer too long to print"
+
+
 class Violation(Value):
     __slots__ = ("layer", "rule", "message")
 
     def __str__(self) -> str:
-        return f"layer {self.layer!r}: [{self.rule}] {self.message}"
+        return f"layer {_shown(self.layer)}: [{self.rule}] {self.message}"
 
 
 class LayerMetrics(Value):
@@ -118,16 +132,23 @@ def stack_violations(stack: StackSpec, catalog: ProcessCatalog = DEFAULT_CATALOG
     prev_beol_index: int | None = None
 
     for layer in stack.layers:
-        if layer.name in seen:
+        named = isinstance(layer.name, str)
+        if not named:
+            violations.append(
+                Violation(layer.name, "bad-name",
+                          f"layer name must be a string, not {type(layer.name).__name__}")
+            )
+        elif layer.name in seen:
             violations.append(
                 Violation(layer.name, "duplicate-name", "layer name appears more than once")
             )
-        seen.add(layer.name)
+        else:
+            seen.add(layer.name)
 
         if not isinstance(layer.region, Region):
             violations.append(
-                Violation(layer.name, "bad-region",
-                          f"region must be a Region (FEOL, MOL or BEOL), got {layer.region!r}")
+                Violation(layer.name, "bad-region", "region must be a Region (FEOL, MOL or "
+                          f"BEOL), got {_shown(layer.region)}")
             )
         elif layer.region.rank < max_rank:
             violations.append(
@@ -146,22 +167,30 @@ def stack_violations(stack: StackSpec, catalog: ProcessCatalog = DEFAULT_CATALOG
                 Violation(layer.name, "missing-process", "neither metal_process nor via_process is set")
             )
         for pid in (metal, via):
-            if pid is not None and pid not in catalog:
+            if pid is not None and not (isinstance(pid, str) and pid in catalog):
                 violations.append(
                     Violation(
                         layer.name,
                         "unknown-process",
-                        f"process {pid!r} not in catalog ({', '.join(catalog.ids())})",
+                        f"process {_shown(pid)} not in catalog ({', '.join(catalog.ids())})",
                     )
                 )
 
         pitch = layer.pitch_nm
         if pitch is not None and not (finite(pitch) and pitch > 0):
             violations.append(
-                Violation(layer.name, "bad-pitch", f"pitch_nm must be finite and > 0, got {pitch!r}")
+                Violation(layer.name, "bad-pitch",
+                          f"pitch_nm must be finite and > 0, got {_shown(pitch)}")
             )
 
-        if layer.region is Region.BEOL:
+        tags = layer.tags
+        if not (isinstance(tags, (frozenset, set)) and tags <= KNOWN_TAGS):
+            violations.append(
+                Violation(layer.name, "bad-tags", "tags must be a set of "
+                          f"{', '.join(sorted(KNOWN_TAGS))}, got {_shown(tags)}")
+            )
+
+        if named and layer.region is Region.BEOL:
             idx = beol_index(layer.name)
             if idx is None:
                 violations.append(
@@ -189,31 +218,22 @@ def validate_stack(stack: StackSpec, catalog: ProcessCatalog = DEFAULT_CATALOG) 
     return stack
 
 
-class LayerRow(NamedTuple):
-    """One layer of a stack's per-layer table. ``counts`` holds the layer's
-    integer figures as one vector, so that stack totals are column sums:
-    steps by category (StepCounts field order), then masks by Region, then
-    masks by ExposureClass (each in declaration order)."""
-
-    spec: LayerSpec
-    metrics: LayerMetrics
-    counts: tuple[int, ...]
-
-
-_REGIONS = tuple(Region)
-_EXPOSURES = tuple(ExposureClass)
-_EXPOSURE_SLOT = {exposure: i for i, exposure in enumerate(_EXPOSURES)}
-# Where each group of LayerRow.counts ends.
-_STEPS_END = len(STEP_FIELDS)
-_REGIONS_END = _STEPS_END + len(_REGIONS)
+# A row's ``counts`` holds the layer's integer figures as one vector, so that
+# stack totals are column sums: steps by category (StepCounts field order),
+# then masks by Region, then masks by ExposureClass, each in declaration
+# order. Where each group ends:
+STEPS_END = len(STEP_FIELDS)
+REGIONS_END = STEPS_END + len(Region)
+COUNTS_END = REGIONS_END + len(ExposureClass)
 
 
 def layer_row(
     layer: LayerSpec,
     catalog: ProcessCatalog = DEFAULT_CATALOG,
     weights: EnergyWeights = DEFAULT_WEIGHTS,
-) -> LayerRow:
-    """Look up each process of the layer once and derive its figures.
+) -> tuple[LayerSpec, LayerMetrics, tuple[int, ...]]:
+    """Look up each process of the layer once and derive its row, a plain
+    ``(layer, metrics, counts)`` tuple.
 
     The PFAS-containing-layer count of a layer equals its total mask count:
     an absent metal or via process contributes nothing. A one-process
@@ -222,41 +242,30 @@ def layer_row(
     steps = None
     masks = 0
     energy = 0.0
-    by_region = [0] * len(_REGIONS)
-    by_exposure = [0] * len(_EXPOSURES)
+    by_exposure = [0, 0, 0]  # by ExposureClass.slot
     for pid in (layer.metal_process, layer.via_process):
         if pid is not None:
             proc = catalog.lookup(pid)
             steps = proc.steps if steps is None else steps + proc.steps
             masks += proc.masks
             energy += mask_energy(proc, weights)
-            by_exposure[_EXPOSURE_SLOT[proc.exposure]] += proc.masks
+            by_exposure[proc.exposure.slot] += proc.masks
     if steps is None:
         steps = StepCounts()
+    by_region = [0, 0, 0]  # by Region.rank
     by_region[layer.region.rank] = masks
     metrics = LayerMetrics(layer.name, steps.litho, steps, masks, masks, energy)
-    counts = (*steps.as_tuple(), *by_region, *by_exposure)
-    return LayerRow(layer, metrics, counts)
-
-
-def row_totals(rows: Sequence[LayerRow]) -> tuple[StepCounts, dict, dict]:
-    """Column sums of the rows' counts: total steps, masks by region, and
-    masks by exposure class."""
-    columns = [sum(column) for column in zip(*[row.counts for row in rows])]
-    columns = columns or [0] * (_REGIONS_END + len(_EXPOSURES))
-    return (
-        StepCounts(*columns[:_STEPS_END]),
-        dict(zip(_REGIONS, columns[_STEPS_END:_REGIONS_END])),
-        dict(zip(_EXPOSURES, columns[_REGIONS_END:])),
-    )
+    counts = (steps.dry_etch, steps.litho, steps.metallization, steps.metrology,
+              steps.wet_etch, steps.deposition, *by_region, *by_exposure)
+    return layer, metrics, counts
 
 
 def layer_table(
     stack: StackSpec,
     catalog: ProcessCatalog = DEFAULT_CATALOG,
     weights: EnergyWeights = DEFAULT_WEIGHTS,
-) -> tuple[LayerRow, ...]:
-    """The stack's rows, bottom-up, each layer derived once. Every figure is
+) -> tuple[tuple, ...]:
+    """The stack's ``layer_row`` rows, bottom-up, each layer derived once. Every figure is
     summed from this table, so an invalid stack raises StackValidationError here."""
     validate_stack(stack, catalog)
     return tuple([layer_row(layer, catalog, weights) for layer in stack.layers])
@@ -268,7 +277,7 @@ def derive_layer_metrics(
     weights: EnergyWeights = DEFAULT_WEIGHTS,
 ) -> LayerMetrics:
     """Masks, steps, and relative litho energy for one layer."""
-    return layer_row(layer, catalog, weights).metrics
+    return layer_row(layer, catalog, weights)[1]
 
 
 def _feol(name, pitch, metal):

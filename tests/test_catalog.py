@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from pfasfab import (
     ProcessCatalog,
     ProcessClass,
     ProcessCollisionError,
+    Region,
     StepCounts,
     UnknownProcessError,
     lookup_process,
@@ -127,6 +131,23 @@ def test_mask_energy_rule_over_whole_catalog():
     for proc in BUILTIN_PROCESSES:
         expected = 10.0 * proc.masks if proc.exposure.is_euv else 1.0 * proc.masks
         assert mask_energy(proc) == expected
+
+
+def test_exposure_class_slots_and_euv_flag():
+    assert [(e.slot, e.is_euv) for e in ExposureClass] == [(0, False), (1, False), (2, True)]
+    assert [e.name for e in ExposureClass] == ["DUV_DRY", "DUV_IMMERSION", "EUV"]
+
+
+@pytest.mark.parametrize("member", [*Region, *ExposureClass], ids=lambda m: m.name)
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda m: pickle.loads(pickle.dumps(m))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_enum_members_survive_copies_and_key_dicts(member, clone):
+    same = clone(member)
+    assert same is member
+    assert hash(same) == hash(member)
+    assert {member: 1}[same] == 1
+    assert clone({member: 2}) == {member: 2}
 
 
 def test_le_series_masks_monotone():

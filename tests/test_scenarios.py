@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import pfasfab.stack
@@ -11,6 +11,7 @@ from pfasfab import (
     DesignParams,
     DomainError,
     DuplicateTargetError,
+    EnergyWeights,
     ExposureClass,
     LayerMetrics,
     LayerSpec,
@@ -36,6 +37,7 @@ from pfasfab import (
     sweep_beol,
 )
 from conftest import NON_INTEGER_WEIGHTS, random_stacks
+from pfasfab.stack import TAG_POWER_GRID, TAG_ROUTING
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +258,72 @@ def test_soc_metrics_equal_fresh_evaluation(stack, retain, data, weights):
     _assert_fresh(report.constrained_metrics, _truncate_beol(stack, chip_top, retain), weights)
 
 
+def _beol(k, tag, metal="EUV_LE", via=None):
+    return LayerSpec(f"M{k}", Region.BEOL, None, metal, via, frozenset({tag}))
+
+
+_FRONT = (LayerSpec("Fin", Region.FEOL, None, "ArFi_SAQP"),
+          LayerSpec("V0", Region.MOL, None, None, "ArFi_LE2"))
+_CAPPING_STACKS = {
+    # power-grid layers between routing layers, and one at the top
+    "grid-between": StackSpec("t", (*_FRONT, _beol(1, TAG_ROUTING), _beol(2, TAG_POWER_GRID),
+                                    _beol(4, TAG_ROUTING, "ArFi_SADP", "ArFi_LE2"),
+                                    _beol(5, TAG_POWER_GRID, "ArFi_LE"), _beol(7, TAG_ROUTING),
+                                    _beol(9, TAG_POWER_GRID, "ArFi_LE3"))),
+    # the lowest BEOL layers are power grid, so a cap at M1 or M2 is below
+    # every routing layer
+    "grid-below": StackSpec("t", (*_FRONT, _beol(1, TAG_POWER_GRID), _beol(2, TAG_POWER_GRID),
+                                  _beol(3, TAG_ROUTING, "EUV_SA_LE2", "EUV_LE"))),
+    "no-routing": StackSpec("t", (*_FRONT, _beol(1, TAG_POWER_GRID),
+                                  _beol(3, TAG_POWER_GRID, "ArFi_LE2"))),
+}
+
+
+@pytest.mark.guard
+@pytest.mark.parametrize("retain", [False, True], ids=["drop-grid", "keep-grid"])
+@pytest.mark.parametrize("name", sorted(_CAPPING_STACKS))
+def test_every_cap_equals_the_explicitly_capped_stack(name, retain):
+    stack = _CAPPING_STACKS[name]
+    weights = EnergyWeights(per_euv_mask=7.3, per_duv_mask=0.45)  # not integers
+    beol = [l.name for l in stack.beol_layers()]
+    points = sweep_beol(stack, beol, retain_power_grid=retain, weights=weights)
+    for point in points:
+        top = point.top_routing_layer
+        capped = _truncate_beol(stack, beol_index(top) if top else None, retain)
+        _assert_fresh(point.metrics, capped, weights)
+    for target in beol:
+        block = SocBlock("b", 0.5, beol[-1], {t: 1.25 for t in beol})
+        report = compose_soc([block], stack, target, retain_power_grid=retain, weights=weights)
+        _assert_fresh(report.baseline_metrics, stack, weights)
+        capped = _truncate_beol(stack, beol_index(target), retain)
+        _assert_fresh(report.constrained_metrics, capped, weights)
+
+
+@pytest.mark.guard
+def test_cap_below_every_routing_layer_keeps_the_front_end_only():
+    stack = _CAPPING_STACKS["grid-below"]
+    point = sweep_beol(stack, ["M1"])[1]
+    assert [lm.name for lm in point.metrics.per_layer] == ["Fin", "V0"]
+    point = sweep_beol(stack, ["M2"], retain_power_grid=True)[1]
+    assert [lm.name for lm in point.metrics.per_layer] == ["Fin", "V0", "M1", "M2"]
+
+
+@pytest.mark.guard
+def test_an_energy_overflow_at_the_top_point_names_the_stack():
+    # One EUV mask of M1 is finite; the two routing masks together overflow.
+    stack = StackSpec("big", (_FRONT[0], _beol(1, TAG_ROUTING), _beol(2, TAG_ROUTING)))
+    weights = EnergyWeights(per_euv_mask=1e308, per_duv_mask=1.0)
+    message = "total litho energy of big overflows to inf"
+    capped = stack_metrics(_truncate_beol(stack, 1, False), weights=weights)
+    assert math.isfinite(capped.total_litho_energy)
+    for call in (lambda: stack_metrics(stack, weights=weights),
+                 lambda: sweep_beol(stack, ["M1"], weights=weights),
+                 lambda: compose_soc([SocBlock("b", 1.0, "M1")], stack, "M1", weights=weights)):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Every function that derives figures from a stack validates it, once
 
@@ -310,6 +378,35 @@ def test_every_figure_of_an_invalid_stack_raises_its_violations(stack):
         with pytest.raises(StackValidationError) as excinfo:
             call()
         assert excinfo.value.violations == violations, name
+
+
+_HUGE = st.sampled_from([10**400, -(10**400), 10**5000])
+# Values of every type a field can be given by mistake; a list is unhashable.
+_MIXED = (_HUGE | st.integers() | st.floats() | st.text(max_size=4)
+          | st.lists(_HUGE | st.integers() | st.text(max_size=3), max_size=3) | st.none())
+
+
+@st.composite
+def mistyped_stacks(draw):
+    """A valid stack with one layer's fields, at least one, drawn from _MIXED."""
+    stack = draw(random_stacks())
+    layers = list(stack.layers)
+    i = draw(st.integers(0, len(layers) - 1))
+    fields = draw(st.sets(st.sampled_from(LayerSpec.__slots__), min_size=1))
+    layers[i] = layers[i]._replace(**{f: draw(_MIXED) for f in sorted(fields)})
+    return StackSpec(stack.technology_node, tuple(layers))
+
+
+@pytest.mark.guard
+@given(stack=mistyped_stacks())
+def test_a_mistyped_layer_is_a_violation_of_every_figure(stack):
+    violations = tuple(stack_violations(stack))
+    assume(violations)  # a drawn value can happen to be valid, say a pitch of 1.5
+    for name, (call, _) in _figure_calls(stack, asap7_preset(), "M99").items():
+        with pytest.raises(StackValidationError) as excinfo:
+            call()
+        assert excinfo.value.violations == violations, name
+        assert len(excinfo.value.details) == len(violations)
 
 
 def test_each_figure_call_validates_each_stack_once(monkeypatch, asap7, n7_duv):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -79,6 +81,16 @@ def test_beol_index():
     assert beol_index("M" + "9" * 5000) is None  # beyond int()'s digit limit
 
 
+_M_K = re.compile(r"M([1-9][0-9]*)")
+
+
+@given(name=st.text(alphabet="M0123456789 \n\u0661\u00b2x", max_size=6) | st.integers())
+def test_beol_index_is_the_m_k_rule(name):
+    # M<k> with k ASCII digits and no leading zero; Unicode digits do not count
+    m = _M_K.fullmatch(name) if isinstance(name, str) else None
+    assert beol_index(name) == (int(m.group(1)) if m else None)
+
+
 def test_euv_fixture_is_the_preset():
     assert n7_fixture("euv") == asap7_preset()
 
@@ -127,7 +139,10 @@ def _with_layer(stack, target, **changes):
         # a wrongly typed field is a violation too, not an error from the check
         (lambda s: _with_layer(s, "M5", region="BEOL"), "bad-region", "M5"),
         (lambda s: _with_layer(s, "Active", pitch_nm="108"), "bad-pitch", "Active"),
-        (lambda s: _with_layer(s, "M4", name=4), "beol-name", 4),
+        (lambda s: _with_layer(s, "M4", name=4), "bad-name", 4),
+        (lambda s: _with_layer(s, "M8", tags=None), "bad-tags", "M8"),
+        (lambda s: _with_layer(s, "M9", tags=["power_grid"]), "bad-tags", "M9"),
+        (lambda s: _with_layer(s, "M1", tags=frozenset({"signal"})), "bad-tags", "M1"),
     ],
 )
 def test_single_mutation_single_violation(asap7, mutate, rule, layer_name):
@@ -135,6 +150,28 @@ def test_single_mutation_single_violation(asap7, mutate, rule, layer_name):
     assert len(violations) == 1
     assert violations[0].rule == rule
     assert violations[0].layer == layer_name
+
+
+def test_huge_int_pitch_is_reported_without_its_digits(asap7):
+    # 10**5000 has more digits than int's string conversion allows
+    layers = (*asap7.layers[:-1], asap7.layers[-1]._replace(pitch_nm=10**5000))
+    violation, = stack_violations(StackSpec(asap7.technology_node, layers))
+    assert violation.rule == "bad-pitch"
+    assert violation.message == ("pitch_nm must be finite and > 0, "
+                                 "got an integer beyond floating-point range")
+    with pytest.raises(StackValidationError):
+        validate_stack(StackSpec(asap7.technology_node, layers))
+
+
+def test_non_string_name_is_one_bad_name_violation():
+    # unhashable, and twice: no duplicate-name or beol-name check is made for it
+    layer = LayerSpec(["M1"], Region.BEOL, 36, "EUV_LE")
+    violations = stack_violations(StackSpec("t", (layer, layer)))
+    assert [(v.layer, v.rule) for v in violations] == [(["M1"], "bad-name")] * 2
+    assert violations[0].message == "layer name must be a string, not list"
+    huge = stack_violations(StackSpec("t", (LayerSpec(10**5000, Region.FEOL, None, "EUV_LE"),)))
+    assert str(huge[0]) == ("layer an integer beyond floating-point range: [bad-name] "
+                            "layer name must be a string, not int")
 
 
 def test_beol_out_of_order(asap7):
