@@ -103,6 +103,16 @@ class ProcessClass:
             raise InvalidProcessError(
                 f"process {self.id!r}: masks must be >= 1, got {self.masks}"
             )
+        # Masks and steps are counts, so every total summed from them is exact.
+        counts = [("masks", "masks", self.masks)] + [
+            (f"steps.{name}", f"step count {name}", value)
+            for name, value in zip(STEP_FIELDS, self.steps.as_tuple())
+        ]
+        InvalidProcessError.check([
+            (field, f"process {self.id!r}: {what} must be an integer, got {value!r}")
+            for field, what, value in counts
+            if not isinstance(value, int) or isinstance(value, bool)
+        ])
 
 
 class EnergyWeights(Value):

@@ -75,7 +75,7 @@ def metrics_from_totals(
     per_layer: tuple[LayerMetrics, ...],
 ) -> StackMetrics:
     """The one StackMetrics builder, from a stack's litho energy, its rows'
-    column sums (``stack.layer_row`` ``counts`` layout) and its per-layer
+    column sums (``stack.layer_table`` ``counts`` layout) and its per-layer
     metrics; an energy that overflows raises DomainError."""
     if not math.isfinite(litho_energy):
         raise DomainError(f"total litho energy of {technology_node} overflows to {litho_energy}")

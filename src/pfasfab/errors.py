@@ -62,7 +62,7 @@ class StackValidationError(DomainError):
 
 
 class UnknownTargetError(PfasfabError):
-    """A sweep or SoC target does not name a BEOL layer of the stack."""
+    """A sweep or SoC target does not name a routing BEOL layer of the stack."""
 
 
 class DuplicateTargetError(PfasfabError):

@@ -116,18 +116,25 @@ def _capper(node: str, rows: Sequence[tuple], retain_power_grid: bool):
 
 
 def _resolve_targets(stack: StackSpec, targets: Sequence[str]) -> dict[str, int]:
-    """BEOL index of each target label, which must name a BEOL layer once."""
-    indices = {l.name: beol_index(l.name) for l in stack.layers if l.region is Region.BEOL}
+    """BEOL index of each target label, which must name a routing BEOL layer
+    once: a cap counts routing layers only, so a power-grid layer is no target."""
+    beol = [l for l in stack.layers if l.region is Region.BEOL]
+    routing = {l.name: beol_index(l.name) for l in beol if not l.is_power_grid}
     resolved = {}
     for target in targets:
-        if target not in indices:
+        if target not in routing:
+            if any(l.name == target for l in beol):
+                raise UnknownTargetError(
+                    f"target {target!r} is a power-grid layer of {stack.technology_node}, "
+                    f"not a routing layer; routing layers: {', '.join(routing)}"
+                )
             raise UnknownTargetError(
                 f"target {target!r} is not a BEOL layer of {stack.technology_node}; "
-                f"BEOL layers: {', '.join(indices)}"
+                f"BEOL layers: {', '.join([l.name for l in beol])}"
             )
         if target in resolved:
             raise DuplicateTargetError(f"target {target!r} is given more than once")
-        resolved[target] = indices[target]
+        resolved[target] = routing[target]
     return resolved
 
 

@@ -10,6 +10,7 @@ descriptive metadata only.
 
 from __future__ import annotations
 
+import sys
 from enum import Enum
 
 from .catalog import (
@@ -19,8 +20,6 @@ from .catalog import (
     ExposureClass,
     STEP_FIELDS,
     ProcessCatalog,
-    StepCounts,
-    mask_energy,
 )
 from .errors import StackValidationError
 from .value import Value, finite, set_field
@@ -45,7 +44,12 @@ class Region(Enum):
 def beol_index(name: str) -> int | None:
     """Metal index k for a BEOL layer named M<k>, k ASCII digits without a
     leading zero, else None (also for a name that is not a string, or when
-    k has more digits than ``int`` converts)."""
+    k has more digits than ``int`` converts). ``M1`` to ``M99`` are read
+    from a constant table; any other name is parsed."""
+    if name.__class__ is str:
+        index = _BEOL_INDEX.get(name)
+        if index is not None:
+            return index
     if not (isinstance(name, str) and name[:1] == "M"):
         return None
     digits = name[1:]
@@ -55,6 +59,10 @@ def beol_index(name: str) -> int | None:
         return int(digits)
     except ValueError:
         return None
+
+
+# The M<k> rule for the common labels, as constant data: no call adds to it.
+_BEOL_INDEX = {f"M{k}": k for k in range(1, 100)}
 
 
 class LayerSpec(Value):
@@ -124,8 +132,71 @@ class LayerMetrics(Value):
     __slots__ = ("name", "litho_steps", "total_steps", "masks", "pfas_layers", "litho_energy")
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
+def _accepts(stack: StackSpec, catalog: ProcessCatalog) -> bool:
+    """True only when the stack breaks no rule of ``stack_violations``.
+
+    One pass over the layers that tests each field once and builds no
+    violation and no message; the one thing it builds is the set of FEOL
+    and MOL names (BEOL names are distinct already when their indices
+    rise). It is sound, not complete: a valid stack of a rarer shape (a
+    ``str`` subclass for a name, ``set`` tags, a ``bool`` pitch, an integer
+    pitch that a float rounds down into range) is not accepted here, and
+    ``_explain`` decides.
+    """
+    ids = catalog.ids()
+    beol = Region.BEOL
+    front = set()  # names of the FEOL and MOL layers, which precede the BEOL
+    top = 0  # BEOL index of the last BEOL layer; every index is >= 1
+    rank = 0
+    for layer in stack.layers:
+        name = layer.name
+        region = layer.region
+        if name.__class__ is not str or region.__class__ is not Region or region.rank < rank:
+            return False
+        rank = region.rank
+        metal = layer.metal_process
+        via = layer.via_process
+        if metal is None:
+            if via is None:
+                return False
+        elif metal.__class__ is not str or metal not in ids:
+            return False
+        if via is not None and (via.__class__ is not str or via not in ids):
+            return False
+        pitch = layer.pitch_nm
+        if pitch is not None and not (
+                (pitch.__class__ is int or pitch.__class__ is float) and 0 < pitch <= _FLOAT_MAX):
+            return False
+        tags = layer.tags
+        if tags.__class__ is not frozenset or not tags <= KNOWN_TAGS:
+            return False
+        if region is beol:
+            index = _BEOL_INDEX.get(name) or beol_index(name)
+            if index is None or index <= top or name in front:
+                return False
+            top = index
+        elif name in front:
+            return False
+        else:
+            front.add(name)
+    return True
+
+
 def stack_violations(stack: StackSpec, catalog: ProcessCatalog = DEFAULT_CATALOG) -> list[Violation]:
-    """Collect every invariant violation in the stack, empty when valid."""
+    """Collect every invariant violation in the stack, empty when valid.
+
+    A valid stack is accepted by one pass that builds no violation and
+    formats no message (``_accepts``); only a stack that pass does not
+    accept is walked again, rule by rule, to explain what is wrong.
+    """
+    return [] if _accepts(stack, catalog) else _explain(stack, catalog)
+
+
+def _explain(stack: StackSpec, catalog: ProcessCatalog) -> list[Violation]:
+    """Every violation of the stack, in layer order and, per layer, in rule order."""
     violations: list[Violation] = []
     seen: set[str] = set()
     max_rank = 0
@@ -227,48 +298,50 @@ REGIONS_END = STEPS_END + len(Region)
 COUNTS_END = REGIONS_END + len(ExposureClass)
 
 
-def layer_row(
-    layer: LayerSpec,
-    catalog: ProcessCatalog = DEFAULT_CATALOG,
-    weights: EnergyWeights = DEFAULT_WEIGHTS,
-) -> tuple[LayerSpec, LayerMetrics, tuple[int, ...]]:
-    """Look up each process of the layer once and derive its row, a plain
-    ``(layer, metrics, counts)`` tuple.
-
-    The PFAS-containing-layer count of a layer equals its total mask count:
-    an absent metal or via process contributes nothing. A one-process
-    layer's ``total_steps`` is that process's own (immutable) StepCounts.
-    """
-    steps = None
-    masks = 0
-    energy = 0.0
-    by_exposure = [0, 0, 0]  # by ExposureClass.slot
-    for pid in (layer.metal_process, layer.via_process):
-        if pid is not None:
-            proc = catalog.lookup(pid)
-            steps = proc.steps if steps is None else steps + proc.steps
-            masks += proc.masks
-            energy += mask_energy(proc, weights)
-            by_exposure[proc.exposure.slot] += proc.masks
-    if steps is None:
-        steps = StepCounts()
-    by_region = [0, 0, 0]  # by Region.rank
-    by_region[layer.region.rank] = masks
-    metrics = LayerMetrics(layer.name, steps.litho, steps, masks, masks, energy)
-    counts = (steps.dry_etch, steps.litho, steps.metallization, steps.metrology,
-              steps.wet_etch, steps.deposition, *by_region, *by_exposure)
-    return layer, metrics, counts
-
-
 def layer_table(
     stack: StackSpec,
     catalog: ProcessCatalog = DEFAULT_CATALOG,
     weights: EnergyWeights = DEFAULT_WEIGHTS,
 ) -> tuple[tuple, ...]:
-    """The stack's ``layer_row`` rows, bottom-up, each layer derived once. Every figure is
-    summed from this table, so an invalid stack raises StackValidationError here."""
+    """The stack's rows, bottom-up, each a plain ``(layer, metrics, counts)``
+    tuple. Every figure is summed from this table, so an invalid stack raises
+    StackValidationError here.
+
+    One loop derives every row: it looks up each process of a layer once,
+    and weights each mask by ``EnergyWeights.per_mask`` of its exposure
+    class, read once per call. The PFAS-containing-layer count of a layer
+    equals its total mask count. A one-process layer's ``total_steps`` is
+    that process's own (immutable) StepCounts.
+    """
     validate_stack(stack, catalog)
-    return tuple([layer_row(layer, catalog, weights) for layer in stack.layers])
+    lookup = catalog.lookup
+    per_mask = tuple([weights.per_mask(exposure) for exposure in ExposureClass])
+    rows = []
+    for layer in stack.layers:
+        metal, via = layer.metal_process, layer.via_process
+        # A valid layer names a metal process, a via process or both.
+        proc = lookup(via if metal is None else metal)
+        steps, masks, slot = proc.steps, proc.masks, proc.exposure.slot
+        # From 0.0, as a layer-by-layer sum: a float even for integer weights.
+        energy = 0.0 + masks * per_mask[slot]
+        by_exposure = [0, 0, 0]  # by ExposureClass.slot
+        by_exposure[slot] = masks
+        if metal is not None and via is not None:
+            proc = lookup(via)
+            steps = steps + proc.steps
+            masks += proc.masks
+            slot = proc.exposure.slot
+            energy += proc.masks * per_mask[slot]
+            by_exposure[slot] += proc.masks
+        by_region = [0, 0, 0]  # by Region.rank
+        by_region[layer.region.rank] = masks
+        rows.append((
+            layer,
+            LayerMetrics(layer.name, steps.litho, steps, masks, masks, energy),
+            (steps.dry_etch, steps.litho, steps.metallization, steps.metrology,
+             steps.wet_etch, steps.deposition, *by_region, *by_exposure),
+        ))
+    return tuple(rows)
 
 
 def derive_layer_metrics(
@@ -276,8 +349,10 @@ def derive_layer_metrics(
     catalog: ProcessCatalog = DEFAULT_CATALOG,
     weights: EnergyWeights = DEFAULT_WEIGHTS,
 ) -> LayerMetrics:
-    """Masks, steps, and relative litho energy for one layer."""
-    return layer_row(layer, catalog, weights)[1]
+    """Masks, steps, and relative litho energy for one layer, from the
+    ``layer_table`` row of a stack holding only that layer; a layer that
+    breaks a rule raises StackValidationError with its violations."""
+    return layer_table(StackSpec("", (layer,)), catalog, weights)[0][1]
 
 
 def _feol(name, pitch, metal):

@@ -283,6 +283,18 @@ def test_sweep_duplicate_targets_exit_one():
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("args", [
+    ("sweep", "--stack", "asap7", "--targets", "M5,M8"),
+    ("soc", "--config", str(CONFIGS / "soc_trainer.json"), "--target", "M8"),
+], ids=["sweep", "soc"])
+def test_power_grid_target_exits_one_naming_the_routing_layers(args):
+    proc = run_main(*args)
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: target 'M8' is a power-grid layer of 7nm-ASAP7, not a "
+                           "routing layer; routing layers: M1, M2, M3, M4, M5, M6, M7\n")
+    assert proc.stdout == ""
+
+
 def test_huge_config_number_exits_one_naming_field(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(

@@ -86,6 +86,22 @@ def test_non_finite_input_is_a_domain_error_at_its_field(build, error, field, me
     assert [f for f, _ in info.value.fields] == ([field] if field else [])
 
 
+@pytest.mark.parametrize("masks, steps, field, got", [
+    (1.5, {}, "masks", "masks must be an integer, got 1.5"),
+    (2.0, {}, "masks", "masks must be an integer, got 2.0"),
+    (True, {}, "masks", "masks must be an integer, got True"),
+    (1, {"litho": 1.5}, "steps.litho", "step count litho must be an integer, got 1.5"),
+    (1, {"deposition": False}, "steps.deposition",
+     "step count deposition must be an integer, got False"),
+], ids=["masks-fraction", "masks-float", "masks-bool", "steps-fraction", "steps-bool"])
+def test_process_counts_are_integers(masks, steps, field, got):
+    # Counts: a stack cannot hold a fraction of a PFAS layer or a step.
+    with pytest.raises(InvalidProcessError) as info:
+        ProcessClass("X", StepCounts(**steps), masks, ExposureClass.EUV)
+    assert str(info.value) == f"process 'X': {got}"
+    assert [f for f, _ in info.value.fields] == [field]
+
+
 def test_huge_ints_that_used_to_overflow_raise_domain_errors():
     asap7 = asap7_preset()
     metrics = stack_metrics(asap7)

@@ -13,7 +13,7 @@ import json
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from pfasfab import CarbonParams, DesignParams, SocBlock, compare_stacks, compose_soc, sweep_beol
@@ -70,8 +70,9 @@ def _assert_agree(want, got):
 @given(stack=random_stacks(), retain=st.booleans(), weights=NON_INTEGER_WEIGHTS,
        design=st.none() | _DESIGNS, params=st.none() | _CARBON, band=_BANDS, data=st.data())
 def test_sweep_matches_reference(stack, retain, weights, design, params, band, data):
-    beol = [l.name for l in stack.beol_layers()]
-    targets = data.draw(st.lists(st.sampled_from(beol), min_size=1, unique=True))
+    routing = [l.name for l in stack.routing_beol_layers()]  # a target is a routing layer
+    assume(routing)
+    targets = data.draw(st.lists(st.sampled_from(routing), min_size=1, unique=True))
     points = sweep_beol(stack, targets, retain, weights=weights, design=design,
                         carbon_params=params, ci_band=band)
     want = reference.sweep(*_layers(stack), targets, retain, _design(design),
@@ -89,7 +90,9 @@ def test_compare_matches_reference(a, b, weights):
 @given(stack=random_stacks(), retain=st.booleans(), weights=NON_INTEGER_WEIGHTS,
        design=st.none() | _DESIGNS, params=st.none() | _CARBON, band=_BANDS, data=st.data())
 def test_soc_matches_reference(stack, retain, weights, design, params, band, data):
-    target = data.draw(st.sampled_from([l.name for l in stack.beol_layers()]))
+    routing = [l.name for l in stack.routing_beol_layers()]
+    assume(routing)
+    target = data.draw(st.sampled_from(routing))
     blocks = data.draw(st.lists(st.builds(
         lambda area, top, factor: (area, f"M{top}", {target: factor}),
         st.floats(min_value=0.01, max_value=10.0), st.integers(1, 14),
@@ -118,8 +121,9 @@ _FAB = st.fixed_dictionaries({}, optional={
 _NODES = ("180nm", "90nm", "45nm", "28nm", "16nm", "14nm", "7nm", "5nm", "3nm")
 
 
-def _beol(stack_ref):
-    return [name for name, region, *_ in reference.stack_of(stack_ref)[1] if region == "BEOL"]
+def _routing(stack_ref):
+    return [name for name, region, _, _, _, tags in reference.stack_of(stack_ref)[1]
+            if region == "BEOL" and "power_grid" not in tags]
 
 
 @st.composite
@@ -139,14 +143,16 @@ def _documents(draw, command):
     doc["stack"] = draw(_STACK_REFS)
     if command == "analyze" or draw(st.booleans()):
         doc["design"] = to_dict(draw(_DESIGNS))
-    beol = _beol(doc["stack"])
+    routing = _routing(doc["stack"])
     retain = draw(st.booleans())
+    if command in ("sweep", "soc"):
+        assume(routing)  # a target is a routing layer
     if command == "sweep":
-        doc["sweep"] = {"targets": draw(st.lists(st.sampled_from(beol), min_size=1, unique=True)),
+        doc["sweep"] = {"targets": draw(st.lists(st.sampled_from(routing), min_size=1, unique=True)),
                         "retain_power_grid": retain,
                         "beol_only": not retain and draw(st.booleans())}
     elif command == "soc":
-        target = draw(st.sampled_from(beol))
+        target = draw(st.sampled_from(routing))
         blocks = draw(st.lists(st.builds(
             lambda area, top, factor: {"area_cm2": area, "required_top": f"M{top}",
                                        "area_overhead": {target: factor}},

@@ -29,6 +29,7 @@ from pfasfab import (
     beol_index,
     compare_stacks,
     compose_soc,
+    derive_layer_metrics,
     n7_fixture,
     normalize_trend,
     stack_metrics,
@@ -37,7 +38,7 @@ from pfasfab import (
     sweep_beol,
 )
 from conftest import NON_INTEGER_WEIGHTS, random_stacks
-from pfasfab.stack import TAG_POWER_GRID, TAG_ROUTING
+from pfasfab.stack import KNOWN_TAGS, TAG_POWER_GRID, TAG_ROUTING
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +119,25 @@ def test_sweep_unknown_target(asap7):
         sweep_beol(asap7, ["M12"])
     with pytest.raises(UnknownTargetError):
         sweep_beol(asap7, ["Fin"])
+
+
+_GRID_TARGET = ("target 'M8' is a power-grid layer of 7nm-ASAP7, not a routing layer; "
+                "routing layers: M1, M2, M3, M4, M5, M6, M7")
+
+
+def test_sweep_power_grid_target_rejected(asap7):
+    # A cap counts routing layers only: an M8 point would end at M7.
+    for retain in (False, True):
+        with pytest.raises(UnknownTargetError) as excinfo:
+            sweep_beol(asap7, ["M8"], retain_power_grid=retain)
+        assert str(excinfo.value) == _GRID_TARGET
+
+
+def test_soc_power_grid_target_rejected(asap7):
+    # Not a MissingOverheadError about a target no block could be capped at.
+    with pytest.raises(UnknownTargetError) as excinfo:
+        compose_soc([SocBlock("a", 0.5, "M9", {})], asap7, "M8")
+    assert str(excinfo.value) == _GRID_TARGET
 
 
 def test_sweep_duplicate_target_rejected(asap7):
@@ -234,8 +254,9 @@ def test_compared_metrics_equal_fresh_evaluation(a, b, weights):
 @pytest.mark.guard
 @given(stack=random_stacks(), retain=st.booleans(), data=st.data(), weights=NON_INTEGER_WEIGHTS)
 def test_sweep_points_equal_fresh_evaluation(stack, retain, data, weights):
-    beol = [l.name for l in stack.beol_layers()]
-    targets = data.draw(st.lists(st.sampled_from(beol), min_size=1, unique=True))
+    routing = [l.name for l in stack.routing_beol_layers()]  # a target is a routing layer
+    assume(routing)
+    targets = data.draw(st.lists(st.sampled_from(routing), min_size=1, unique=True))
     points = sweep_beol(stack, targets, retain_power_grid=retain, weights=weights)
     assert len(points) == len(targets) + 1
     for point in points:
@@ -249,7 +270,9 @@ def test_sweep_points_equal_fresh_evaluation(stack, retain, data, weights):
 @given(stack=random_stacks(), retain=st.booleans(), data=st.data(), weights=NON_INTEGER_WEIGHTS)
 def test_soc_metrics_equal_fresh_evaluation(stack, retain, data, weights):
     beol = [l.name for l in stack.beol_layers()]
-    target = data.draw(st.sampled_from(beol))
+    routing = [l.name for l in stack.routing_beol_layers()]
+    assume(routing)
+    target = data.draw(st.sampled_from(routing))
     required = data.draw(st.lists(st.sampled_from(beol), min_size=1, max_size=3))
     blocks = [SocBlock(f"b{i}", 0.25, top, {target: 1.5}) for i, top in enumerate(required)]
     report = compose_soc(blocks, stack, target, retain_power_grid=retain, weights=weights)
@@ -286,26 +309,34 @@ def test_every_cap_equals_the_explicitly_capped_stack(name, retain):
     stack = _CAPPING_STACKS[name]
     weights = EnergyWeights(per_euv_mask=7.3, per_duv_mask=0.45)  # not integers
     beol = [l.name for l in stack.beol_layers()]
-    points = sweep_beol(stack, beol, retain_power_grid=retain, weights=weights)
+    routing = [l.name for l in stack.routing_beol_layers()]
+    points = sweep_beol(stack, routing, retain_power_grid=retain, weights=weights)
     for point in points:
         top = point.top_routing_layer
         capped = _truncate_beol(stack, beol_index(top) if top else None, retain)
         _assert_fresh(point.metrics, capped, weights)
-    for target in beol:
-        block = SocBlock("b", 0.5, beol[-1], {t: 1.25 for t in beol})
-        report = compose_soc([block], stack, target, retain_power_grid=retain, weights=weights)
-        _assert_fresh(report.baseline_metrics, stack, weights)
-        capped = _truncate_beol(stack, beol_index(target), retain)
-        _assert_fresh(report.constrained_metrics, capped, weights)
+    # An SoC target is a routing layer too; blocks that need less cap the
+    # chip at every BEOL index, power-grid ones included.
+    for target in routing:
+        for required in beol:
+            block = SocBlock("b", 0.5, required, {t: 1.25 for t in beol})
+            report = compose_soc([block], stack, target, retain_power_grid=retain,
+                                 weights=weights)
+            _assert_fresh(report.baseline_metrics, stack, weights)
+            cap = min(beol_index(required), beol_index(target))
+            _assert_fresh(report.constrained_metrics, _truncate_beol(stack, cap, retain), weights)
 
 
 @pytest.mark.guard
 def test_cap_below_every_routing_layer_keeps_the_front_end_only():
+    # Targets are routing layers, so an SoC whose blocks all need less than
+    # the lowest one is what caps below every routing layer.
     stack = _CAPPING_STACKS["grid-below"]
-    point = sweep_beol(stack, ["M1"])[1]
-    assert [lm.name for lm in point.metrics.per_layer] == ["Fin", "V0"]
-    point = sweep_beol(stack, ["M2"], retain_power_grid=True)[1]
-    assert [lm.name for lm in point.metrics.per_layer] == ["Fin", "V0", "M1", "M2"]
+    blocks = [SocBlock("b", 0.5, "M2")]
+    report = compose_soc(blocks, stack, "M3", retain_power_grid=False)
+    assert [lm.name for lm in report.constrained_metrics.per_layer] == ["Fin", "V0"]
+    report = compose_soc(blocks, stack, "M3", retain_power_grid=True)
+    assert [lm.name for lm in report.constrained_metrics.per_layer] == ["Fin", "V0", "M1", "M2"]
 
 
 @pytest.mark.guard
@@ -407,6 +438,79 @@ def test_a_mistyped_layer_is_a_violation_of_every_figure(stack):
             call()
         assert excinfo.value.violations == violations, name
         assert len(excinfo.value.details) == len(violations)
+    # One layer is checked as a one-layer stack: by the rules of that layer
+    # alone, which the whole stack breaks too.
+    for layer in stack.layers:
+        own = tuple(stack_violations(StackSpec("", (layer,))))
+        assert all(v in violations for v in own)
+        if own:
+            with pytest.raises(StackValidationError) as excinfo:
+                derive_layer_metrics(layer)
+            assert excinfo.value.violations == own
+        else:
+            assert derive_layer_metrics(layer).name is layer.name
+
+
+# Per field, values close to a valid one: valid, or breaking one rule.
+_NEAR_VALID = {
+    "name": ["M1", "M3", "M7", "M10", "M07", "Fin", "VIA0", "MOL0", "m2", ""],
+    "region": [*Region, "BEOL", None],
+    "pitch_nm": [None, 36, 0.5, 0, -1, math.inf, math.nan, 10**400, True],
+    "metal_process": [None, "EUV_LE", "ArFi_LE2", "ArFi_LE9", "euv_le", 1],
+    "via_process": [None, "EUV_LE", "ArFi_SAQP", "ArFi_LE9", ("EUV_LE",)],
+    "tags": [frozenset(), frozenset({TAG_ROUTING}), KNOWN_TAGS, {TAG_POWER_GRID},
+             [TAG_POWER_GRID], frozenset({"signal"}), None],
+}
+
+
+def _preset_mutations():
+    """Every preset with one layer's field set to a value of _NEAR_VALID, one
+    layer repeated or moved, or one layer given another layer's name."""
+    for stack in (asap7_preset(), n7_fixture("duv")):
+        layers = stack.layers
+        for i, layer in enumerate(layers):
+            for field, values in _NEAR_VALID.items():
+                for value in values:
+                    yield stack._replace(
+                        layers=(*layers[:i], layer._replace(**{field: value}), *layers[i + 1:]))
+            for j, other in enumerate(layers):
+                rest = (*layers[:i], *layers[i + 1:])
+                yield stack._replace(layers=(*layers[:j], layer, *layers[j:]))
+                yield stack._replace(layers=(*rest[:j], layer, *rest[j:]))
+                yield stack._replace(
+                    layers=(*layers[:i], layer._replace(name=other.name), *layers[i + 1:]))
+
+
+@pytest.mark.guard
+@given(stack=mistyped_stacks() | broken_stacks())
+def test_the_accept_pass_accepts_no_violation(stack):
+    # stack_violations returns [] unexplained for a stack _accepts takes.
+    if pfasfab.stack._accepts(stack, DEFAULT_CATALOG):
+        assert pfasfab.stack._explain(stack, DEFAULT_CATALOG) == []
+
+
+@pytest.mark.guard
+def test_the_accept_pass_accepts_no_mutated_preset_with_a_violation():
+    accepted = 0
+    for stack in _preset_mutations():
+        if pfasfab.stack._accepts(stack, DEFAULT_CATALOG):
+            assert pfasfab.stack._explain(stack, DEFAULT_CATALOG) == [], stack
+            accepted += 1
+    assert accepted > 0  # the valid mutations (a new pitch, say) are accepted
+
+
+@pytest.mark.guard
+@given(stack=random_stacks())
+def test_the_accept_pass_accepts_every_valid_stack(stack):
+    # A valid stack of the common shape never takes the explaining pass.
+    assert pfasfab.stack._explain(stack, DEFAULT_CATALOG) == []
+    assert pfasfab.stack._accepts(stack, DEFAULT_CATALOG)
+
+
+@pytest.mark.guard
+def test_the_accept_pass_accepts_the_presets():
+    for stack in (asap7_preset(), n7_fixture("duv")):
+        assert pfasfab.stack._accepts(stack, DEFAULT_CATALOG)
 
 
 def test_each_figure_call_validates_each_stack_once(monkeypatch, asap7, n7_duv):

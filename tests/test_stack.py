@@ -11,7 +11,6 @@ from pfasfab import (
     Region,
     StackSpec,
     StackValidationError,
-    StepCounts,
     asap7_preset,
     beol_index,
     derive_layer_metrics,
@@ -237,9 +236,12 @@ def test_via_only_layer_counts_once():
 
 
 @pytest.mark.guard
-def test_layer_without_process_derives_zeros():
-    metrics = derive_layer_metrics(LayerSpec("X", Region.MOL))
-    assert repr(metrics) == repr(LayerMetrics("X", 0, StepCounts(), 0, 0, 0.0))
+def test_layer_without_process_is_a_missing_process_violation():
+    # A layer derives figures only as a valid one-layer stack.
+    with pytest.raises(StackValidationError) as excinfo:
+        derive_layer_metrics(LayerSpec("X", Region.MOL))
+    violation, = excinfo.value.violations
+    assert (violation.layer, violation.rule) == ("X", "missing-process")
 
 
 @pytest.mark.guard
