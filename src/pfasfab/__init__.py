@@ -15,7 +15,6 @@ _EXPORTS = {
     **dict.fromkeys([
         "BUILTIN_PROCESSES", "DEFAULT_CATALOG", "DEFAULT_WEIGHTS", "EnergyWeights",
         "ExposureClass", "ProcessCatalog", "ProcessClass", "StepCounts", "lookup_process",
-        "mask_energy",
     ], "catalog"),
     **dict.fromkeys([
         "LayerMetrics", "LayerSpec", "Region", "StackSpec", "Violation", "asap7_preset",

@@ -206,8 +206,3 @@ DEFAULT_CATALOG = ProcessCatalog()
 def lookup_process(process_id: str, catalog: ProcessCatalog = DEFAULT_CATALOG) -> ProcessClass:
     """Resolve a process id to its full record."""
     return catalog.lookup(process_id)
-
-
-def mask_energy(proc: ProcessClass, weights: EnergyWeights = DEFAULT_WEIGHTS) -> float:
-    """Relative lithography energy to expose every mask of ``proc``."""
-    return proc.masks * weights.per_mask(proc.exposure)

@@ -88,17 +88,18 @@ def _resolve_stack(ref: str | None, fallback: StackSpec | None, args) -> StackSp
                     "existing file")
 
 
-def _pick(flag, section, key: str, default=None):
+def _pick(flag, section: dict | None, key: str, default=None):
     """A flag that is given wins, even when empty; else the config section's
     ``key``; else the default."""
     if flag is not None:
         return flag
-    return default if section is None else getattr(section, key)
+    return default if section is None else section[key]
 
 
 def _resolve_design(args, cfg: ConfigDocument, required=True) -> DesignParams | None:
-    area = _pick(args.area, cfg.design, "area_cm2")
-    yield_fraction = _pick(args.yield_fraction, cfg.design, "yield_fraction")
+    design = to_dict(cfg.design)
+    area = _pick(args.area, design, "area_cm2")
+    yield_fraction = _pick(args.yield_fraction, design, "yield")
     if area is None and yield_fraction is None:
         if not required:
             return None
@@ -155,7 +156,7 @@ def _compare(args, cfg: ConfigDocument):
         raise _CliError("compare needs two stacks: pass them as arguments or in the "
                         "config's compare section")
     else:
-        a, b = cfg.compare.stack_a, cfg.compare.stack_b
+        a, b = cfg.compare["stack_a"], cfg.compare["stack_b"]
     comparison = compare_stacks(a, b, DEFAULT_CATALOG, cfg.weights)
     inputs = {
         "stack_a": stack_to_dict(a),
@@ -197,17 +198,17 @@ def _soc(args, cfg: ConfigDocument):
     stack = _resolve_stack(args.stack, cfg.stack, args)
     target = _pick(args.target, section, "target_top")
     retain = _pick(args.retain_power_grid, section, "retain_power_grid")
-    yield_fraction = _pick(args.yield_fraction, cfg.design, "yield_fraction")
+    yield_fraction = _pick(args.yield_fraction, to_dict(cfg.design), "yield")
     design = None
     if yield_fraction is not None:  # compose_soc reads only the yield
         design = DesignParams(1.0 if cfg.design is None else cfg.design.area_cm2, yield_fraction)
     model, echo = _model(args, cfg, design)
-    soc = compose_soc(section.blocks, stack, target, retain_power_grid=retain, **model)
+    soc = compose_soc(section["blocks"], stack, target, retain_power_grid=retain, **model)
     if cfg.design is None and design is not None:  # echo the area the chip figures use
         echo["design"] = to_dict(DesignParams(soc.baseline_area_cm2, yield_fraction))
     inputs = {
         "stack": stack_to_dict(stack),
-        "blocks": [to_dict(block) for block in section.blocks],
+        "blocks": [to_dict(block) for block in section["blocks"]],
         "target_top": target,
         "retain_power_grid": retain,
         **echo,
@@ -222,12 +223,10 @@ def _trend(args, cfg: ConfigDocument):
     reference = _pick(args.ref, section, "reference")
     if reference is None:
         raise _CliError("trend needs a reference node: pass --ref or set it in the config")
-    normalized = normalize_trend(section.series, reference)
-    inputs = {
-        "series": [[node, value] for node, value in section.series.points],
-        "reference": reference,
-    }
-    return inputs, rpt.trend_to_dict(section.series, normalized)
+    series = section["series"]
+    normalized = normalize_trend(series, reference)
+    inputs = {"series": [[node, value] for node, value in series.points], "reference": reference}
+    return inputs, rpt.trend_to_dict(series, normalized)
 
 
 def _arg(name: str, help_text: str, **options):

@@ -9,9 +9,10 @@ stack document that ``--stack`` reads and every report echoes. A stack
 reference is a preset name, ``{"preset": <name>}`` or an inline stack;
 exactly one stack source may be given.
 
-One walker, ``_Section.parse``, reads every section from its table, and
-``_Section.dump`` writes a domain value back in the same shape. The parser
-checks shape only; range rules are those of the domain types, whose
+One walker, ``_Section.parse``, reads every section from its table (a
+scenario section into a dict keyed by its config keys), and
+``_Section.dump`` writes an echoed domain value back in the same shape. The
+parser checks shape only; range rules are those of the domain types, whose
 DomainError fields are reported at their config paths. Unknown keys are
 rejected in strict mode and collected as warnings otherwise. All violations
 are reported together with field paths. A required field that fails its
@@ -45,26 +46,15 @@ PRESETS = {
 }
 
 
-class CompareSection(Value):
-    __slots__ = ("stack_a", "stack_b")
-
-
-class SweepSection(Value):
-    __slots__ = ("targets", "retain_power_grid", "beol_only")
-    _defaults = {"retain_power_grid": False, "beol_only": False}
-
-
-class SocSection(Value):
-    __slots__ = ("blocks", "target_top", "retain_power_grid")
-    _defaults = {"retain_power_grid": True}
-
-
-class TrendSection(Value):
-    __slots__ = ("series", "reference")
-    _defaults = {"reference": None}
-
-
 class ConfigDocument(Value):
+    """A parsed config document. ``stack`` (a StackSpec) and ``design`` (a
+    DesignParams) are None when their section is absent; the ``fab`` section
+    fills ``weights``, ``carbon`` and ``ci_band`` (a (low, high) tuple). Each
+    scenario section, ``compare``, ``sweep``, ``soc`` and ``trend``, is a dict
+    keyed by its config keys with defaults filled in, or None when absent:
+    like ``SocBlock.area_overhead``, a plain container. ``warnings`` holds the
+    unknown-key warnings of lenient mode."""
+
     __slots__ = ("stack", "design", "weights", "carbon", "ci_band", "compare", "sweep",
                  "soc", "trend", "warnings")
     _defaults = {**dict.fromkeys(__slots__), "weights": DEFAULT_WEIGHTS, "warnings": ()}
@@ -357,7 +347,7 @@ _STACK = _Section(lambda **fields: validate_stack(StackSpec(**fields)), [
     _Field("layers", _List(_LAYER, "required field must be a list of layers")),
 ])
 
-_stack_ref = _Kind(_parse_stack_ref, dump=_STACK.dump)
+_stack_ref = _Kind(_parse_stack_ref)
 _PRESET_REF = _Section(lambda preset: preset, [_Field("preset", _Kind(_parse_preset))])
 
 _DESIGN = _Section(DesignParams, [
@@ -382,13 +372,10 @@ _FAB = _Section(dict, [
 _PROFILE = _Section(lambda ci_band, **carbon: (CarbonParams(**carbon), ci_band),
                     [*_CARBON.fields, _CI_BAND])
 
-_COMPARE = _Section(CompareSection, [
-    _Field("stack_a", _stack_ref),
-    _Field("stack_b", _stack_ref),
-])
+_COMPARE = _Section(dict, [_Field("stack_a", _stack_ref), _Field("stack_b", _stack_ref)])
 
-_SWEEP = _Section(SweepSection, [
-    _Field("targets", _Kind(_parse_labels, dump=list, missing=_LABELS_MESSAGE)),
+_SWEEP = _Section(dict, [
+    _Field("targets", _Kind(_parse_labels, missing=_LABELS_MESSAGE)),
     _Field("retain_power_grid", _boolean, False),
     _Field("beol_only", _boolean, False),
 ])
@@ -401,20 +388,16 @@ _BLOCK = _Section(SocBlock, [
            None),
 ], what="block ")
 
-_SOC = _Section(SocSection, [
+_SOC = _Section(dict, [
     _Field("target_top", _string),
     _Field("blocks", _List(_BLOCK, "required field must be a non-empty list of blocks",
                            nonempty=True)),
     _Field("retain_power_grid", _boolean, True),
 ])
 
-_TREND = _Section(TrendSection, [
-    _Field("series", _List(
-        _Kind(_parse_pair),
-        "required field must be a non-empty list of [node, value] pairs",
-        make=TrendSeries,
-        nonempty=True,
-    )),
+_TREND = _Section(dict, [
+    _Field("series", _List(_Kind(_parse_pair), "required field must be a non-empty list of "
+                           "[node, value] pairs", make=TrendSeries, nonempty=True)),
     _Field("reference", _string, None),
 ])
 
@@ -432,7 +415,6 @@ _DOCUMENT = _Section(None, [
 
 # The config section that writes each echoed domain type.
 _ECHOED = {
-    StackSpec: _STACK,
     DesignParams: _DESIGN,
     EnergyWeights: _WEIGHTS,
     CarbonParams: _CARBON,
@@ -441,8 +423,8 @@ _ECHOED = {
 
 
 def to_dict(value) -> dict | None:
-    """A stack, design, energy weights, carbon parameters or SoC block as its
-    config section writes it; None stays None."""
+    """A design, energy weights, carbon parameters or SoC block as its config
+    section writes it; None stays None."""
     return None if value is None else _ECHOED[type(value)].dump(value)
 
 

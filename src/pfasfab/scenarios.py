@@ -115,6 +115,13 @@ def _capper(node: str, rows: Sequence[tuple], retain_power_grid: bool):
     return capped
 
 
+def _check_type(ok: bool, field: str, what: str, value):
+    """DomainError at ``field`` unless ``ok``: a target argument of the wrong
+    type, checked once per call, after the stack."""
+    if not ok:
+        DomainError.check([(field, f"{field} must be {what}, got {value!r}")])
+
+
 def _resolve_targets(stack: StackSpec, targets: Sequence[str]) -> dict[str, int]:
     """BEOL index of each target label, which must name a routing BEOL layer
     once: a cap counts routing layers only, so a power-grid layer is no target."""
@@ -159,6 +166,8 @@ def sweep_beol(
     layer above its cap, instead of a sum over every row it keeps.
     """
     rows = layer_table(stack, catalog, weights)
+    _check_type(isinstance(targets, (list, tuple)) and all([isinstance(t, str) for t in targets]),
+                "targets", "a list or tuple of layer label strings", targets)
     resolved = _resolve_targets(stack, targets)
     capped = _capper(stack.technology_node, rows, retain_power_grid)
 
@@ -257,6 +266,7 @@ def compose_soc(
     if not blocks:
         raise DomainError("compose_soc requires at least one block")
     rows = layer_table(chip_stack, catalog, weights)
+    _check_type(isinstance(target_top, str), "target_top", "a layer label string", target_top)
     target_index = _resolve_targets(chip_stack, [target_top])[target_top]
     yield_fraction = design.yield_fraction if design is not None else 1.0
 

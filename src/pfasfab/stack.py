@@ -402,17 +402,17 @@ def asap7_preset() -> StackSpec:
     )
 
 
-# Immersion-DUV substitutions applied to the EUV layers of the 7 nm stack.
-# Values are (metal_process, via_process); None leaves the slot unchanged.
+# Immersion-DUV substitutions applied to the EUV layers of the 7 nm stack:
+# the ``_replace`` keywords of each layer that changes.
 _N7_DUV_SUBSTITUTIONS = {
-    "Active": ("ArFi_LE2", None),
-    "SDT": ("ArFi_LE2", None),
-    "LISD": ("ArFi_LE2", None),
-    "LIG": ("ArFi_LE", None),
-    "VIA0": (None, "ArFi_LE2"),
-    "M1": ("ArFi_SADP", "ArFi_LE2"),
-    "M2": ("ArFi_SADP", "ArFi_LE2"),
-    "M3": ("ArFi_SADP", "ArFi_LE2"),
+    "Active": {"metal_process": "ArFi_LE2"},
+    "SDT": {"metal_process": "ArFi_LE2"},
+    "LISD": {"metal_process": "ArFi_LE2"},
+    "LIG": {"metal_process": "ArFi_LE"},
+    "VIA0": {"via_process": "ArFi_LE2"},
+    "M1": {"metal_process": "ArFi_SADP", "via_process": "ArFi_LE2"},
+    "M2": {"metal_process": "ArFi_SADP", "via_process": "ArFi_LE2"},
+    "M3": {"metal_process": "ArFi_SADP", "via_process": "ArFi_LE2"},
 }
 
 
@@ -427,17 +427,8 @@ def n7_fixture(variant: str) -> StackSpec:
         return asap7_preset()
     if variant != "duv":
         raise ValueError(f"variant must be 'euv' or 'duv', got {variant!r}")
-    layers = []
-    for layer in asap7_preset().layers:
-        sub = _N7_DUV_SUBSTITUTIONS.get(layer.name)
-        if sub is not None:
-            metal, via = sub
-            layers.append(
-                layer._replace(
-                    metal_process=metal if metal is not None else layer.metal_process,
-                    via_process=via if via is not None else layer.via_process,
-                )
-            )
-        else:
-            layers.append(layer)
-    return StackSpec(technology_node="7nm-DUV", layers=tuple(layers))
+    return StackSpec("7nm-DUV", tuple([
+        layer._replace(**_N7_DUV_SUBSTITUTIONS[layer.name])
+        if layer.name in _N7_DUV_SUBSTITUTIONS else layer
+        for layer in asap7_preset().layers
+    ]))

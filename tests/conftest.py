@@ -73,6 +73,8 @@ def n7_duv():
 
 
 _PROCESSES = st.sampled_from(DEFAULT_CATALOG.ids())
+# No pitch, or a positive int or finite float, as perfbench's stacks draw them.
+_PITCHES = st.none() | st.integers(1, 400) | st.floats(min_value=0.5, max_value=400.0)
 _NON_INTEGER = st.floats(min_value=0.1, max_value=40.0).filter(lambda w: w != int(w))
 # Non-integer weights, so that an int where a float belongs shows in a repr.
 NON_INTEGER_WEIGHTS = st.builds(EnergyWeights, _NON_INTEGER, _NON_INTEGER)
@@ -80,17 +82,18 @@ NON_INTEGER_WEIGHTS = st.builds(EnergyWeights, _NON_INTEGER, _NON_INTEGER)
 
 @st.composite
 def random_stacks(draw):
-    """Valid stacks with power-grid layers anywhere in the BEOL."""
+    """Valid stacks with power-grid layers anywhere in the BEOL, each layer
+    pitched or not."""
     layers = []
     for region, most in ((Region.FEOL, 3), (Region.MOL, 2)):
         for i in range(draw(st.integers(0, most))):
             metal = draw(st.none() | _PROCESSES)
             via = draw(_PROCESSES) if metal is None else draw(st.none() | _PROCESSES)
-            layers.append(LayerSpec(f"{region.value}{i}", region, None, metal, via))
+            layers.append(LayerSpec(f"{region.value}{i}", region, draw(_PITCHES), metal, via))
     for k in sorted(draw(st.sets(st.integers(1, 14), min_size=1, max_size=9))):
         tag = draw(st.sampled_from((TAG_ROUTING, TAG_POWER_GRID)))
         layers.append(LayerSpec(
-            f"M{k}", Region.BEOL, None, draw(_PROCESSES), draw(st.none() | _PROCESSES),
+            f"M{k}", Region.BEOL, draw(_PITCHES), draw(_PROCESSES), draw(st.none() | _PROCESSES),
             frozenset({tag}),
         ))
     return StackSpec("random", tuple(layers))

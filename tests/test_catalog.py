@@ -8,18 +8,20 @@ from hypothesis import strategies as st
 from pfasfab import (
     BUILTIN_PROCESSES,
     DEFAULT_CATALOG,
+    DEFAULT_WEIGHTS,
     EnergyWeights,
     ExposureClass,
     DomainError,
     InvalidProcessError,
+    LayerSpec,
     ProcessCatalog,
     ProcessClass,
     ProcessCollisionError,
     Region,
     StepCounts,
     UnknownProcessError,
+    derive_layer_metrics,
     lookup_process,
-    mask_energy,
 )
 
 from table_data import PROCESS_ROWS
@@ -119,18 +121,24 @@ def test_invalid_energy_weights_name_each_field():
     assert [field for field, _ in excinfo.value.fields] == ["per_euv_mask", "per_duv_mask"]
 
 
+def _mask_energy(proc, weights=DEFAULT_WEIGHTS, catalog=DEFAULT_CATALOG):
+    """The litho energy the kernel derives for a layer patterned by ``proc`` alone."""
+    layer = LayerSpec("M1", Region.BEOL, metal_process=proc.id)
+    return derive_layer_metrics(layer, catalog, weights).litho_energy
+
+
 def test_mask_energy_examples():
-    assert mask_energy(lookup_process("EUV_LE")) == 10.0
-    assert mask_energy(lookup_process("ArFi_LE2")) == 2.0
+    assert _mask_energy(lookup_process("EUV_LE")) == 10.0
+    assert _mask_energy(lookup_process("ArFi_LE2")) == 2.0
     weights = EnergyWeights(per_euv_mask=10, per_duv_mask=1)
-    assert mask_energy(lookup_process("ArFi_SADP"), weights) == 1.0
+    assert _mask_energy(lookup_process("ArFi_SADP"), weights) == 1.0
 
 
 def test_mask_energy_rule_over_whole_catalog():
     # per-mask weighting: 10 per EUV mask, 1 per DUV mask with defaults
     for proc in BUILTIN_PROCESSES:
         expected = 10.0 * proc.masks if proc.exposure.is_euv else 1.0 * proc.masks
-        assert mask_energy(proc) == expected
+        assert _mask_energy(proc) == expected
 
 
 def test_exposure_class_slots_and_euv_flag():
@@ -167,4 +175,4 @@ def test_register_roundtrip(masks, steps, euv):
     extended = DEFAULT_CATALOG.register(custom)
     found = extended.lookup("Custom_X")
     assert found == custom
-    assert mask_energy(found) == masks * (10.0 if euv else 1.0)
+    assert _mask_energy(found, catalog=extended) == masks * (10.0 if euv else 1.0)

@@ -264,14 +264,17 @@ def test_scenario_sections_parse():
         "trend": {"series": [["28nm", 20], ["7nm", 29]], "reference": "28nm"},
     }
     doc = parse_config(json.dumps(document))
-    assert doc.compare.stack_a == n7_fixture("duv")
-    assert doc.sweep.targets == ("M7", "M3")
-    assert doc.sweep.retain_power_grid is True
-    assert doc.sweep.beol_only is False
-    assert doc.soc.blocks[0].area_overhead == {"M4": 1.47}
-    assert doc.soc.retain_power_grid is True
-    assert doc.trend.series.values() == {"28nm": 20.0, "7nm": 29.0}
-    assert doc.trend.reference == "28nm"
+    # Each section is a dict of its config keys, defaults filled in.
+    assert doc.compare == {"stack_a": n7_fixture("duv"), "stack_b": n7_fixture("euv")}
+    assert doc.sweep == {"targets": ("M7", "M3"), "retain_power_grid": True,
+                         "beol_only": False}
+    assert list(doc.soc) == ["target_top", "blocks", "retain_power_grid"]
+    assert doc.soc["blocks"][0].area_overhead == {"M4": 1.47}
+    assert doc.soc["retain_power_grid"] is True
+    assert doc.trend["series"].values() == {"28nm": 20.0, "7nm": 29.0}
+    assert doc.trend["reference"] == "28nm"
+    assert parse_config('{"trend": {"series": [["7nm", 1]]}}').trend["reference"] is None
+    assert parse_config("{}").sweep is None
 
 
 def test_bad_overhead_factor_rejected():

@@ -26,6 +26,7 @@ from pfasfab import (
     compose_soc,
     embodied_carbon,
     stack_metrics,
+    sweep_beol,
     validate_ci_band,
     validate_stack,
 )
@@ -121,3 +122,37 @@ def test_stack_violations_are_reported_at_layers():
     with pytest.raises(StackValidationError) as info:
         _pitch(math.inf)
     assert info.value.violations == (violation,)
+
+
+
+# Each junk value of a target argument, by id; "M3" is junk as ``targets``
+# (a bare string is not read letter by letter) and ["M3"] as ``target_top``.
+JUNK = {"none": None, "str": "M3", "list": ["M3"], "int": 3, "nested-list": [["M3"]],
+        "mixed-list": ["M3", 3]}
+WANTED = {"targets": "a list or tuple of layer label strings",
+          "target_top": "a layer label string"}
+
+
+def _target_call(field, value, stack):
+    if field == "targets":
+        return lambda: sweep_beol(stack, value)
+    return lambda: compose_soc([SocBlock("a", 0.5, "M3")], stack, value)
+
+
+@pytest.mark.parametrize("field, junk", [
+    *[("targets", junk) for junk in ("none", "str", "int", "nested-list", "mixed-list")],
+    *[("target_top", junk) for junk in ("none", "list", "int", "nested-list", "mixed-list")],
+])
+def test_wrong_typed_target_is_a_domain_error_naming_it(field, junk):
+    value = JUNK[junk]
+    with pytest.raises(DomainError) as info:
+        _target_call(field, value, asap7_preset())()
+    assert type(info.value) is DomainError
+    assert info.value.fields == ((field, f"{field} must be {WANTED[field]}, got {value!r}"),)
+
+
+@pytest.mark.parametrize("field", ["targets", "target_top"])
+def test_stack_errors_come_before_a_wrong_typed_target(field):
+    bad = StackSpec("t", [LayerSpec("M1", Region.BEOL, math.inf, "EUV_LE")])
+    with pytest.raises(StackValidationError):
+        _target_call(field, None, bad)()

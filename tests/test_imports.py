@@ -1,11 +1,15 @@
 """Which modules an import loads, read from ``sys.modules`` of a fresh
-interpreter. Nothing here is timed."""
+interpreter, and the public names the package exports. Nothing here is
+timed."""
 
+import importlib
 import importlib.util
 import subprocess
 import sys
 
-from conftest import REPO_ROOT
+import pfasfab
+
+from conftest import GOLDEN, REPO_ROOT
 
 
 def _loaded(module: str) -> set[str]:
@@ -41,3 +45,14 @@ def test_cli_loads_every_traced_layer():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     assert {f"pfasfab.{layer}" for layer in tracing.SPANS} <= _loaded("pfasfab.cli")
+
+
+def test_public_names_resolve_and_are_pinned():
+    # Each name resolves in the module its _EXPORTS entry names, so a removal
+    # that forgets its entry fails here, not when the name is first read.
+    for name in pfasfab.__all__:
+        module = importlib.import_module(f"pfasfab.{pfasfab._EXPORTS[name]}")
+        assert getattr(pfasfab, name) is getattr(module, name), name
+    # Any addition or removal shows as a diff of the golden list.
+    golden = (GOLDEN / "public_names.txt").read_text(encoding="utf-8").splitlines()
+    assert sorted(pfasfab.__all__) == golden

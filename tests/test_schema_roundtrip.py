@@ -81,7 +81,7 @@ def test_sections_round_trip(design, weights, carbon, blocks):
     assert parsed.design == design
     assert parsed.weights == weights
     assert parsed.carbon == carbon
-    assert parsed.soc.blocks == tuple(blocks)
+    assert parsed.soc["blocks"] == tuple(blocks)
 
 
 # tmp_path is shared by the examples; each one rewrites the stack file.

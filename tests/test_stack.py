@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from pfasfab import (
     DEFAULT_CATALOG,
+    DEFAULT_WEIGHTS,
     LayerMetrics,
     LayerSpec,
     Region,
@@ -14,7 +15,6 @@ from pfasfab import (
     asap7_preset,
     beol_index,
     derive_layer_metrics,
-    mask_energy,
     n7_fixture,
     stack_violations,
     validate_stack,
@@ -244,6 +244,11 @@ def test_layer_without_process_is_a_missing_process_violation():
     assert (violation.layer, violation.rule) == ("X", "missing-process")
 
 
+def _energy(proc) -> float:
+    """Every mask of ``proc`` weighted by its exposure class."""
+    return proc.masks * DEFAULT_WEIGHTS.per_mask(proc.exposure)
+
+
 @pytest.mark.guard
 @pytest.mark.parametrize("slot", ["metal_process", "via_process"])
 def test_one_process_layer_is_its_catalog_row(slot):
@@ -252,7 +257,7 @@ def test_one_process_layer_is_its_catalog_row(slot):
         # The process's own StepCounts: values are immutable, so it is shared.
         assert metrics.total_steps is proc.steps
         assert repr(metrics) == repr(LayerMetrics(
-            "M1", proc.steps.litho, proc.steps, proc.masks, proc.masks, mask_energy(proc)))
+            "M1", proc.steps.litho, proc.steps, proc.masks, proc.masks, _energy(proc)))
 
 
 @pytest.mark.guard
@@ -263,4 +268,4 @@ def test_two_process_layer_sums_its_catalog_rows():
             steps = metal.steps + via.steps
             masks = metal.masks + via.masks
             assert repr(derive_layer_metrics(layer)) == repr(LayerMetrics(
-                "M1", steps.litho, steps, masks, masks, mask_energy(metal) + mask_energy(via)))
+                "M1", steps.litho, steps, masks, masks, _energy(metal) + _energy(via)))

@@ -44,7 +44,6 @@ from pfasfab import (
     stack_metrics,
     sweep_beol,
 )
-from pfasfab.config import CompareSection, SocSection, SweepSection, TrendSection
 from pfasfab.scenarios import SocBlockResult
 from pfasfab.value import Value
 
@@ -87,10 +86,6 @@ def _samples() -> dict:
         SocBlockResult: soc.blocks[0],
         SocReport: soc,
         TrendSeries: series,
-        CompareSection: CompareSection(asap7, n7_fixture("duv")),
-        SweepSection: SweepSection(("M5", "M3"), True, False),
-        SocSection: SocSection(BLOCKS, "M5", False),
-        TrendSection: TrendSection(series, "7nm"),
         ConfigDocument: ConfigDocument(stack=asap7, design=DESIGN, carbon=PARAMS,
                                        ci_band=(0.1, 0.5), warnings=("colour: unknown",)),
     }
@@ -122,17 +117,12 @@ FIELDS = {
                 "area_increase", "baseline_chip", "constrained_chip", "pfas_layer_ratio",
                 "chip_pfas_ratio", "baseline_carbon", "constrained_carbon"),
     TrendSeries: ("points", "reference"),
-    CompareSection: ("stack_a", "stack_b"),
-    SweepSection: ("targets", "retain_power_grid", "beol_only"),
-    SocSection: ("blocks", "target_top", "retain_power_grid"),
-    TrendSection: ("series", "reference"),
     ConfigDocument: ("stack", "design", "weights", "carbon", "ci_band", "compare", "sweep",
                      "soc", "trend", "warnings"),
 }
 
 # Types that hold a dict, directly or in a field, and so have no hash.
-UNHASHABLE = {StackMetrics, ComparisonResult, SweepPoint, SocBlock, SocBlockResult, SocReport,
-              SocSection}
+UNHASHABLE = {StackMetrics, ComparisonResult, SweepPoint, SocBlock, SocBlockResult, SocReport}
 
 SAMPLES = _samples()
 TYPES = list(FIELDS)
@@ -228,6 +218,10 @@ def test_parsed_document_round_trips():
     parsed = parse_config(json.dumps(document))
     for again in (copy.deepcopy(parsed), pickle.loads(pickle.dumps(parsed))):
         assert again == parsed
+    # A scenario section is a plain dict, so the document holding it has no hash.
+    assert type(parsed.soc) is dict
+    with pytest.raises(TypeError):
+        hash(parsed)
 
 
 def test_construct_by_keyword(sample):
@@ -247,9 +241,6 @@ def test_defaults():
     assert SocBlock("a", 1.0, "M3").area_overhead == {}
     assert SocBlock("a", 1.0, "M3").area_overhead is not SocBlock("a", 1.0, "M3").area_overhead
     assert TrendSeries((("7nm", 1.0),)).reference is None
-    assert SweepSection(("M3",)) == SweepSection(("M3",), False, False)
-    assert SocSection(BLOCKS, "M5").retain_power_grid is True
-    assert TrendSection(TrendSeries((("7nm", 1.0),))).reference is None
     soc = _soc_report()
     bare = SocReport(*[getattr(soc, name) for name in FIELDS[SocReport][:-2]])
     assert (bare.baseline_carbon, bare.constrained_carbon) == (None, None)
@@ -271,9 +262,6 @@ DEFAULTS = {
     SocBlock: {"area_overhead": None},
     SocReport: {"baseline_carbon": None, "constrained_carbon": None},
     TrendSeries: {"reference": None},
-    SweepSection: {"retain_power_grid": False, "beol_only": False},
-    SocSection: {"retain_power_grid": True},
-    TrendSection: {"reference": None},
     ConfigDocument: {**dict.fromkeys(FIELDS[ConfigDocument]), "weights": EnergyWeights(),
                      "warnings": ()},
 }
