@@ -15,7 +15,6 @@ registered into a catalog instance without touching the built-ins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -82,14 +81,24 @@ class StepCounts(Value):
         )
 
 
-@dataclass(frozen=True)
-class ProcessClass:
+class _DataclassFields:
+    """``__dataclass_fields__`` of a Value type: the fields of a dataclass with
+    the type's name and slots, made on each read. ``dataclasses.replace``,
+    ``fields``, ``asdict``, ``astuple`` and ``is_dataclass`` read it, so they
+    work on the type's values, and only their callers import dataclasses."""
+
+    def __get__(self, instance, owner):
+        import dataclasses
+
+        made = dataclasses.make_dataclass(owner.__name__, owner.__slots__)
+        return {field.name: field for field in dataclasses.fields(made)}
+
+
+class ProcessClass(Value):
     """A named patterning process: step counts, masks, exposure class."""
 
-    id: str
-    steps: StepCounts
-    masks: int
-    exposure: ExposureClass
+    __slots__ = ("id", "steps", "masks", "exposure")
+    __dataclass_fields__ = _DataclassFields()
 
     def __post_init__(self):
         # StepCounts checks only ``< 0``, as it is built on the hot path; the

@@ -12,7 +12,9 @@ flags produce byte-identical output.
 ``main(argv)`` may be called any number of times in one process. It builds
 the argument parser on its first call and reuses it after, and returns the
 exit code; a usage error (or ``--help``) raises ``SystemExit(2)`` (or
-``SystemExit(0)``) as argparse does.
+``SystemExit(0)``) as argparse does. The parser starts with each
+subcommand's help line only; a subcommand's arguments are added on the
+first call that names it, so a process builds only what it runs.
 """
 
 from __future__ import annotations
@@ -285,8 +287,10 @@ _TABLE = {
 # Built on the first main() call, not at import, and then reused: the parser
 # holds no per-call state (parse_args returns a fresh Namespace, and argparse
 # makes a new formatter, sized to the terminal, for each usage or help print).
+# Each subcommand's parser starts with its help line only, and waits in the
+# second dict returned until a call names it (``main``).
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(
         prog="pfasfab",
         description=(
@@ -295,15 +299,22 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, arguments, _) in _TABLE.items():
-        command = sub.add_parser(name, help=help_line)
-        for flag, options in arguments:
-            command.add_argument(flag, **options)
-    return parser
+    return parser, {name: sub.add_parser(name, help=help_line)
+                    for name, (help_line, _, _) in _TABLE.items()}
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, pending = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top level takes no option with a value, so the command is one of
+    # these words. Arguments added to one subcommand's parser never change how
+    # another parses, so adding those of every word that names a row is safe.
+    for word in argv:
+        command = pending.pop(word, None)
+        if command is not None:
+            for flag, options in _TABLE[word][1]:
+                command.add_argument(flag, **options)
+    args = parser.parse_args(argv)
     build = _TABLE[args.command][2]
     try:
         if build is None:

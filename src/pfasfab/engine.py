@@ -19,7 +19,7 @@ from .catalog import (
     ProcessCatalog,
     StepCounts,
 )
-from .errors import DomainError
+from .errors import DomainError, check_type
 from .stack import (
     COUNTS_END, REGIONS_END, STEPS_END, LayerMetrics, Region, StackSpec, layer_table,
 )
@@ -111,6 +111,7 @@ def stack_metrics(
 ) -> StackMetrics:
     """Totals and FEOL/MOL/BEOL and exposure-class breakdowns for a stack;
     an invalid stack raises StackValidationError (``layer_table``)."""
+    check_type(isinstance(stack, StackSpec), "stack", "a StackSpec", stack)
     return metrics_from_rows(stack.technology_node, layer_table(stack, catalog, weights))
 
 

@@ -40,6 +40,13 @@ class DomainError(PfasfabError, ValueError):
             raise cls("; ".join(message for _, message in failed), failed)
 
 
+def check_type(ok: bool, field: str, what: str, value):
+    """A DomainError at ``field`` unless ``ok``: an argument of the wrong type,
+    checked once per call, before it is read."""
+    if not ok:
+        DomainError.check([(field, f"{field} must be {what}, got {value!r}")])
+
+
 class InvalidProcessError(DomainError):
     """A process record violates a field invariant."""
 

@@ -10,7 +10,6 @@ CSV and table renderers both read it.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from typing import TYPE_CHECKING, NamedTuple
@@ -229,6 +228,8 @@ def _pick(columns, records) -> list:
 
 def _render_csv(view: list) -> str:
     """Every grid of a view, each with its CSV header row."""
+    import csv  # here, so that a process that renders no CSV never loads it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     for part in view:

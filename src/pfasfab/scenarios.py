@@ -17,7 +17,7 @@ from .carbon import CarbonParams, estimate_carbon
 from .catalog import DEFAULT_CATALOG, DEFAULT_WEIGHTS, EnergyWeights, ProcessCatalog
 from .engine import DesignParams, chip_pfas, metrics_from_rows, metrics_from_totals, stack_metrics
 from .errors import DomainError, DuplicateTargetError, MissingOverheadError, TrendReferenceError
-from .errors import UnknownTargetError
+from .errors import UnknownTargetError, check_type
 from .stack import COUNTS_END, Region, StackSpec, beol_index, layer_table
 from .value import Value, finite, set_field
 
@@ -46,6 +46,8 @@ def compare_stacks(
     Ratios with a zero denominator are reported as absent (None) rather
     than raising; a region empty in stack ``b`` simply has no ratio.
     """
+    check_type(isinstance(a, StackSpec), "a", "a StackSpec", a)
+    check_type(isinstance(b, StackSpec), "b", "a StackSpec", b)
     ma = stack_metrics(a, catalog, weights)
     mb = stack_metrics(b, catalog, weights)
     return ComparisonResult(
@@ -115,11 +117,10 @@ def _capper(node: str, rows: Sequence[tuple], retain_power_grid: bool):
     return capped
 
 
-def _check_type(ok: bool, field: str, what: str, value):
-    """DomainError at ``field`` unless ``ok``: a target argument of the wrong
-    type, checked once per call, after the stack."""
-    if not ok:
-        DomainError.check([(field, f"{field} must be {what}, got {value!r}")])
+def _check_design(design):
+    """Before the stack is validated, as its type is; targets come after."""
+    check_type(design is None or isinstance(design, DesignParams), "design",
+               "a DesignParams or None", design)
 
 
 def _resolve_targets(stack: StackSpec, targets: Sequence[str]) -> dict[str, int]:
@@ -165,9 +166,11 @@ def sweep_beol(
     point's totals in one lookup, plus one addition per retained power-grid
     layer above its cap, instead of a sum over every row it keeps.
     """
+    check_type(isinstance(stack, StackSpec), "stack", "a StackSpec", stack)
+    _check_design(design)
     rows = layer_table(stack, catalog, weights)
-    _check_type(isinstance(targets, (list, tuple)) and all([isinstance(t, str) for t in targets]),
-                "targets", "a list or tuple of layer label strings", targets)
+    check_type(isinstance(targets, (list, tuple)) and all([isinstance(t, str) for t in targets]),
+               "targets", "a list or tuple of layer label strings", targets)
     resolved = _resolve_targets(stack, targets)
     capped = _capper(stack.technology_node, rows, retain_power_grid)
 
@@ -265,8 +268,10 @@ def compose_soc(
     """
     if not blocks:
         raise DomainError("compose_soc requires at least one block")
+    check_type(isinstance(chip_stack, StackSpec), "chip_stack", "a StackSpec", chip_stack)
+    _check_design(design)
     rows = layer_table(chip_stack, catalog, weights)
-    _check_type(isinstance(target_top, str), "target_top", "a layer label string", target_top)
+    check_type(isinstance(target_top, str), "target_top", "a layer label string", target_top)
     target_index = _resolve_targets(chip_stack, [target_top])[target_top]
     yield_fraction = design.yield_fraction if design is not None else 1.0
 

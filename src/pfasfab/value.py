@@ -72,7 +72,12 @@ class Value:
     def _replace(self, **changes):
         """A copy with the given fields changed, built and checked again by
         the constructor; an unknown field name is a TypeError."""
-        return type(self)(**{**dict(zip(self.__slots__, self._astuple())), **changes})
+        args = [changes.pop(name) if name in changes else getattr(self, name)
+                for name in self.__slots__]
+        if changes:
+            raise TypeError(f"{type(self).__qualname__}._replace() got unknown field(s): "
+                            + ", ".join(map(repr, changes)))
+        return type(self)(*args)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

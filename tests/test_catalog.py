@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 
 import pytest
@@ -95,6 +96,19 @@ def test_catalog_of_duplicate_ids_rejected():
         ProcessCatalog((*BUILTIN_PROCESSES, clash))
     with pytest.raises(ProcessCollisionError, match="process id 'EUV_LE' is already registered"):
         DEFAULT_CATALOG.register(clash)
+
+
+def test_a_process_answers_the_dataclasses_functions():
+    p = lookup_process("EUV_LE")
+    assert dataclasses.is_dataclass(p) and dataclasses.is_dataclass(ProcessClass)
+    assert [f.name for f in dataclasses.fields(p)] == ["id", "steps", "masks", "exposure"]
+    assert dataclasses.asdict(p) == {"id": p.id, "steps": p.steps, "masks": p.masks,
+                                     "exposure": p.exposure}
+    assert dataclasses.astuple(p) == (p.id, p.steps, p.masks, p.exposure)
+    assert dataclasses.replace(p, masks=2) == ProcessClass(p.id, p.steps, 2, p.exposure)
+    with pytest.raises(InvalidProcessError):
+        dataclasses.replace(p, masks=0)
+    assert not dataclasses.is_dataclass(StepCounts())
 
 
 def test_register_invalid_masks():

@@ -321,11 +321,23 @@ def test_parser_is_built_once():
 def test_repeated_main_calls_match_fresh_processes(monkeypatch):
     # One parser serves every call: a usage error leaves nothing behind,
     # each subcommand keeps its own defaults (export-catalog's --format is
-    # json), and usage text is wrapped to the width at each call.
+    # json), and usage text is wrapped to the width at each call. Built anew
+    # here, so that the first call naming a subcommand adds its arguments
+    # whatever ran before; adding them twice would raise.
+    cli._build_parser.cache_clear()
     analyze = ("analyze", "--stack", "asap7", "--area", "1", "--yield", "0.875", "--format", "json")
     usage = ("sweep", "--format", "xml")
+    every = [
+        analyze,
+        ("compare", "n7_duv", "n7_euv", "--format", "csv"),
+        ("sweep", "--config", str(CONFIGS / "sweep_asap7.json"), "--format", "json"),
+        ("soc", "--config", str(CONFIGS / "soc_trainer.json"), "--format", "table"),
+        ("trend", "--config", str(CONFIGS / "trend_nodes.json"), "--format", "csv"),
+        ("export-catalog",),
+    ]
     for columns, argv in [("80", usage), ("80", analyze), ("80", ("export-catalog",)),
-                          ("80", analyze), ("50", usage)]:
+                          ("80", analyze), ("50", usage), *[("80", argv) for argv in every * 2],
+                          ("80", ("soc", "--help")), ("50", usage)]:
         monkeypatch.setenv("COLUMNS", columns)
         got, want = run_main(*argv), run_cli(*argv)
         assert (got.returncode, got.stdout, got.stderr) == (

@@ -23,6 +23,7 @@ from pfasfab import (
     Violation,
     asap7_preset,
     chip_pfas,
+    compare_stacks,
     compose_soc,
     embodied_carbon,
     stack_metrics,
@@ -156,3 +157,40 @@ def test_stack_errors_come_before_a_wrong_typed_target(field):
     bad = StackSpec("t", [LayerSpec("M1", Region.BEOL, math.inf, "EUV_LE")])
     with pytest.raises(StackValidationError):
         _target_call(field, None, bad)()
+
+
+# A wrong-typed stack or design argument, by the parameter it is passed as.
+WRONG_TYPED = {
+    "stack_metrics.stack": ("stack", "a StackSpec", "asap7", stack_metrics),
+    "compare_stacks.a": ("a", "a StackSpec", None,
+                         lambda x: compare_stacks(x, asap7_preset())),
+    "compare_stacks.b": ("b", "a StackSpec", None,
+                         lambda x: compare_stacks(asap7_preset(), x)),
+    "sweep_beol.stack": ("stack", "a StackSpec", ["M5"],
+                         lambda x: sweep_beol(x, ["M5"])),
+    "sweep_beol.design": ("design", "a DesignParams or None", 1.0,
+                          lambda x: sweep_beol(asap7_preset(), ["M5"], design=x)),
+    "compose_soc.chip_stack": ("chip_stack", "a StackSpec", asap7_preset().layers,
+                               lambda x: compose_soc([SocBlock("a", 0.5, "M3")], x, "M3")),
+    "compose_soc.design": ("design", "a DesignParams or None", 1.0,
+                           lambda x: compose_soc([SocBlock("a", 0.5, "M3")], asap7_preset(),
+                                                 "M3", design=x)),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_TYPED)
+def test_wrong_typed_stack_or_design_is_a_domain_error_naming_it(case):
+    field, wanted, value, call = WRONG_TYPED[case]
+    with pytest.raises(DomainError) as info:
+        call(value)
+    assert type(info.value) is DomainError
+    assert info.value.fields == ((field, f"{field} must be {wanted}, got {value!r}"),)
+
+
+def test_a_wrong_typed_design_comes_before_stack_errors():
+    bad = StackSpec("t", [LayerSpec("M1", Region.BEOL, math.inf, "EUV_LE")])
+    for call in (lambda: sweep_beol(bad, ["M1"], design=1.0),
+                 lambda: compose_soc([SocBlock("a", 0.5, "M1")], bad, "M1", design=1.0)):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert [field for field, _ in info.value.fields] == ["design"]

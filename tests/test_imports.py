@@ -37,6 +37,12 @@ def test_report_loads_no_model_or_config_module():
     }
 
 
+def test_cli_loads_no_module_only_some_calls_use():
+    # dataclasses (and inspect, which it imports) load only for a caller of
+    # the dataclasses functions on a process; csv only to render CSV.
+    assert {"dataclasses", "inspect", "csv"}.isdisjoint(_loaded("pfasfab.cli"))
+
+
 def test_cli_loads_every_traced_layer():
     # perfbench's Tracer.install imports pfasfab.cli and then wraps the
     # functions of every layer in SPANS, which it finds in sys.modules; so

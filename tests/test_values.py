@@ -22,9 +22,11 @@ from pfasfab import (
     DesignParams,
     DomainError,
     EnergyWeights,
+    ExposureClass,
     InvalidProcessError,
     LayerMetrics,
     LayerSpec,
+    ProcessClass,
     Region,
     SocBlock,
     SocReport,
@@ -71,6 +73,7 @@ def _samples() -> dict:
     return {
         StepCounts: StepCounts(1, 2, 3, 4, 5, 6),
         EnergyWeights: EnergyWeights(5.0, 2.0),
+        ProcessClass: ProcessClass("X", StepCounts(1, 2, 3, 4, 5, 6), 2, ExposureClass.EUV),
         StackSpec: asap7,
         LayerSpec: asap7.layer("M4"),
         Violation: Violation("M1", "bad-pitch", "pitch_nm must be > 0, got -1"),
@@ -95,6 +98,7 @@ def _samples() -> dict:
 FIELDS = {
     StepCounts: ("dry_etch", "litho", "metallization", "metrology", "wet_etch", "deposition"),
     EnergyWeights: ("per_euv_mask", "per_duv_mask"),
+    ProcessClass: ("id", "steps", "masks", "exposure"),
     LayerSpec: ("name", "region", "pitch_nm", "metal_process", "via_process", "tags"),
     StackSpec: ("technology_node", "layers"),
     Violation: ("layer", "rule", "message"),
@@ -336,6 +340,10 @@ def test_replace_rejects_an_unknown_field():
         PARAMS._replace(colour=1)
     with pytest.raises(TypeError, match="colour"):
         asap7_preset().layer("M4")._replace(colour=1)
+    # Each unknown field is named, and no known one.
+    with pytest.raises(TypeError) as info:
+        asap7_preset().layer("M4")._replace(pitch_nm=40, colour=1, shade=2)
+    assert str(info.value) == "LayerSpec._replace() got unknown field(s): 'colour', 'shade'"
 
 
 def test_constructors_normalize_sequences():
