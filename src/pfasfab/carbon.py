@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from .engine import DesignParams, StackMetrics
-from .errors import DomainError
+from .errors import DomainError, check_type
 from .value import Value, finite
 
 
@@ -69,6 +69,7 @@ def embodied_carbon(
     metrics: StackMetrics, design: DesignParams, params: CarbonParams
 ) -> CarbonResult:
     """Embodied kg CO2e for one good chip of the given stack and design."""
+    check_type(isinstance(params, CarbonParams), "params", "a CarbonParams", params)
     return CarbonResult(_embodied_kg(metrics, design, params, params.carbon_intensity))
 
 
@@ -95,6 +96,7 @@ def carbon_band(
     band spanned between a low and a high grid intensity. The three figures
     share ``embodied_carbon``'s expression, with only the intensity changed;
     the band's bounds are checked once, by ``validate_ci_band``."""
+    check_type(isinstance(params, CarbonParams), "params", "a CarbonParams", params)
     validate_ci_band(ci_low, ci_high)
     return CarbonResult(
         _embodied_kg(metrics, design, params, params.carbon_intensity),
@@ -111,6 +113,8 @@ def estimate_carbon(
 ) -> CarbonResult | None:
     """Embodied carbon, with the low and high figures of ``band`` when given;
     None without a design or carbon parameters."""
+    check_type(params is None or isinstance(params, CarbonParams), "params",
+               "a CarbonParams or None", params)
     if design is None or params is None:
         return None
     if band is None:

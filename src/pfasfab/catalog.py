@@ -54,21 +54,15 @@ class StepCounts(Value):
         # all six fields; the loop runs only to name the field that failed.
         if (self.dry_etch < 0 or self.litho < 0 or self.metallization < 0
                 or self.metrology < 0 or self.wet_etch < 0 or self.deposition < 0):
-            for name, value in zip(STEP_FIELDS, self.as_tuple()):
+            for name, value in zip(STEP_FIELDS, self._astuple()):
                 if value < 0:
                     raise InvalidProcessError(f"step count {name} must be >= 0, got {value}")
 
     def as_dict(self) -> dict[str, int]:
-        return dict(zip(STEP_FIELDS, self.as_tuple()))
+        return dict(zip(STEP_FIELDS, self._astuple()))
 
     def total(self) -> int:
-        return sum(self.as_tuple())
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return (
-            self.dry_etch, self.litho, self.metallization,
-            self.metrology, self.wet_etch, self.deposition,
-        )
+        return sum(self._astuple())
 
     def __add__(self, other: "StepCounts") -> "StepCounts":
         return StepCounts(
@@ -105,7 +99,7 @@ class ProcessClass(Value):
         # finite test runs here, once per process class.
         InvalidProcessError.check([
             (f"steps.{name}", f"process {self.id!r}: step count {name} must be finite, got {value}")
-            for name, value in zip(STEP_FIELDS, self.steps.as_tuple())
+            for name, value in zip(STEP_FIELDS, self.steps._astuple())
             if not finite(value)
         ])
         if not (finite(self.masks) and self.masks >= 1):
@@ -115,7 +109,7 @@ class ProcessClass(Value):
         # Masks and steps are counts, so every total summed from them is exact.
         counts = [("masks", "masks", self.masks)] + [
             (f"steps.{name}", f"step count {name}", value)
-            for name, value in zip(STEP_FIELDS, self.steps.as_tuple())
+            for name, value in zip(STEP_FIELDS, self.steps._astuple())
         ]
         InvalidProcessError.check([
             (field, f"process {self.id!r}: {what} must be an integer, got {value!r}")

@@ -30,7 +30,7 @@ from .config import PRESETS, ConfigDocument, load_stack_document, parse_carbon_p
 from .config import parse_config, stack_to_dict, to_dict
 from .engine import DesignParams, chip_pfas, stack_metrics
 from .carbon import estimate_carbon
-from .errors import PfasfabError
+from .errors import ConfigError, PfasfabError
 from .scenarios import compare_stacks, compose_soc, normalize_trend, sweep_beol
 from .stack import StackSpec
 
@@ -65,6 +65,15 @@ def _warn(path: str, warnings):
         print(f"warning: {path}: {warning}", file=sys.stderr)
 
 
+def _parse_file(path: str, parse, *args, **options):
+    """``parse(text of path, ...)``, each ConfigError entry located in the file,
+    as its warnings are (``--config`` errors keep their bare locations)."""
+    try:
+        return parse(_read_text(path), *args, **options)
+    except ConfigError as exc:
+        raise ConfigError([(f"{path}: {loc}", msg) for loc, msg in exc.entries]) from None
+
+
 def _load_config(args) -> ConfigDocument:
     if args.config is None:
         return ConfigDocument()
@@ -83,7 +92,7 @@ def _resolve_stack(ref: str | None, fallback: StackSpec | None, args) -> StackSp
         return PRESETS[ref]()
     if ref and Path(ref).exists():
         warnings = []
-        stack = load_stack_document(_read_text(ref), strict=args.strict, warnings=warnings)
+        stack = _parse_file(ref, load_stack_document, strict=args.strict, warnings=warnings)
         _warn(ref, warnings)
         return stack
     raise _CliError(f"stack {ref!r} is neither a preset ({', '.join(PRESETS)}) nor an "
@@ -118,8 +127,8 @@ def _model(args, cfg: ConfigDocument, design) -> tuple[dict, dict]:
     """The keywords of a scenario call (weights, design, carbon parameters and
     band, from --carbon-profile if given) and their echo in a report's inputs."""
     if args.carbon_profile is not None:
-        text = _read_text(_path("--carbon-profile", args.carbon_profile))
-        params, ci_band, warnings = parse_carbon_profile(text, strict=args.strict)
+        path = _path("--carbon-profile", args.carbon_profile)
+        params, ci_band, warnings = _parse_file(path, parse_carbon_profile, strict=args.strict)
         _warn(args.carbon_profile, warnings)
     else:
         params, ci_band = cfg.carbon, cfg.ci_band

@@ -1,14 +1,17 @@
 """Aggregation of per-layer mask counts into stack-level and chip-level totals.
 
-The chip-level PFAS figure is a proxy in units of PFAS-containing-layer x
-cm2: mask applications scaled by die area over yield. It is deliberately
-not a chemical mass; per-layer chemical quantification is an open
-measurement problem and the library never reports kilograms of PFAS.
+The one module that sums ``stack.layer_table`` rows, for whole stacks and for
+capped stacks with their routing map. The chip-level PFAS figure is a proxy
+in units of PFAS-containing-layer x cm2: mask applications scaled by die
+area over yield. It is deliberately not a chemical mass; per-layer chemical
+quantification is an open measurement problem and the library never reports
+kilograms of PFAS.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 from .catalog import (
@@ -21,7 +24,7 @@ from .catalog import (
 )
 from .errors import DomainError, check_type
 from .stack import (
-    COUNTS_END, REGIONS_END, STEPS_END, LayerMetrics, Region, StackSpec, layer_table,
+    COUNTS_END, REGIONS_END, STEPS_END, LayerMetrics, Region, StackSpec, beol_index, layer_table,
 )
 from .value import Value, finite
 
@@ -104,6 +107,50 @@ def metrics_from_rows(technology_node: str, rows: Sequence[tuple]) -> StackMetri
     return metrics_from_totals(technology_node, litho_energy, counts, tuple(per_layer))
 
 
+def capper(node: str, rows: Sequence[tuple], retain_power_grid: bool):
+    """``(capped, routing)`` for a stack's ``layer_table`` rows: ``routing``
+    maps each routing row's label to its BEOL index, in stack order, and
+    ``capped(top_index)`` is the StackMetrics of the rows kept when BEOL
+    routing is capped at ``top_index`` (None keeps none).
+
+    A cap keeps every FEOL and MOL row, each routing row whose BEOL index is
+    at most the cap, and power-grid rows only with retention. Routing
+    indices rise in stack order (the ``beol-order`` rule), so that is the
+    prefix before the first routing row above the cap, read from running
+    totals, plus the retained power-grid rows after it, added one by one.
+    Both add in stack order, so every float is the layer-by-layer sum's.
+    """
+    per_layer, energies, totals = [], [0.0], [(0,) * COUNTS_END]
+    routing, routing_at, grid_at, grid = {}, [], [], []
+    for row in rows:
+        spec, metrics, counts = row
+        if spec.region is Region.BEOL:
+            if not spec.is_power_grid:
+                routing_at.append(len(per_layer))
+                routing[spec.name] = beol_index(spec.name)
+            elif retain_power_grid:
+                grid_at.append(len(per_layer))
+                grid.append(row)
+            else:
+                continue
+        per_layer.append(metrics)
+        energies.append(energies[-1] + metrics.litho_energy)
+        totals.append(tuple([a + b for a, b in zip(totals[-1], counts)]))
+    routing_at.append(len(per_layer))  # a cap at or above every routing layer keeps all
+    routing_index = [*routing.values()]
+
+    def capped(top_index: int | None) -> StackMetrics:
+        end = routing_at[bisect_right(routing_index, top_index or 0)]
+        energy, counts, layers = energies[end], totals[end], per_layer[:end]
+        for _, metrics, row_counts in grid[bisect_left(grid_at, end):]:
+            energy += metrics.litho_energy
+            counts = tuple([a + b for a, b in zip(counts, row_counts)])
+            layers.append(metrics)
+        return metrics_from_totals(node, energy, counts, tuple(layers))
+
+    return capped, routing
+
+
 def stack_metrics(
     stack: StackSpec,
     catalog: ProcessCatalog = DEFAULT_CATALOG,
@@ -111,12 +158,14 @@ def stack_metrics(
 ) -> StackMetrics:
     """Totals and FEOL/MOL/BEOL and exposure-class breakdowns for a stack;
     an invalid stack raises StackValidationError (``layer_table``)."""
-    check_type(isinstance(stack, StackSpec), "stack", "a StackSpec", stack)
-    return metrics_from_rows(stack.technology_node, layer_table(stack, catalog, weights))
+    rows = layer_table(stack, catalog, weights)  # checks the stack's type first
+    return metrics_from_rows(stack.technology_node, rows)
 
 
 def chip_pfas(metrics: StackMetrics, design: DesignParams) -> ChipPfas:
     """Scale stack PFAS layers to one good chip: layers x area / yield."""
+    check_type(isinstance(metrics, StackMetrics), "metrics", "a StackMetrics", metrics)
+    check_type(isinstance(design, DesignParams), "design", "a DesignParams", design)
     value = metrics.total_pfas_layers * design.area_cm2 / design.yield_fraction
     if not math.isfinite(value):
         raise DomainError(f"chip PFAS overflows: {metrics.total_pfas_layers} layers x "

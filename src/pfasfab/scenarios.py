@@ -4,21 +4,21 @@ Four scenario operations: two-stack comparison, routing-layer reduction
 sweeps with optional power-grid retention, SoC composition under per-block
 area overheads, and normalization of cross-node series to a reference node.
 Each evaluation is a pure computation over immutable inputs, so scenarios
-can run in parallel.
+can run in parallel. They read no ``layer_table`` row layout: ``engine``
+sums the rows, and ``engine.capper`` maps each routing layer to its index.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 from .carbon import CarbonParams, estimate_carbon
 from .catalog import DEFAULT_CATALOG, DEFAULT_WEIGHTS, EnergyWeights, ProcessCatalog
-from .engine import DesignParams, chip_pfas, metrics_from_rows, metrics_from_totals, stack_metrics
+from .engine import DesignParams, capper, chip_pfas, metrics_from_rows, stack_metrics
 from .errors import DomainError, DuplicateTargetError, MissingOverheadError, TrendReferenceError
 from .errors import UnknownTargetError, check_type
-from .stack import COUNTS_END, Region, StackSpec, beol_index, layer_table
+from .stack import Region, StackSpec, beol_index, layer_table
 from .value import Value, finite, set_field
 
 
@@ -76,69 +76,33 @@ class SweepPoint(Value):
     _defaults = {"chip": None, "carbon": None}
 
 
-def _capper(node: str, rows: Sequence[tuple], retain_power_grid: bool):
-    """``capped(top_index)``: the StackMetrics of the ``layer_table`` rows
-    kept when BEOL routing is capped at ``top_index`` (None keeps none).
-
-    A cap keeps every FEOL and MOL row, each routing row whose BEOL index is
-    at most the cap, and power-grid rows only with retention. Routing
-    indices rise in stack order (the ``beol-order`` rule), so that is the
-    prefix before the first routing row above the cap, read from running
-    totals, plus the retained power-grid rows after it, added one by one.
-    Both add in stack order, so every float is the layer-by-layer sum's.
-    """
-    per_layer, energies, totals = [], [0.0], [(0,) * COUNTS_END]
-    routing_at, routing_index, grid_at, grid = [], [], [], []
-    for row in rows:
-        spec, metrics, counts = row
-        if spec.region is Region.BEOL:
-            if not spec.is_power_grid:
-                routing_at.append(len(per_layer))
-                routing_index.append(beol_index(spec.name))
-            elif retain_power_grid:
-                grid_at.append(len(per_layer))
-                grid.append(row)
-            else:
-                continue
-        per_layer.append(metrics)
-        energies.append(energies[-1] + metrics.litho_energy)
-        totals.append(tuple([a + b for a, b in zip(totals[-1], counts)]))
-    routing_at.append(len(per_layer))  # a cap at or above every routing layer keeps all
-
-    def capped(top_index: int | None):
-        end = routing_at[bisect_right(routing_index, top_index or 0)]
-        energy, counts, layers = energies[end], totals[end], per_layer[:end]
-        for _, metrics, row_counts in grid[bisect_left(grid_at, end):]:
-            energy += metrics.litho_energy
-            counts = tuple([a + b for a, b in zip(counts, row_counts)])
-            layers.append(metrics)
-        return metrics_from_totals(node, energy, counts, tuple(layers))
-
-    return capped
-
-
-def _check_design(design):
-    """Before the stack is validated, as its type is; targets come after."""
+def _check_model(design, carbon_params, ci_band):
+    """Before the stack is validated, as its type is; targets come after.
+    ``validate_ci_band`` checks the band's numbers."""
     check_type(design is None or isinstance(design, DesignParams), "design",
                "a DesignParams or None", design)
+    check_type(carbon_params is None or isinstance(carbon_params, CarbonParams),
+               "carbon_params", "a CarbonParams or None", carbon_params)
+    check_type(ci_band is None or (isinstance(ci_band, (list, tuple)) and len(ci_band) == 2),
+               "ci_band", "None or a two-item list or tuple", ci_band)
 
 
-def _resolve_targets(stack: StackSpec, targets: Sequence[str]) -> dict[str, int]:
-    """BEOL index of each target label, which must name a routing BEOL layer
-    once: a cap counts routing layers only, so a power-grid layer is no target."""
-    beol = [l for l in stack.layers if l.region is Region.BEOL]
-    routing = {l.name: beol_index(l.name) for l in beol if not l.is_power_grid}
+def _resolve_targets(stack: StackSpec, routing: dict, targets: Sequence[str]) -> dict[str, int]:
+    """BEOL index of each target label, read from the capper's ``routing``
+    map: a target must name a routing BEOL layer once, since a cap counts
+    routing layers only, so a power-grid layer is no target."""
     resolved = {}
     for target in targets:
         if target not in routing:
-            if any(l.name == target for l in beol):
+            beol = [l.name for l in stack.layers if l.region is Region.BEOL]
+            if target in beol:
                 raise UnknownTargetError(
                     f"target {target!r} is a power-grid layer of {stack.technology_node}, "
-                    f"not a routing layer; routing layers: {', '.join(routing)}"
+                    f"not a routing layer; routing layers: {', '.join(routing) or 'none'}"
                 )
             raise UnknownTargetError(
                 f"target {target!r} is not a BEOL layer of {stack.technology_node}; "
-                f"BEOL layers: {', '.join([l.name for l in beol])}"
+                f"BEOL layers: {', '.join(beol) or 'none'}"
             )
         if target in resolved:
             raise DuplicateTargetError(f"target {target!r} is given more than once")
@@ -167,12 +131,12 @@ def sweep_beol(
     layer above its cap, instead of a sum over every row it keeps.
     """
     check_type(isinstance(stack, StackSpec), "stack", "a StackSpec", stack)
-    _check_design(design)
+    _check_model(design, carbon_params, ci_band)
     rows = layer_table(stack, catalog, weights)
     check_type(isinstance(targets, (list, tuple)) and all([isinstance(t, str) for t in targets]),
                "targets", "a list or tuple of layer label strings", targets)
-    resolved = _resolve_targets(stack, targets)
-    capped = _capper(stack.technology_node, rows, retain_power_grid)
+    capped, routing = capper(stack.technology_node, rows, retain_power_grid)
+    resolved = _resolve_targets(stack, routing, targets)
 
     def point(label: str | None, top_index: int | None) -> SweepPoint:
         metrics = capped(top_index)
@@ -180,8 +144,8 @@ def sweep_beol(
         carbon = estimate_carbon(metrics, design, carbon_params, ci_band)
         return SweepPoint(label, metrics, chip, carbon)
 
-    top = stack.top_routing_layer()
-    points = [point(top, beol_index(top) if top is not None else None)]
+    top = next(reversed(routing), None)  # the baseline: the topmost routing layer
+    points = [point(top, routing.get(top))]
     for target in sorted(resolved, key=resolved.get, reverse=True):
         points.append(point(target, resolved[target]))
     return points
@@ -266,13 +230,15 @@ def compose_soc(
     once: the baseline sums every row, and the constrained stack is read
     from running totals over the rows its cap can keep.
     """
-    if not blocks:
-        raise DomainError("compose_soc requires at least one block")
+    check_type(isinstance(blocks, (list, tuple)) and len(blocks) > 0
+               and all([isinstance(block, SocBlock) for block in blocks]),
+               "blocks", "a non-empty list or tuple of SocBlock", blocks)
     check_type(isinstance(chip_stack, StackSpec), "chip_stack", "a StackSpec", chip_stack)
-    _check_design(design)
+    _check_model(design, carbon_params, ci_band)
     rows = layer_table(chip_stack, catalog, weights)
     check_type(isinstance(target_top, str), "target_top", "a layer label string", target_top)
-    target_index = _resolve_targets(chip_stack, [target_top])[target_top]
+    capped, routing = capper(chip_stack.technology_node, rows, retain_power_grid)
+    target_index = _resolve_targets(chip_stack, routing, [target_top])[target_top]
     yield_fraction = design.yield_fraction if design is not None else 1.0
 
     block_results = []
@@ -302,7 +268,7 @@ def compose_soc(
                               f"{side} block areas is {area}")
     node = chip_stack.technology_node
     baseline_metrics = metrics_from_rows(node, rows)
-    constrained_metrics = _capper(node, rows, retain_power_grid)(chip_top_index)
+    constrained_metrics = capped(chip_top_index)
     baseline_design = DesignParams(baseline_area, yield_fraction)
     constrained_design = DesignParams(constrained_area, yield_fraction)
     baseline_chip = chip_pfas(baseline_metrics, baseline_design)
@@ -355,6 +321,7 @@ def normalize_trend(series: TrendSeries, reference: str) -> TrendSeries:
     The reference node maps to exactly 1.0, which also makes the operation
     idempotent for a fixed reference.
     """
+    check_type(isinstance(series, TrendSeries), "series", "a TrendSeries", series)
     values = series.values()
     if reference not in values:
         raise TrendReferenceError(

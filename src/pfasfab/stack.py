@@ -21,7 +21,7 @@ from .catalog import (
     STEP_FIELDS,
     ProcessCatalog,
 )
-from .errors import StackValidationError
+from .errors import StackValidationError, check_type
 from .value import Value, finite, set_field
 
 TAG_ROUTING = "routing"
@@ -72,9 +72,6 @@ class LayerSpec(Value):
     _defaults = {"pitch_nm": None, "metal_process": None, "via_process": None,
                  "tags": frozenset()}
 
-    def process_ids(self) -> tuple[str, ...]:
-        return tuple([p for p in (self.metal_process, self.via_process) if p is not None])
-
     @property
     def is_power_grid(self) -> bool:
         return TAG_POWER_GRID in self.tags
@@ -88,24 +85,11 @@ class StackSpec(Value):
     def __post_init__(self):
         set_field(self, "layers", tuple(self.layers))
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(layer.name for layer in self.layers)
-
     def layer(self, name: str) -> LayerSpec:
         for layer in self.layers:
             if layer.name == name:
                 return layer
         raise KeyError(name)
-
-    def beol_layers(self) -> tuple[LayerSpec, ...]:
-        return tuple(l for l in self.layers if l.region is Region.BEOL)
-
-    def routing_beol_layers(self) -> tuple[LayerSpec, ...]:
-        return tuple(l for l in self.beol_layers() if not l.is_power_grid)
-
-    def top_routing_layer(self) -> str | None:
-        routing = self.routing_beol_layers()
-        return routing[-1].name if routing else None
 
 
 def _shown(value) -> str:
@@ -192,6 +176,8 @@ def stack_violations(stack: StackSpec, catalog: ProcessCatalog = DEFAULT_CATALOG
     formats no message (``_accepts``); only a stack that pass does not
     accept is walked again, rule by rule, to explain what is wrong.
     """
+    check_type(isinstance(stack, StackSpec), "stack", "a StackSpec", stack)
+    check_type(isinstance(catalog, ProcessCatalog), "catalog", "a ProcessCatalog", catalog)
     return [] if _accepts(stack, catalog) else _explain(stack, catalog)
 
 
@@ -313,6 +299,7 @@ def layer_table(
     equals its total mask count. A one-process layer's ``total_steps`` is
     that process's own (immutable) StepCounts.
     """
+    check_type(isinstance(weights, EnergyWeights), "weights", "an EnergyWeights", weights)
     validate_stack(stack, catalog)
     lookup = catalog.lookup
     per_mask = tuple([weights.per_mask(exposure) for exposure in ExposureClass])
@@ -352,6 +339,7 @@ def derive_layer_metrics(
     """Masks, steps, and relative litho energy for one layer, from the
     ``layer_table`` row of a stack holding only that layer; a layer that
     breaks a rule raises StackValidationError with its violations."""
+    check_type(isinstance(layer, LayerSpec), "layer", "a LayerSpec", layer)
     return layer_table(StackSpec("", (layer,)), catalog, weights)[0][1]
 
 

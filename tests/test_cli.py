@@ -123,8 +123,10 @@ def test_stack_file_holding_a_config_document_hints_config(monkeypatch):
     proc = run_main("analyze", "--stack", stack_file, "--area", "1", "--yield", "1")
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [
-        "error: <document>: stack object needs either a 'preset' or inline 'layers'",
-        "error: <document>: a config document with a stack section; pass it with --config",
+        f"error: {stack_file}: <document>: stack object needs either a 'preset' or inline "
+        "'layers'",
+        f"error: {stack_file}: <document>: a config document with a stack section; pass it "
+        "with --config",
     ]
     assert run_main("analyze", "--config", stack_file, "--area", "1", "--yield", "1").returncode == 0
 
@@ -135,8 +137,8 @@ def test_stack_file_preset_reference_takes_only_a_preset_name(tmp_path):
     path.write_text(json.dumps({"preset": inline}))
     proc = run_main("analyze", "--stack", str(path), "--area", "1", "--yield", "1")
     assert proc.returncode == 1
-    assert proc.stderr == ("error: preset: must be a preset name (asap7, n7_euv, n7_duv), "
-                           "got an object\n")
+    assert proc.stderr == (f"error: {path}: preset: must be a preset name (asap7, n7_euv, "
+                           "n7_duv), got an object\n")
 
 
 def test_soc_report():
@@ -295,6 +297,35 @@ def test_power_grid_target_exits_one_naming_the_routing_layers(args):
     assert proc.stdout == ""
 
 
+def test_empty_stack_target_error_reads_none():
+    proc = run_main("sweep", "--stack", str(REPO_ROOT / "tests/data/empty_stack.json"),
+                    "--targets", "M1")
+    assert proc.returncode == 1
+    assert proc.stderr == "error: target 'M1' is not a BEOL layer of empty; BEOL layers: none\n"
+    assert proc.stdout == ""
+
+
+def test_a_stack_file_that_is_not_json_is_named(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("[", encoding="utf-8")
+    proc = run_main("compare", "asap7", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {path}: line 1, column 2: invalid JSON: Expecting value\n"
+    assert proc.stdout == ""
+
+
+def test_carbon_profile_errors_name_the_file(monkeypatch):
+    monkeypatch.chdir(REPO_ROOT)
+    profile = "configs/soc_trainer.json"  # a config document, not a profile
+    proc = run_main("analyze", "--stack", "asap7", "--area", "1", "--yield", "1",
+                    "--carbon-profile", profile)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 5
+    assert lines[0] == f"error: {profile}: carbon_intensity: required field is missing"
+    assert all(line.startswith(f"error: {profile}: ") for line in lines)
+
+
 def test_huge_config_number_exits_one_naming_field(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(
@@ -383,7 +414,7 @@ def test_stack_file_unknown_keys_warn_or_fail_in_strict_mode(tmp_path):
     strict = run_main("compare", str(path), "asap7", "--strict")
     assert strict.returncode == 1
     assert strict.stdout == ""
-    assert strict.stderr == f"error: colour: unknown key 'colour' {known}\n"
+    assert strict.stderr == f"error: {path}: colour: unknown key 'colour' {known}\n"
 
 
 def test_stack_file_errors_are_located_from_its_top_level(tmp_path):
@@ -394,12 +425,14 @@ def test_stack_file_errors_are_located_from_its_top_level(tmp_path):
     proc = run_main("compare", str(path), "asap7", "--strict")
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [
-        "error: colour: unknown key 'colour' (known: layers, schema_version, technology_node)",
-        "error: layers[0].pitch_nm: must be a number or null, got 'x'",
+        f"error: {path}: colour: unknown key 'colour' (known: layers, schema_version, "
+        "technology_node)",
+        f"error: {path}: layers[0].pitch_nm: must be a number or null, got 'x'",
     ]
     path.write_text("[]", encoding="utf-8")
     proc = run_main("compare", str(path), "asap7")
-    assert proc.stderr == "error: <document>: stack must be a preset name or an object, got []\n"
+    assert proc.stderr == (f"error: {path}: <document>: stack must be a preset name or an "
+                           "object, got []\n")
 
 
 def test_invalid_stack_file_reports_violations(tmp_path):

@@ -5,6 +5,8 @@ and ``NaN`` are, with a DomainError instead of an OverflowError later on."""
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pfasfab import (
     CarbonParams,
@@ -21,17 +23,25 @@ from pfasfab import (
     StepCounts,
     TrendSeries,
     Violation,
+    DEFAULT_CATALOG,
+    DEFAULT_WEIGHTS,
     asap7_preset,
+    carbon_band,
     chip_pfas,
     compare_stacks,
     compose_soc,
+    derive_layer_metrics,
     embodied_carbon,
+    estimate_carbon,
+    normalize_trend,
     stack_metrics,
+    stack_violations,
     sweep_beol,
     validate_ci_band,
     validate_stack,
 )
 from pfasfab.catalog import ProcessClass
+from pfasfab.stack import layer_table
 
 CARBON_FIELDS = ("carbon_intensity", "energy_per_unit_litho", "energy_per_area_base",
                  "gas_per_area", "material_per_area")
@@ -194,3 +204,79 @@ def test_a_wrong_typed_design_comes_before_stack_errors():
         with pytest.raises(DomainError) as info:
             call()
         assert [field for field, _ in info.value.fields] == ["design"]
+
+
+@pytest.mark.parametrize("field, call", [
+    ("carbon_params", lambda bad: sweep_beol(bad, ["M1"], carbon_params=1.0)),
+    ("ci_band", lambda bad: sweep_beol(bad, ["M1"], ci_band=(1.0,))),
+    ("blocks", lambda bad: compose_soc(["a"], bad, "M1")),
+    ("carbon_params", lambda bad: compose_soc([SocBlock("a", 0.5, "M1")], bad, "M1",
+                                              carbon_params=1.0)),
+    ("ci_band", lambda bad: compose_soc([SocBlock("a", 0.5, "M1")], bad, "M1", ci_band=1.0)),
+], ids=["sweep-carbon_params", "sweep-ci_band", "soc-blocks", "soc-carbon_params",
+        "soc-ci_band"])
+def test_wrong_typed_carbon_or_blocks_come_before_stack_errors(field, call):
+    bad = StackSpec("t", [LayerSpec("M1", Region.BEOL, math.inf, "EUV_LE")])
+    with pytest.raises(DomainError) as info:
+        call(bad)
+    assert [f for f, _ in info.value.fields] == [field]
+
+
+_ASAP7 = asap7_preset()
+_METRICS = stack_metrics(_ASAP7)
+_DESIGN = DesignParams(1.0, 0.875)
+_PROFILE = CarbonParams(0.5, 1.0, 1.0, 0.1, 0.1)
+_BLOCKS = [SocBlock("a", 0.5, "M3")]
+
+# Each parameter checked once per call: (call with the bad value x, a value of
+# another library type, whether None is allowed, what its message wants).
+PARAMETERS = {
+    "stack_violations.stack": (stack_violations, _ASAP7.layers[0], False, "a StackSpec"),
+    "stack_violations.catalog": (lambda x: stack_violations(_ASAP7, x), DEFAULT_WEIGHTS,
+                                 False, "a ProcessCatalog"),
+    "layer_table.weights": (lambda x: layer_table(_ASAP7, DEFAULT_CATALOG, x), DEFAULT_CATALOG,
+                            False, "an EnergyWeights"),
+    "derive_layer_metrics.layer": (derive_layer_metrics, _ASAP7, False, "a LayerSpec"),
+    "chip_pfas.metrics": (lambda x: chip_pfas(x, _DESIGN), _DESIGN, False, "a StackMetrics"),
+    "chip_pfas.design": (lambda x: chip_pfas(_METRICS, x), _METRICS, False, "a DesignParams"),
+    "embodied_carbon.params": (lambda x: embodied_carbon(_METRICS, _DESIGN, x), _DESIGN, False,
+                               "a CarbonParams"),
+    "carbon_band.params": (lambda x: carbon_band(_METRICS, _DESIGN, x, 0.1, 0.5), _DESIGN,
+                           False, "a CarbonParams"),
+    "estimate_carbon.params": (lambda x: estimate_carbon(_METRICS, _DESIGN, x), _DESIGN, True,
+                               "a CarbonParams or None"),
+    "normalize_trend.series": (lambda x: normalize_trend(x, "7nm"), {"7nm": 1.0}, False,
+                               "a TrendSeries"),
+    "sweep_beol.carbon_params": (lambda x: sweep_beol(_ASAP7, ["M3"], design=_DESIGN,
+                                                      carbon_params=x),
+                                 _DESIGN, True, "a CarbonParams or None"),
+    "sweep_beol.ci_band": (lambda x: sweep_beol(_ASAP7, ["M3"], design=_DESIGN,
+                                                carbon_params=_PROFILE, ci_band=x),
+                           {"low": 0.1, "high": 0.5}, True, "None or a two-item list or tuple"),
+    "compose_soc.blocks": (lambda x: compose_soc(x, _ASAP7, "M3"), _BLOCKS[0], False,
+                           "a non-empty list or tuple of SocBlock"),
+    "compose_soc.carbon_params": (lambda x: compose_soc(_BLOCKS, _ASAP7, "M3", design=_DESIGN,
+                                                        carbon_params=x),
+                                  _DESIGN, True, "a CarbonParams or None"),
+    "compose_soc.ci_band": (lambda x: compose_soc(_BLOCKS, _ASAP7, "M3", design=_DESIGN,
+                                                  carbon_params=_PROFILE, ci_band=x),
+                            (0.1,), True, "None or a two-item list or tuple"),
+}
+# No list is a valid value of any of them but a two-item band, so the lists
+# drawn here never have two items.
+_JUNK = (st.text(max_size=4) | st.lists(st.integers(), max_size=4).filter(lambda v: len(v) != 2)
+         | st.integers() | st.floats())
+
+
+@pytest.mark.guard
+@pytest.mark.parametrize("case", PARAMETERS)
+@given(data=st.data())
+def test_a_wrong_typed_argument_is_a_domain_error_naming_its_parameter(case, data):
+    call, other_type, none_allowed, wanted = PARAMETERS[case]
+    junk = _JUNK | st.just(other_type)
+    value = data.draw(junk if none_allowed else junk | st.none())
+    field = case.split(".")[1]
+    with pytest.raises(DomainError) as info:
+        call(value)
+    assert type(info.value) is DomainError
+    assert info.value.fields == ((field, f"{field} must be {wanted}, got {value!r}"),)

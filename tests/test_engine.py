@@ -13,13 +13,19 @@ from pfasfab import (
     StackSpec,
     StepCounts,
     asap7_preset,
+    beol_index,
     chip_pfas,
     derive_layer_metrics,
     n7_fixture,
     stack_metrics,
     stack_violations,
     step_totals,
+    sweep_beol,
 )
+from pfasfab.engine import capper
+from pfasfab.stack import layer_table
+
+from conftest import random_stacks
 
 from table_data import (
     asap7_exposure_split,
@@ -69,6 +75,20 @@ def test_empty_stack_zeroes():
     metrics = stack_metrics(empty)
     assert metrics.total_pfas_layers == 0
     assert metrics.total_litho_energy == 0.0
+
+
+_PRESET_STACKS = st.sampled_from([asap7_preset(), n7_fixture("duv"), StackSpec("empty", ())])
+
+
+@given(stack=random_stacks() | _PRESET_STACKS, retain=st.booleans())
+def test_the_capper_maps_each_routing_layer_to_its_index_in_stack_order(stack, retain):
+    want = {l.name: beol_index(l.name) for l in stack.layers
+            if l.region is Region.BEOL and not l.is_power_grid}
+    routing = capper(stack.technology_node, layer_table(stack), retain)[1]
+    assert list(routing.items()) == list(want.items())
+    # The sweep's baseline is capped at the topmost routing layer.
+    baseline = sweep_beol(stack, [], retain_power_grid=retain)[0]
+    assert baseline.top_routing_layer == (list(want)[-1] if want else None)
 
 
 def test_single_sadp_layer_step_totals():

@@ -16,7 +16,9 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from pfasfab import CarbonParams, DesignParams, SocBlock, compare_stacks, compose_soc, sweep_beol
+from pfasfab import (
+    CarbonParams, DesignParams, Region, SocBlock, compare_stacks, compose_soc, sweep_beol,
+)
 from pfasfab.config import stack_to_dict, to_dict
 
 from conftest import NON_INTEGER_WEIGHTS, REPO_ROOT, random_stacks, run_main
@@ -70,7 +72,8 @@ def _assert_agree(want, got):
 @given(stack=random_stacks(), retain=st.booleans(), weights=NON_INTEGER_WEIGHTS,
        design=st.none() | _DESIGNS, params=st.none() | _CARBON, band=_BANDS, data=st.data())
 def test_sweep_matches_reference(stack, retain, weights, design, params, band, data):
-    routing = [l.name for l in stack.routing_beol_layers()]  # a target is a routing layer
+    # a target is a routing layer
+    routing = [l.name for l in stack.layers if l.region is Region.BEOL and not l.is_power_grid]
     assume(routing)
     targets = data.draw(st.lists(st.sampled_from(routing), min_size=1, unique=True))
     points = sweep_beol(stack, targets, retain, weights=weights, design=design,
@@ -90,7 +93,7 @@ def test_compare_matches_reference(a, b, weights):
 @given(stack=random_stacks(), retain=st.booleans(), weights=NON_INTEGER_WEIGHTS,
        design=st.none() | _DESIGNS, params=st.none() | _CARBON, band=_BANDS, data=st.data())
 def test_soc_matches_reference(stack, retain, weights, design, params, band, data):
-    routing = [l.name for l in stack.routing_beol_layers()]
+    routing = [l.name for l in stack.layers if l.region is Region.BEOL and not l.is_power_grid]
     assume(routing)
     target = data.draw(st.sampled_from(routing))
     blocks = data.draw(st.lists(st.builds(

@@ -125,6 +125,23 @@ _GRID_TARGET = ("target 'M8' is a power-grid layer of 7nm-ASAP7, not a routing l
                 "routing layers: M1, M2, M3, M4, M5, M6, M7")
 
 
+_GRID_ONLY = StackSpec("grid", (LayerSpec("M1", Region.BEOL, None, "ArFi_LE", None,
+                                         frozenset({TAG_POWER_GRID})),))
+
+
+@pytest.mark.parametrize("stack, message", [
+    (StackSpec("empty", ()), "target 'M1' is not a BEOL layer of empty; BEOL layers: none"),
+    (_GRID_ONLY, "target 'M1' is a power-grid layer of grid, not a routing layer; "
+                 "routing layers: none"),
+], ids=["no-beol", "no-routing"])
+def test_a_target_error_reads_none_for_an_empty_layer_list(stack, message):
+    for call in (lambda: sweep_beol(stack, ["M1"]),
+                 lambda: compose_soc([SocBlock("a", 0.5, "M1")], stack, "M1")):
+        with pytest.raises(UnknownTargetError) as excinfo:
+            call()
+        assert str(excinfo.value) == message
+
+
 def test_sweep_power_grid_target_rejected(asap7):
     # A cap counts routing layers only: an M8 point would end at M7.
     for retain in (False, True):
@@ -221,7 +238,7 @@ def _layer_by_layer(stack, weights):
     total_steps, energy, per_layer = StepCounts(), 0.0, []
     for layer in stack.layers:
         steps, masks, layer_energy = StepCounts(), 0, 0.0
-        for pid in layer.process_ids():
+        for pid in [p for p in (layer.metal_process, layer.via_process) if p is not None]:
             proc = DEFAULT_CATALOG.lookup(pid)
             steps = steps + proc.steps
             masks += proc.masks
@@ -254,7 +271,8 @@ def test_compared_metrics_equal_fresh_evaluation(a, b, weights):
 @pytest.mark.guard
 @given(stack=random_stacks(), retain=st.booleans(), data=st.data(), weights=NON_INTEGER_WEIGHTS)
 def test_sweep_points_equal_fresh_evaluation(stack, retain, data, weights):
-    routing = [l.name for l in stack.routing_beol_layers()]  # a target is a routing layer
+    # a target is a routing layer
+    routing = [l.name for l in stack.layers if l.region is Region.BEOL and not l.is_power_grid]
     assume(routing)
     targets = data.draw(st.lists(st.sampled_from(routing), min_size=1, unique=True))
     points = sweep_beol(stack, targets, retain_power_grid=retain, weights=weights)
@@ -262,15 +280,15 @@ def test_sweep_points_equal_fresh_evaluation(stack, retain, data, weights):
     for point in points:
         top = point.top_routing_layer
         expected = _truncate_beol(stack, beol_index(top) if top else None, retain)
-        assert [lm.name for lm in point.metrics.per_layer] == list(expected.names())
+        assert [lm.name for lm in point.metrics.per_layer] == [l.name for l in expected.layers]
         _assert_fresh(point.metrics, expected, weights)
 
 
 @pytest.mark.guard
 @given(stack=random_stacks(), retain=st.booleans(), data=st.data(), weights=NON_INTEGER_WEIGHTS)
 def test_soc_metrics_equal_fresh_evaluation(stack, retain, data, weights):
-    beol = [l.name for l in stack.beol_layers()]
-    routing = [l.name for l in stack.routing_beol_layers()]
+    beol = [l.name for l in stack.layers if l.region is Region.BEOL]
+    routing = [l.name for l in stack.layers if l.region is Region.BEOL and not l.is_power_grid]
     assume(routing)
     target = data.draw(st.sampled_from(routing))
     required = data.draw(st.lists(st.sampled_from(beol), min_size=1, max_size=3))
@@ -308,8 +326,8 @@ _CAPPING_STACKS = {
 def test_every_cap_equals_the_explicitly_capped_stack(name, retain):
     stack = _CAPPING_STACKS[name]
     weights = EnergyWeights(per_euv_mask=7.3, per_duv_mask=0.45)  # not integers
-    beol = [l.name for l in stack.beol_layers()]
-    routing = [l.name for l in stack.routing_beol_layers()]
+    beol = [l.name for l in stack.layers if l.region is Region.BEOL]
+    routing = [l.name for l in stack.layers if l.region is Region.BEOL and not l.is_power_grid]
     points = sweep_beol(stack, routing, retain_power_grid=retain, weights=weights)
     for point in points:
         top = point.top_routing_layer

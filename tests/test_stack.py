@@ -42,11 +42,13 @@ def test_asap7_rows_match_golden(row):
 def test_asap7_shape(asap7):
     assert asap7.technology_node == "7nm-ASAP7"
     assert len(asap7.layers) == 16
-    assert asap7.names() == tuple(row[0] for row in ASAP7_ROWS)
-    assert len(asap7.beol_layers()) == 9
-    assert [l.name for l in asap7.routing_beol_layers()] == [f"M{k}" for k in range(1, 8)]
+    assert tuple([l.name for l in asap7.layers]) == tuple(row[0] for row in ASAP7_ROWS)
+    beol = [l for l in asap7.layers if l.region is Region.BEOL]
+    routing = [l.name for l in beol if not l.is_power_grid]
+    assert len(beol) == 9
+    assert routing == [f"M{k}" for k in range(1, 8)]
     assert asap7.layer("M8").is_power_grid and asap7.layer("M9").is_power_grid
-    assert asap7.top_routing_layer() == "M7"
+    assert routing[-1] == "M7"
 
 
 def test_preset_is_valid(asap7):
@@ -175,7 +177,8 @@ def test_non_string_name_is_one_bad_name_violation():
 
 def test_beol_out_of_order(asap7):
     layers = list(asap7.layers)
-    i, j = asap7.names().index("M1"), asap7.names().index("M2")
+    names = [l.name for l in asap7.layers]
+    i, j = names.index("M1"), names.index("M2")
     layers[i], layers[j] = layers[j], layers[i]
     violations = stack_violations(StackSpec(asap7.technology_node, tuple(layers)))
     assert [ (v.layer, v.rule) for v in violations ] == [("M1", "beol-order")]

@@ -235,7 +235,7 @@ def test_construct_by_keyword(sample):
 
 def test_defaults():
     assert StepCounts() == StepCounts(0, 0, 0, 0, 0, 0)
-    assert StepCounts(1, 2).as_tuple() == (1, 2, 0, 0, 0, 0)
+    assert StepCounts(1, 2)._astuple() == (1, 2, 0, 0, 0, 0)
     assert EnergyWeights() == EnergyWeights(10.0, 1.0)
     assert EnergyWeights(per_duv_mask=2.0) == EnergyWeights(10.0, 2.0)
     assert CarbonResult(1.0) == CarbonResult(1.0, None, None)
@@ -285,7 +285,8 @@ def test_signature(sample):
 def test_layer_spec_defaults():
     layer = LayerSpec("V1", Region.BEOL, via_process="EUV_LE")
     assert layer == LayerSpec("V1", Region.BEOL, None, None, "EUV_LE", frozenset())
-    assert layer.process_ids() == ("EUV_LE",) and not layer.is_power_grid
+    assert (layer.metal_process, layer.via_process) == (None, "EUV_LE")
+    assert not layer.is_power_grid
 
 
 def test_defaults_must_name_the_trailing_fields():
