@@ -37,10 +37,10 @@ class DesignParams(Value):
     def __post_init__(self):
         failed = []
         if not (finite(self.area_cm2) and self.area_cm2 > 0):
-            failed.append(("area_cm2", f"area_cm2 must be finite and > 0, got {self.area_cm2}"))
-        if not 0 < self.yield_fraction <= 1:
+            failed.append(("area_cm2", f"area_cm2 must be finite and > 0, got {self.area_cm2!r}"))
+        if not (finite(self.yield_fraction) and 0 < self.yield_fraction <= 1):
             failed.append(("yield_fraction", "yield must be within (0, 1] (the 0 - 1 range "
-                           f"with zero excluded), got {self.yield_fraction}"))
+                           f"with zero excluded), got {self.yield_fraction!r}"))
         DomainError.check(failed)
 
 
@@ -71,24 +71,27 @@ _REGIONS = tuple(Region)
 _EXPOSURES = tuple(ExposureClass)
 
 
-def metrics_from_totals(
-    technology_node: str,
-    litho_energy: float,
-    counts: Sequence[int],
-    per_layer: tuple[LayerMetrics, ...],
-) -> StackMetrics:
-    """The one StackMetrics builder, from a stack's litho energy, its rows'
-    column sums (``stack.layer_table`` ``counts`` layout) and its per-layer
-    metrics; an energy that overflows raises DomainError."""
+def metrics_from_totals(node: str, counts: Sequence[int], per_layer: tuple[LayerMetrics, ...],
+                        weights: EnergyWeights) -> StackMetrics:
+    """The one StackMetrics builder, from a stack's rows' column sums
+    (``layer_table`` ``counts`` layout) and per-layer metrics. The one place
+    a stack's litho energy is computed: DUV (dry and immersion) masks times
+    the DUV weight plus EUV masks times the EUV weight, from 0.0 so that it
+    is a float for integer weights too; beyond float range, DomainError."""
+    dry, immersion, euv = by_exposure = counts[REGIONS_END:]
+    try:
+        litho_energy = 0.0 + (dry + immersion) * weights.per_duv_mask + euv * weights.per_euv_mask
+    except OverflowError:  # a mask total too large to convert to a float
+        litho_energy = math.inf
     if not math.isfinite(litho_energy):
-        raise DomainError(f"total litho energy of {technology_node} overflows to {litho_energy}")
+        raise DomainError(f"total litho energy of {node} overflows to {litho_energy}")
     total_steps = StepCounts(*counts[:STEPS_END])
     by_region = counts[STEPS_END:REGIONS_END]
     return StackMetrics(
-        technology_node=technology_node,
+        technology_node=node,
         total_pfas_layers=sum(by_region),
         by_region=dict(zip(_REGIONS, by_region)),
-        by_exposure=dict(zip(_EXPOSURES, counts[REGIONS_END:])),
+        by_exposure=dict(zip(_EXPOSURES, by_exposure)),
         total_steps=total_steps,
         total_litho_steps=total_steps.litho,
         total_litho_energy=litho_energy,
@@ -96,18 +99,13 @@ def metrics_from_totals(
     )
 
 
-def metrics_from_rows(technology_node: str, rows: Sequence[tuple]) -> StackMetrics:
+def metrics_from_rows(node: str, rows: Sequence[tuple], weights: EnergyWeights) -> StackMetrics:
     """Totals and breakdowns summed over ``layer_table`` rows."""
-    litho_energy = 0.0
-    per_layer = []
-    for _, metrics, _ in rows:  # in stack order, so the float sum is the layer-by-layer one
-        litho_energy += metrics.litho_energy
-        per_layer.append(metrics)
     counts = [sum(column) for column in zip(*[row[2] for row in rows])] or (0,) * COUNTS_END
-    return metrics_from_totals(technology_node, litho_energy, counts, tuple(per_layer))
+    return metrics_from_totals(node, counts, tuple([row[1] for row in rows]), weights)
 
 
-def capper(node: str, rows: Sequence[tuple], retain_power_grid: bool):
+def capper(node: str, rows: Sequence[tuple], retain_power_grid: bool, weights: EnergyWeights):
     """``(capped, routing)`` for a stack's ``layer_table`` rows: ``routing``
     maps each routing row's label to its BEOL index, in stack order, and
     ``capped(top_index)`` is the StackMetrics of the rows kept when BEOL
@@ -116,37 +114,34 @@ def capper(node: str, rows: Sequence[tuple], retain_power_grid: bool):
     A cap keeps every FEOL and MOL row, each routing row whose BEOL index is
     at most the cap, and power-grid rows only with retention. Routing
     indices rise in stack order (the ``beol-order`` rule), so that is the
-    prefix before the first routing row above the cap, read from running
-    totals, plus the retained power-grid rows after it, added one by one.
-    Both add in stack order, so every float is the layer-by-layer sum's.
+    prefix before the first routing row above the cap, plus the retained
+    power-grid rows after it, both read from integer running totals.
     """
-    per_layer, energies, totals = [], [0.0], [(0,) * COUNTS_END]
-    routing, routing_at, grid_at, grid = {}, [], [], []
-    for row in rows:
-        spec, metrics, counts = row
+    zero = (0,) * COUNTS_END
+    per_layer, totals, grid_totals = [], [zero], [zero]
+    routing, routing_at, grid_at = {}, [], []
+    for spec, metrics, counts in rows:
         if spec.region is Region.BEOL:
             if not spec.is_power_grid:
                 routing_at.append(len(per_layer))
                 routing[spec.name] = beol_index(spec.name)
             elif retain_power_grid:
                 grid_at.append(len(per_layer))
-                grid.append(row)
+                grid_totals.append(tuple([a + b for a, b in zip(grid_totals[-1], counts)]))
             else:
                 continue
         per_layer.append(metrics)
-        energies.append(energies[-1] + metrics.litho_energy)
         totals.append(tuple([a + b for a, b in zip(totals[-1], counts)]))
     routing_at.append(len(per_layer))  # a cap at or above every routing layer keeps all
     routing_index = [*routing.values()]
 
     def capped(top_index: int | None) -> StackMetrics:
         end = routing_at[bisect_right(routing_index, top_index or 0)]
-        energy, counts, layers = energies[end], totals[end], per_layer[:end]
-        for _, metrics, row_counts in grid[bisect_left(grid_at, end):]:
-            energy += metrics.litho_energy
-            counts = tuple([a + b for a, b in zip(counts, row_counts)])
-            layers.append(metrics)
-        return metrics_from_totals(node, energy, counts, tuple(layers))
+        first = bisect_left(grid_at, end)  # the first retained power-grid row above the cap
+        counts = [kept + grid - below for kept, grid, below
+                  in zip(totals[end], grid_totals[-1], grid_totals[first])]
+        layers = per_layer[:end] + [per_layer[i] for i in grid_at[first:]]
+        return metrics_from_totals(node, counts, tuple(layers), weights)
 
     return capped, routing
 
@@ -159,14 +154,17 @@ def stack_metrics(
     """Totals and FEOL/MOL/BEOL and exposure-class breakdowns for a stack;
     an invalid stack raises StackValidationError (``layer_table``)."""
     rows = layer_table(stack, catalog, weights)  # checks the stack's type first
-    return metrics_from_rows(stack.technology_node, rows)
+    return metrics_from_rows(stack.technology_node, rows, weights)
 
 
 def chip_pfas(metrics: StackMetrics, design: DesignParams) -> ChipPfas:
     """Scale stack PFAS layers to one good chip: layers x area / yield."""
     check_type(isinstance(metrics, StackMetrics), "metrics", "a StackMetrics", metrics)
     check_type(isinstance(design, DesignParams), "design", "a DesignParams", design)
-    value = metrics.total_pfas_layers * design.area_cm2 / design.yield_fraction
+    try:
+        value = metrics.total_pfas_layers * design.area_cm2 / design.yield_fraction
+    except OverflowError:  # a layer total too large to convert to a float
+        value = math.inf
     if not math.isfinite(value):
         raise DomainError(f"chip PFAS overflows: {metrics.total_pfas_layers} layers x "
                           f"{design.area_cm2} cm2 / yield {design.yield_fraction} is {value}")

@@ -76,9 +76,11 @@ class SweepPoint(Value):
     _defaults = {"chip": None, "carbon": None}
 
 
-def _check_model(design, carbon_params, ci_band):
+def _check_model(retain_power_grid, design, carbon_params, ci_band):
     """Before the stack is validated, as its type is; targets come after.
     ``validate_ci_band`` checks the band's numbers."""
+    check_type(isinstance(retain_power_grid, bool), "retain_power_grid", "a bool",
+               retain_power_grid)
     check_type(design is None or isinstance(design, DesignParams), "design",
                "a DesignParams or None", design)
     check_type(carbon_params is None or isinstance(carbon_params, CarbonParams),
@@ -126,16 +128,16 @@ def sweep_beol(
     routing layer, which with power-grid retention on is the unmodified
     stack. Target points follow in descending layer order. Chip scaling
     and carbon are filled in when ``design`` / ``carbon_params`` are given.
-    Each layer is derived once. Running totals over the rows give each
-    point's totals in one lookup, plus one addition per retained power-grid
-    layer above its cap, instead of a sum over every row it keeps.
+    Each layer is derived once. Integer running totals over the rows give
+    each point's totals in a few lookups, instead of a sum over every row it
+    keeps.
     """
     check_type(isinstance(stack, StackSpec), "stack", "a StackSpec", stack)
-    _check_model(design, carbon_params, ci_band)
+    _check_model(retain_power_grid, design, carbon_params, ci_band)
     rows = layer_table(stack, catalog, weights)
     check_type(isinstance(targets, (list, tuple)) and all([isinstance(t, str) for t in targets]),
                "targets", "a list or tuple of layer label strings", targets)
-    capped, routing = capper(stack.technology_node, rows, retain_power_grid)
+    capped, routing = capper(stack.technology_node, rows, retain_power_grid, weights)
     resolved = _resolve_targets(stack, routing, targets)
 
     def point(label: str | None, top_index: int | None) -> SweepPoint:
@@ -170,7 +172,12 @@ class SocBlock(Value):
         if beol_index(self.required_top_layer) is None:
             failed.append(("required_top_layer", f"block {name!r}: required_top_layer must "
                            f"be a BEOL label M<k>, got {self.required_top_layer!r}"))
-        for target, factor in self.area_overhead.items():
+        overhead = self.area_overhead
+        if not isinstance(overhead, dict):
+            failed.append(("area_overhead", f"block {name!r}: area_overhead must be a dict of "
+                           f"BEOL labels to factors, got {overhead!r}"))
+            overhead = {}
+        for target, factor in overhead.items():
             if beol_index(target) is None:
                 failed.append((f"area_overhead.{target}", f"block {name!r}: area_overhead "
                                f"keys must be BEOL labels M<k>, got {target!r}"))
@@ -234,10 +241,10 @@ def compose_soc(
                and all([isinstance(block, SocBlock) for block in blocks]),
                "blocks", "a non-empty list or tuple of SocBlock", blocks)
     check_type(isinstance(chip_stack, StackSpec), "chip_stack", "a StackSpec", chip_stack)
-    _check_model(design, carbon_params, ci_band)
+    _check_model(retain_power_grid, design, carbon_params, ci_band)
     rows = layer_table(chip_stack, catalog, weights)
     check_type(isinstance(target_top, str), "target_top", "a layer label string", target_top)
-    capped, routing = capper(chip_stack.technology_node, rows, retain_power_grid)
+    capped, routing = capper(chip_stack.technology_node, rows, retain_power_grid, weights)
     target_index = _resolve_targets(chip_stack, routing, [target_top])[target_top]
     yield_fraction = design.yield_fraction if design is not None else 1.0
 
@@ -267,7 +274,7 @@ def compose_soc(
             raise DomainError(f"{side} SoC area overflows: the sum of the {len(blocks)} "
                               f"{side} block areas is {area}")
     node = chip_stack.technology_node
-    baseline_metrics = metrics_from_rows(node, rows)
+    baseline_metrics = metrics_from_rows(node, rows, weights)
     constrained_metrics = capped(chip_top_index)
     baseline_design = DesignParams(baseline_area, yield_fraction)
     constrained_design = DesignParams(constrained_area, yield_fraction)
@@ -302,7 +309,12 @@ class TrendSeries(Value):
     _defaults = {"reference": None}
 
     def __post_init__(self):
-        points = [(str(n), v) for n, v in self.points]
+        try:
+            points = [(str(n), v) for n, v in self.points]
+        except (TypeError, ValueError):  # not iterable, or an entry that is not a pair
+            points = None
+        check_type(points is not None, "points", "an iterable of (node label, value) pairs",
+                   self.points)
         labels = [n for n, _ in points]
         if len(labels) != len(set(labels)):
             raise DomainError("trend series has duplicate node labels")

@@ -21,7 +21,7 @@ from .catalog import (
     STEP_FIELDS,
     ProcessCatalog,
 )
-from .errors import StackValidationError, check_type
+from .errors import DomainError, StackValidationError, check_type
 from .value import Value, finite, set_field
 
 TAG_ROUTING = "routing"
@@ -83,7 +83,15 @@ class StackSpec(Value):
     __slots__ = ("technology_node", "layers")
 
     def __post_init__(self):
-        set_field(self, "layers", tuple(self.layers))
+        # Checked here, once, so that the stack rules can read every layer's fields.
+        try:
+            layers = tuple(self.layers)
+        except TypeError:  # not iterable
+            layers = None
+        if layers is None or not all([isinstance(layer, LayerSpec) for layer in layers]):
+            DomainError.check([("layers", "layers must be an iterable of LayerSpec, "
+                                          f"got {_shown(self.layers)}")])
+        set_field(self, "layers", layers)
 
     def layer(self, name: str) -> LayerSpec:
         for layer in self.layers:

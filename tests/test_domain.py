@@ -114,6 +114,24 @@ def test_process_counts_are_integers(masks, steps, field, got):
     assert [f for f, _ in info.value.fields] == [field]
 
 
+@pytest.mark.parametrize("build, field", [
+    (lambda: DesignParams(1.0, None), "yield_fraction"),
+    (lambda: DesignParams(1.0, "0.5"), "yield_fraction"),
+    (lambda: DesignParams("1.0", 0.5), "area_cm2"),
+    (lambda: SocBlock("a", 1.0, "M3", [1, 2]), "area_overhead"),
+    (lambda: TrendSeries(points=5), "points"),
+    (lambda: TrendSeries(points=(("7nm",),)), "points"),
+    (lambda: StackSpec("x", None), "layers"),
+    (lambda: StackSpec("x", ["M1"]), "layers"),
+], ids=["yield-None", "yield-str", "area-str", "overhead-list", "points-int", "points-single",
+        "layers-None", "layers-str-entry"])
+def test_a_malformed_constructor_argument_is_a_domain_error_naming_its_field(build, field):
+    with pytest.raises(DomainError) as info:
+        build()
+    assert type(info.value) is DomainError
+    assert [f for f, _ in info.value.fields] == [field]
+
+
 def test_huge_ints_that_used_to_overflow_raise_domain_errors():
     asap7 = asap7_preset()
     metrics = stack_metrics(asap7)
@@ -213,8 +231,11 @@ def test_a_wrong_typed_design_comes_before_stack_errors():
     ("carbon_params", lambda bad: compose_soc([SocBlock("a", 0.5, "M1")], bad, "M1",
                                               carbon_params=1.0)),
     ("ci_band", lambda bad: compose_soc([SocBlock("a", 0.5, "M1")], bad, "M1", ci_band=1.0)),
+    ("retain_power_grid", lambda bad: sweep_beol(bad, ["M1"], retain_power_grid="no")),
+    ("retain_power_grid", lambda bad: compose_soc([SocBlock("a", 0.5, "M1")], bad, "M1",
+                                                  retain_power_grid=1)),
 ], ids=["sweep-carbon_params", "sweep-ci_band", "soc-blocks", "soc-carbon_params",
-        "soc-ci_band"])
+        "soc-ci_band", "sweep-retain_power_grid", "soc-retain_power_grid"])
 def test_wrong_typed_carbon_or_blocks_come_before_stack_errors(field, call):
     bad = StackSpec("t", [LayerSpec("M1", Region.BEOL, math.inf, "EUV_LE")])
     with pytest.raises(DomainError) as info:
@@ -261,6 +282,11 @@ PARAMETERS = {
     "compose_soc.ci_band": (lambda x: compose_soc(_BLOCKS, _ASAP7, "M3", design=_DESIGN,
                                                   carbon_params=_PROFILE, ci_band=x),
                             (0.1,), True, "None or a two-item list or tuple"),
+    "sweep_beol.retain_power_grid": (lambda x: sweep_beol(_ASAP7, ["M3"], retain_power_grid=x),
+                                     _DESIGN, False, "a bool"),
+    "compose_soc.retain_power_grid": (lambda x: compose_soc(_BLOCKS, _ASAP7, "M3",
+                                                            retain_power_grid=x),
+                                      _DESIGN, False, "a bool"),
 }
 # No list is a valid value of any of them but a two-item band, so the lists
 # drawn here never have two items.

@@ -5,16 +5,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pfasfab import (
+    DEFAULT_CATALOG,
+    DEFAULT_WEIGHTS,
     DesignParams,
     DomainError,
+    EnergyWeights,
     ExposureClass,
     LayerSpec,
     Region,
+    SocBlock,
     StackSpec,
     StepCounts,
     asap7_preset,
     beol_index,
     chip_pfas,
+    compose_soc,
     derive_layer_metrics,
     n7_fixture,
     stack_metrics,
@@ -22,10 +27,11 @@ from pfasfab import (
     step_totals,
     sweep_beol,
 )
-from pfasfab.engine import capper
+from pfasfab.catalog import ProcessClass
+from pfasfab.engine import capper, metrics_from_rows
 from pfasfab.stack import layer_table
 
-from conftest import random_stacks
+from conftest import NON_INTEGER_WEIGHTS, random_stacks
 
 from table_data import (
     asap7_exposure_split,
@@ -84,7 +90,7 @@ _PRESET_STACKS = st.sampled_from([asap7_preset(), n7_fixture("duv"), StackSpec("
 def test_the_capper_maps_each_routing_layer_to_its_index_in_stack_order(stack, retain):
     want = {l.name: beol_index(l.name) for l in stack.layers
             if l.region is Region.BEOL and not l.is_power_grid}
-    routing = capper(stack.technology_node, layer_table(stack), retain)[1]
+    routing = capper(stack.technology_node, layer_table(stack), retain, DEFAULT_WEIGHTS)[1]
     assert list(routing.items()) == list(want.items())
     # The sweep's baseline is capped at the topmost routing layer.
     baseline = sweep_beol(stack, [], retain_power_grid=retain)[0]
@@ -217,3 +223,99 @@ def test_duv_fixture_energy_is_all_duv():
     assert metrics.euv_masks == 0
     assert metrics.duv_masks == 36
     assert metrics.total_litho_energy == 36.0
+
+
+# ---------------------------------------------------------------------------
+# A stack's litho energy is its masks by exposure class times their weights
+
+
+def _every_metrics(stack, retain, weights):
+    """The StackMetrics of the stack, of each point of a sweep over all its
+    routing layers, and of both sides of an SoC capped at its lowest one."""
+    metrics = [stack_metrics(stack, weights=weights)]
+    routing = [l.name for l in stack.layers if l.region is Region.BEOL and not l.is_power_grid]
+    if routing:
+        points = sweep_beol(stack, routing, retain_power_grid=retain, weights=weights)
+        metrics += [point.metrics for point in points]
+        block = SocBlock("b", 0.5, routing[-1], {routing[0]: 1.5})
+        report = compose_soc([block], stack, routing[0], retain_power_grid=retain, weights=weights)
+        metrics += [report.baseline_metrics, report.constrained_metrics]
+    return metrics
+
+
+@pytest.mark.guard
+@given(stack=random_stacks() | _PRESET_STACKS, retain=st.booleans(), weights=NON_INTEGER_WEIGHTS)
+def test_every_total_energy_is_the_weighted_sum_of_its_own_masks(stack, retain, weights):
+    for metrics in _every_metrics(stack, retain, weights):
+        masks = metrics.by_exposure
+        duv = masks[ExposureClass.DUV_DRY] + masks[ExposureClass.DUV_IMMERSION]
+        want = 0.0 + duv * weights.per_duv_mask + masks[ExposureClass.EUV] * weights.per_euv_mask
+        assert repr(metrics.total_litho_energy) == repr(want)
+
+
+@pytest.mark.guard
+@given(stack=random_stacks() | _PRESET_STACKS, weights=NON_INTEGER_WEIGHTS, data=st.data())
+def test_totals_do_not_depend_on_row_order(stack, weights, data):
+    rows = layer_table(stack, DEFAULT_CATALOG, weights)
+    shuffled = data.draw(st.permutations(rows))
+    metrics = metrics_from_rows(stack.technology_node, rows, weights)
+    reordered = metrics_from_rows(stack.technology_node, shuffled, weights)
+    # Every figure but the per-layer list, which follows the rows.
+    assert repr(reordered._replace(per_layer=())) == repr(metrics._replace(per_layer=()))
+    assert reordered.per_layer == tuple([row[1] for row in shuffled])
+
+
+@pytest.mark.guard
+@given(stack=random_stacks() | _PRESET_STACKS, retain=st.booleans(),
+       euv=st.integers(1, 40), duv=st.integers(1, 40))
+def test_integer_weights_give_the_float_totals_of_the_same_float_weights(stack, retain, euv, duv):
+    as_ints = _every_metrics(stack, retain, EnergyWeights(euv, duv))
+    as_floats = _every_metrics(stack, retain, EnergyWeights(float(euv), float(duv)))
+    assert [repr(m) for m in as_ints] == [repr(m) for m in as_floats]
+    assert all([type(m.total_litho_energy) is float for m in as_ints])
+
+
+def test_integer_weights_give_a_float_energy(asap7):
+    assert repr(stack_metrics(asap7, weights=EnergyWeights(10, 1)).total_litho_energy) == "128.0"
+
+
+# Processes of 10**308 masks: one converts to a float, two do not.
+_HUGE_CATALOG = (DEFAULT_CATALOG
+                 .register(ProcessClass("BIG", StepCounts(1, 1, 1, 1, 1, 1), 10**308,
+                                        ExposureClass.EUV))
+                 .register(ProcessClass("BIG_DUV", StepCounts(1, 1, 1, 1, 1, 1), 10**308,
+                                        ExposureClass.DUV_IMMERSION)))
+
+
+def _huge_stack(m2_process):
+    return StackSpec("x", tuple([LayerSpec(f"M{k}", Region.BEOL, None, process, None,
+                                           frozenset({"routing"}))
+                                 for k, process in ((1, "BIG"), (2, m2_process))]))
+
+
+def test_a_mask_total_beyond_float_range_is_a_litho_energy_domain_error():
+    stack = _huge_stack("BIG")  # 2 x 10**308 EUV masks
+    for weights in (DEFAULT_WEIGHTS, EnergyWeights(1e-300, 1e-300)):
+        for call in (lambda: stack_metrics(stack, _HUGE_CATALOG, weights),
+                     lambda: sweep_beol(stack, ["M1"], catalog=_HUGE_CATALOG, weights=weights),
+                     lambda: compose_soc([SocBlock("b", 1.0, "M2")], stack, "M2",
+                                         catalog=_HUGE_CATALOG, weights=weights)):
+            with pytest.raises(DomainError, match="^total litho energy of x overflows to inf$"):
+                call()
+
+
+def test_a_pfas_total_beyond_float_range_is_a_chip_pfas_domain_error():
+    # 10**308 masks of each exposure class: each weighted sum is finite, and
+    # so is the energy, but the PFAS layer total is not a float.
+    stack = _huge_stack("BIG_DUV")
+    weights = EnergyWeights(1e-300, 1e-300)
+    design = DesignParams(1.0, 1.0)
+    metrics = stack_metrics(stack, _HUGE_CATALOG, weights)
+    assert metrics.total_litho_energy == 2e8
+    for call in (lambda: chip_pfas(metrics, design),
+                 lambda: sweep_beol(stack, ["M1"], catalog=_HUGE_CATALOG, weights=weights,
+                                    design=design),
+                 lambda: compose_soc([SocBlock("b", 1.0, "M2")], stack, "M2",
+                                     catalog=_HUGE_CATALOG, weights=weights)):
+        with pytest.raises(DomainError, match="^chip PFAS overflows: "):
+            call()

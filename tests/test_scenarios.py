@@ -232,10 +232,11 @@ def _truncate_beol(stack, top_index, retain_power_grid):
 
 
 def _layer_by_layer(stack, weights):
-    """Stack metrics accumulated one layer and one process at a time."""
+    """Stack metrics accumulated one layer and one process at a time; the
+    total energy is weighted from the stack's own mask counts."""
     by_region = {region: 0 for region in Region}
     by_exposure = {exposure: 0 for exposure in ExposureClass}
-    total_steps, energy, per_layer = StepCounts(), 0.0, []
+    total_steps, per_layer = StepCounts(), []
     for layer in stack.layers:
         steps, masks, layer_energy = StepCounts(), 0, 0.0
         for pid in [p for p in (layer.metal_process, layer.via_process) if p is not None]:
@@ -247,7 +248,9 @@ def _layer_by_layer(stack, weights):
         per_layer.append(LayerMetrics(layer.name, steps.litho, steps, masks, masks, layer_energy))
         by_region[layer.region] += masks
         total_steps = total_steps + steps
-        energy += layer_energy
+    # A stack's energy is its masks by exposure class times their weights.
+    duv = by_exposure[ExposureClass.DUV_DRY] + by_exposure[ExposureClass.DUV_IMMERSION]
+    energy = 0.0 + duv * weights.per_duv_mask + by_exposure[ExposureClass.EUV] * weights.per_euv_mask
     return StackMetrics(
         stack.technology_node, sum(by_region.values()), by_region, by_exposure,
         total_steps, total_steps.litho, energy, tuple(per_layer),
@@ -444,6 +447,27 @@ def mistyped_stacks(draw):
     fields = draw(st.sets(st.sampled_from(LayerSpec.__slots__), min_size=1))
     layers[i] = layers[i]._replace(**{f: draw(_MIXED) for f in sorted(fields)})
     return StackSpec(stack.technology_node, tuple(layers))
+
+
+@st.composite
+def layer_lists_with_a_stranger(draw):
+    """The layers of a valid stack with one entry, at any place, drawn from _MIXED."""
+    layers = list(draw(random_stacks()).layers)
+    layers.insert(draw(st.integers(0, len(layers))), draw(_MIXED))
+    return layers
+
+
+@pytest.mark.guard
+@given(layers=_MIXED | layer_lists_with_a_stranger())
+def test_layers_that_are_not_layer_specs_are_a_domain_error_naming_layers(layers):
+    # No _MIXED value is a LayerSpec, so only an empty sequence holds none.
+    if isinstance(layers, (str, list)) and len(layers) == 0:
+        assert StackSpec("x", layers).layers == ()
+        return
+    with pytest.raises(DomainError) as info:
+        StackSpec("x", layers)
+    assert type(info.value) is DomainError
+    assert [field for field, _ in info.value.fields] == ["layers"]
 
 
 @pytest.mark.guard
