@@ -10,7 +10,6 @@ descriptive metadata only.
 
 from __future__ import annotations
 
-import sys
 from enum import Enum
 
 from .catalog import (
@@ -66,11 +65,40 @@ _BEOL_INDEX = {f"M{k}": k for k in range(1, 100)}
 
 
 class LayerSpec(Value):
-    """One fabricated layer; via-only layers leave metal_process unset."""
+    """One fabricated layer; via-only layers leave metal_process unset.
+
+    Each field's own type and range is checked here, once: a name string, a
+    Region, no pitch or a finite one > 0, each process None or an id string,
+    and a set of known tags, stored frozen. The stack rules check the rest:
+    what takes two fields, another layer or the catalog.
+    """
 
     __slots__ = ("name", "region", "pitch_nm", "metal_process", "via_process", "tags")
     _defaults = {"pitch_nm": None, "metal_process": None, "via_process": None,
                  "tags": frozenset()}
+
+    def __post_init__(self):
+        failed = []
+        if not isinstance(self.name, str):
+            failed.append(("name", f"layer name must be a string, not {type(self.name).__name__}"))
+        if not isinstance(self.region, Region):
+            failed.append(("region", "region must be a Region (FEOL, MOL or BEOL), "
+                                     f"got {_shown(self.region)}"))
+        pitch = self.pitch_nm
+        if pitch is not None and not (finite(pitch) and pitch > 0):
+            failed.append(("pitch_nm", f"pitch_nm must be finite and > 0, got {_shown(pitch)}"))
+        for field, process in (("metal_process", self.metal_process),
+                               ("via_process", self.via_process)):
+            if process is not None and not isinstance(process, str):
+                failed.append((field, f"{field} must be a process id string or None, "
+                                      f"got {_shown(process)}"))
+        tags = self.tags
+        if not (isinstance(tags, (frozenset, set)) and tags <= KNOWN_TAGS):
+            failed.append(("tags", f"tags must be a set of {', '.join(sorted(KNOWN_TAGS))}, "
+                                   f"got {_shown(tags)}"))
+        DomainError.check(failed)
+        if tags.__class__ is not frozenset:
+            set_field(self, "tags", frozenset(tags))
 
     @property
     def is_power_grid(self) -> bool:
@@ -115,7 +143,7 @@ class Violation(Value):
     __slots__ = ("layer", "rule", "message")
 
     def __str__(self) -> str:
-        return f"layer {_shown(self.layer)}: [{self.rule}] {self.message}"
+        return f"layer {self.layer!r}: [{self.rule}] {self.message}"
 
 
 class LayerMetrics(Value):
@@ -124,19 +152,15 @@ class LayerMetrics(Value):
     __slots__ = ("name", "litho_steps", "total_steps", "masks", "pfas_layers", "litho_energy")
 
 
-_FLOAT_MAX = sys.float_info.max
-
-
 def _accepts(stack: StackSpec, catalog: ProcessCatalog) -> bool:
     """True only when the stack breaks no rule of ``stack_violations``.
 
-    One pass over the layers that tests each field once and builds no
-    violation and no message; the one thing it builds is the set of FEOL
-    and MOL names (BEOL names are distinct already when their indices
-    rise). It is sound, not complete: a valid stack of a rarer shape (a
-    ``str`` subclass for a name, ``set`` tags, a ``bool`` pitch, an integer
-    pitch that a float rounds down into range) is not accepted here, and
-    ``_explain`` decides.
+    One pass over the layers that builds no violation and no message; the
+    one thing it builds is the set of FEOL and MOL names (BEOL names are
+    distinct already when their indices rise). It is sound: it never accepts
+    a stack that ``_explain`` faults. ``LayerSpec`` has checked each field's
+    own type and range, so only the rules between fields, layers and the
+    catalog are left.
     """
     ids = catalog.ids()
     beol = Region.BEOL
@@ -146,7 +170,7 @@ def _accepts(stack: StackSpec, catalog: ProcessCatalog) -> bool:
     for layer in stack.layers:
         name = layer.name
         region = layer.region
-        if name.__class__ is not str or region.__class__ is not Region or region.rank < rank:
+        if region.rank < rank:
             return False
         rank = region.rank
         metal = layer.metal_process
@@ -154,16 +178,9 @@ def _accepts(stack: StackSpec, catalog: ProcessCatalog) -> bool:
         if metal is None:
             if via is None:
                 return False
-        elif metal.__class__ is not str or metal not in ids:
+        elif metal not in ids:
             return False
-        if via is not None and (via.__class__ is not str or via not in ids):
-            return False
-        pitch = layer.pitch_nm
-        if pitch is not None and not (
-                (pitch.__class__ is int or pitch.__class__ is float) and 0 < pitch <= _FLOAT_MAX):
-            return False
-        tags = layer.tags
-        if tags.__class__ is not frozenset or not tags <= KNOWN_TAGS:
+        if via is not None and via not in ids:
             return False
         if region is beol:
             index = _BEOL_INDEX.get(name) or beol_index(name)
@@ -197,25 +214,14 @@ def _explain(stack: StackSpec, catalog: ProcessCatalog) -> list[Violation]:
     prev_beol_index: int | None = None
 
     for layer in stack.layers:
-        named = isinstance(layer.name, str)
-        if not named:
-            violations.append(
-                Violation(layer.name, "bad-name",
-                          f"layer name must be a string, not {type(layer.name).__name__}")
-            )
-        elif layer.name in seen:
+        if layer.name in seen:
             violations.append(
                 Violation(layer.name, "duplicate-name", "layer name appears more than once")
             )
         else:
             seen.add(layer.name)
 
-        if not isinstance(layer.region, Region):
-            violations.append(
-                Violation(layer.name, "bad-region", "region must be a Region (FEOL, MOL or "
-                          f"BEOL), got {_shown(layer.region)}")
-            )
-        elif layer.region.rank < max_rank:
+        if layer.region.rank < max_rank:
             violations.append(
                 Violation(
                     layer.name,
@@ -232,30 +238,16 @@ def _explain(stack: StackSpec, catalog: ProcessCatalog) -> list[Violation]:
                 Violation(layer.name, "missing-process", "neither metal_process nor via_process is set")
             )
         for pid in (metal, via):
-            if pid is not None and not (isinstance(pid, str) and pid in catalog):
+            if pid is not None and pid not in catalog:
                 violations.append(
                     Violation(
                         layer.name,
                         "unknown-process",
-                        f"process {_shown(pid)} not in catalog ({', '.join(catalog.ids())})",
+                        f"process {pid!r} not in catalog ({', '.join(catalog.ids())})",
                     )
                 )
 
-        pitch = layer.pitch_nm
-        if pitch is not None and not (finite(pitch) and pitch > 0):
-            violations.append(
-                Violation(layer.name, "bad-pitch",
-                          f"pitch_nm must be finite and > 0, got {_shown(pitch)}")
-            )
-
-        tags = layer.tags
-        if not (isinstance(tags, (frozenset, set)) and tags <= KNOWN_TAGS):
-            violations.append(
-                Violation(layer.name, "bad-tags", "tags must be a set of "
-                          f"{', '.join(sorted(KNOWN_TAGS))}, got {_shown(tags)}")
-            )
-
-        if named and layer.region is Region.BEOL:
+        if layer.region is Region.BEOL:
             idx = beol_index(layer.name)
             if idx is None:
                 violations.append(

@@ -51,8 +51,8 @@ def _carbon(name, x):
     return CarbonParams(**{**dict.fromkeys(CARBON_FIELDS, 0.0), name: x})
 
 
-def _pitch(x):
-    return validate_stack(StackSpec("t", [LayerSpec("M1", Region.BEOL, x, "EUV_LE")]))
+# A stack that breaks a stack rule: M1 names a process the catalog lacks.
+BAD_STACK = StackSpec("t", [LayerSpec("M1", Region.BEOL, None, "ArFi_LE9")])
 
 
 # (input, build with the bad value x, error type, the field the error names
@@ -82,8 +82,8 @@ CHECKED = [
      "band bound low must be finite and >= 0"),
     ("validate_ci_band high", lambda x: validate_ci_band(0.0, x), DomainError, "high",
      "band bound high must be finite and >= 0"),
-    ("LayerSpec.pitch_nm", _pitch, StackValidationError, "layers",
-     "[bad-pitch] pitch_nm must be finite and > 0"),
+    ("LayerSpec.pitch_nm", lambda x: LayerSpec("M1", Region.BEOL, x, "EUV_LE"), DomainError,
+     "pitch_nm", "pitch_nm must be finite and > 0"),
 ]
 
 
@@ -144,12 +144,13 @@ def test_huge_ints_that_used_to_overflow_raise_domain_errors():
 
 
 def test_stack_violations_are_reported_at_layers():
-    violation = Violation("M1", "bad-pitch", "pitch_nm must be finite and > 0, got inf")
+    violation = Violation("M1", "unknown-process", "process 'ArFi_LE9' not in catalog "
+                          f"({', '.join(DEFAULT_CATALOG.ids())})")
     error = StackValidationError([violation])
     assert isinstance(error, DomainError)
     assert error.fields == (("layers", str(violation)),)
     with pytest.raises(StackValidationError) as info:
-        _pitch(math.inf)
+        validate_stack(BAD_STACK)
     assert info.value.violations == (violation,)
 
 
@@ -182,9 +183,8 @@ def test_wrong_typed_target_is_a_domain_error_naming_it(field, junk):
 
 @pytest.mark.parametrize("field", ["targets", "target_top"])
 def test_stack_errors_come_before_a_wrong_typed_target(field):
-    bad = StackSpec("t", [LayerSpec("M1", Region.BEOL, math.inf, "EUV_LE")])
     with pytest.raises(StackValidationError):
-        _target_call(field, None, bad)()
+        _target_call(field, None, BAD_STACK)()
 
 
 # A wrong-typed stack or design argument, by the parameter it is passed as.
@@ -216,9 +216,8 @@ def test_wrong_typed_stack_or_design_is_a_domain_error_naming_it(case):
 
 
 def test_a_wrong_typed_design_comes_before_stack_errors():
-    bad = StackSpec("t", [LayerSpec("M1", Region.BEOL, math.inf, "EUV_LE")])
-    for call in (lambda: sweep_beol(bad, ["M1"], design=1.0),
-                 lambda: compose_soc([SocBlock("a", 0.5, "M1")], bad, "M1", design=1.0)):
+    for call in (lambda: sweep_beol(BAD_STACK, ["M1"], design=1.0),
+                 lambda: compose_soc([SocBlock("a", 0.5, "M1")], BAD_STACK, "M1", design=1.0)):
         with pytest.raises(DomainError) as info:
             call()
         assert [field for field, _ in info.value.fields] == ["design"]
@@ -237,9 +236,8 @@ def test_a_wrong_typed_design_comes_before_stack_errors():
 ], ids=["sweep-carbon_params", "sweep-ci_band", "soc-blocks", "soc-carbon_params",
         "soc-ci_band", "sweep-retain_power_grid", "soc-retain_power_grid"])
 def test_wrong_typed_carbon_or_blocks_come_before_stack_errors(field, call):
-    bad = StackSpec("t", [LayerSpec("M1", Region.BEOL, math.inf, "EUV_LE")])
     with pytest.raises(DomainError) as info:
-        call(bad)
+        call(BAD_STACK)
     assert [f for f, _ in info.value.fields] == [field]
 
 

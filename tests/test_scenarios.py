@@ -388,7 +388,7 @@ def broken_stacks(draw):
     i = draw(st.integers(0, len(layers) - 1))
     b = draw(st.sampled_from([j for j, l in enumerate(layers) if l.region is Region.BEOL]))
     mutation = draw(st.sampled_from(
-        ("duplicate", "feol-after-beol", "rename", "swap", "process", "pitch")
+        ("duplicate", "feol-after-beol", "rename", "swap", "process", "no-process")
     ))
     if mutation == "duplicate":
         layers.insert(i, layers[i])
@@ -402,7 +402,7 @@ def broken_stacks(draw):
     elif mutation == "process":
         layers[i] = layers[i]._replace(metal_process="ArFi_LE9")
     else:
-        layers[i] = layers[i]._replace(pitch_nm=-1)
+        layers[i] = layers[i]._replace(metal_process=None, via_process=None)
     return StackSpec(stack.technology_node, tuple(layers))
 
 
@@ -440,12 +440,21 @@ _MIXED = (_HUGE | st.integers() | st.floats() | st.text(max_size=4)
 
 @st.composite
 def mistyped_stacks(draw):
-    """A valid stack with one layer's fields, at least one, drawn from _MIXED."""
+    """A valid stack with one layer's fields, at least one, drawn from _MIXED.
+    LayerSpec rejects a drawn value that breaks its field's own rule, and
+    that value is not kept, so the stack rules see only the values
+    LayerSpec accepts."""
     stack = draw(random_stacks())
     layers = list(stack.layers)
     i = draw(st.integers(0, len(layers) - 1))
     fields = draw(st.sets(st.sampled_from(LayerSpec.__slots__), min_size=1))
-    layers[i] = layers[i]._replace(**{f: draw(_MIXED) for f in sorted(fields)})
+    changes = {f: draw(_MIXED) for f in sorted(fields)}
+    try:
+        layers[i] = layers[i]._replace(**changes)
+    except DomainError as exc:
+        for field, _ in exc.fields:
+            del changes[field]
+        layers[i] = layers[i]._replace(**changes)
     return StackSpec(stack.technology_node, tuple(layers))
 
 
@@ -493,16 +502,34 @@ def test_a_mistyped_layer_is_a_violation_of_every_figure(stack):
             assert derive_layer_metrics(layer).name is layer.name
 
 
-# Per field, values close to a valid one: valid, or breaking one rule.
+# Per field, values close to a valid one that LayerSpec accepts: valid, or
+# breaking one stack rule.
 _NEAR_VALID = {
     "name": ["M1", "M3", "M7", "M10", "M07", "Fin", "VIA0", "MOL0", "m2", ""],
-    "region": [*Region, "BEOL", None],
-    "pitch_nm": [None, 36, 0.5, 0, -1, math.inf, math.nan, 10**400, True],
-    "metal_process": [None, "EUV_LE", "ArFi_LE2", "ArFi_LE9", "euv_le", 1],
-    "via_process": [None, "EUV_LE", "ArFi_SAQP", "ArFi_LE9", ("EUV_LE",)],
-    "tags": [frozenset(), frozenset({TAG_ROUTING}), KNOWN_TAGS, {TAG_POWER_GRID},
-             [TAG_POWER_GRID], frozenset({"signal"}), None],
+    "region": [*Region],
+    "pitch_nm": [None, 36, 0.5, True],
+    "metal_process": [None, "EUV_LE", "ArFi_LE2", "ArFi_LE9", "euv_le"],
+    "via_process": [None, "EUV_LE", "ArFi_SAQP", "ArFi_LE9"],
+    "tags": [frozenset(), frozenset({TAG_ROUTING}), KNOWN_TAGS, {TAG_POWER_GRID}],
 }
+# Per field, values close to a valid one that break the field's own rule.
+_REJECTED = {
+    "region": ["BEOL", None],
+    "pitch_nm": [0, -1, math.inf, math.nan, 10**400],
+    "metal_process": [1],
+    "via_process": [("EUV_LE",)],
+    "tags": [[TAG_POWER_GRID], frozenset({"signal"}), None],
+}
+
+
+@pytest.mark.parametrize("field, value", [
+    (field, value) for field, values in _REJECTED.items() for value in values])
+def test_a_near_valid_value_that_breaks_its_field_rule_raises_at_construction(field, value):
+    for stack in (asap7_preset(), n7_fixture("duv")):
+        for layer in stack.layers:
+            with pytest.raises(DomainError) as info:
+                layer._replace(**{field: value})
+            assert [f for f, _ in info.value.fields] == [field]
 
 
 def _preset_mutations():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from pfasfab import (
     DEFAULT_CATALOG,
     DEFAULT_WEIGHTS,
+    DomainError,
     LayerMetrics,
     LayerSpec,
     Region,
@@ -132,18 +133,10 @@ def _with_layer(stack, target, **changes):
     "mutate, rule, layer_name",
     [
         (lambda s: _with_layer(s, "M5", metal_process="ArFi_LE9"), "unknown-process", "M5"),
-        (lambda s: _with_layer(s, "Gate", pitch_nm=-3), "bad-pitch", "Gate"),
         (lambda s: _with_layer(s, "LIG", metal_process=None, via_process=None), "missing-process", "LIG"),
         (lambda s: _with_layer(s, "M4", name="MX4"), "beol-name", "MX4"),
         (lambda s: _with_layer(s, "Gate", name="Fin"), "duplicate-name", "Fin"),
         (lambda s: _with_layer(s, "VIA0", region=Region.FEOL), "region-order", "VIA0"),
-        # a wrongly typed field is a violation too, not an error from the check
-        (lambda s: _with_layer(s, "M5", region="BEOL"), "bad-region", "M5"),
-        (lambda s: _with_layer(s, "Active", pitch_nm="108"), "bad-pitch", "Active"),
-        (lambda s: _with_layer(s, "M4", name=4), "bad-name", 4),
-        (lambda s: _with_layer(s, "M8", tags=None), "bad-tags", "M8"),
-        (lambda s: _with_layer(s, "M9", tags=["power_grid"]), "bad-tags", "M9"),
-        (lambda s: _with_layer(s, "M1", tags=frozenset({"signal"})), "bad-tags", "M1"),
     ],
 )
 def test_single_mutation_single_violation(asap7, mutate, rule, layer_name):
@@ -153,26 +146,58 @@ def test_single_mutation_single_violation(asap7, mutate, rule, layer_name):
     assert violations[0].layer == layer_name
 
 
+# A field's own type and range are checked once, when the layer is built, so a
+# stack cannot hold a mistyped field: one DomainError at that field, with the
+# message the stack check gave for it.
+@pytest.mark.parametrize(
+    "layer_name, field, value, message",
+    [
+        ("Gate", "pitch_nm", -3, "pitch_nm must be finite and > 0, got -3"),
+        ("M5", "region", "BEOL", "region must be a Region (FEOL, MOL or BEOL), got 'BEOL'"),
+        ("Active", "pitch_nm", "108", "pitch_nm must be finite and > 0, got '108'"),
+        ("M4", "name", 4, "layer name must be a string, not int"),
+        # unhashable, and an int with more digits than str() converts
+        ("M1", "name", ["M1"], "layer name must be a string, not list"),
+        ("Fin", "name", 10**5000, "layer name must be a string, not int"),
+        ("M8", "tags", None, "tags must be a set of power_grid, routing, got None"),
+        ("M9", "tags", ["power_grid"],
+         "tags must be a set of power_grid, routing, got ['power_grid']"),
+        ("M1", "tags", frozenset({"signal"}),
+         "tags must be a set of power_grid, routing, got frozenset({'signal'})"),
+        ("M5", "metal_process", 5, "metal_process must be a process id string or None, got 5"),
+        ("M5", "via_process", ("EUV_LE",),
+         "via_process must be a process id string or None, got ('EUV_LE',)"),
+    ],
+    ids=["pitch-negative", "region-str", "pitch-str", "name-int", "name-list", "name-huge-int",
+         "tags-None", "tags-list", "tags-unknown", "metal-int", "via-tuple"],
+)
+def test_a_mistyped_field_is_one_domain_error_at_construction(
+        asap7, layer_name, field, value, message):
+    with pytest.raises(DomainError) as info:
+        _with_layer(asap7, layer_name, **{field: value})
+    assert type(info.value) is DomainError
+    assert info.value.fields == ((field, message),)
+    assert str(info.value) == message
+
+
+def test_every_mistyped_field_of_a_layer_is_named():
+    with pytest.raises(DomainError) as info:
+        LayerSpec(1, "FEOL", -1, 2, 3, {"signal"})
+    assert [field for field, _ in info.value.fields] == list(LayerSpec.__slots__)
+
+
+def test_set_tags_are_stored_frozen():
+    layer = LayerSpec("M1", Region.BEOL, 36, "EUV_LE", tags={"routing"})
+    assert layer.tags.__class__ is frozenset
+    assert layer == LayerSpec("M1", Region.BEOL, 36, "EUV_LE", tags=frozenset({"routing"}))
+
+
 def test_huge_int_pitch_is_reported_without_its_digits(asap7):
     # 10**5000 has more digits than int's string conversion allows
-    layers = (*asap7.layers[:-1], asap7.layers[-1]._replace(pitch_nm=10**5000))
-    violation, = stack_violations(StackSpec(asap7.technology_node, layers))
-    assert violation.rule == "bad-pitch"
-    assert violation.message == ("pitch_nm must be finite and > 0, "
-                                 "got an integer beyond floating-point range")
-    with pytest.raises(StackValidationError):
-        validate_stack(StackSpec(asap7.technology_node, layers))
-
-
-def test_non_string_name_is_one_bad_name_violation():
-    # unhashable, and twice: no duplicate-name or beol-name check is made for it
-    layer = LayerSpec(["M1"], Region.BEOL, 36, "EUV_LE")
-    violations = stack_violations(StackSpec("t", (layer, layer)))
-    assert [(v.layer, v.rule) for v in violations] == [(["M1"], "bad-name")] * 2
-    assert violations[0].message == "layer name must be a string, not list"
-    huge = stack_violations(StackSpec("t", (LayerSpec(10**5000, Region.FEOL, None, "EUV_LE"),)))
-    assert str(huge[0]) == ("layer an integer beyond floating-point range: [bad-name] "
-                            "layer name must be a string, not int")
+    with pytest.raises(DomainError) as info:
+        asap7.layers[-1]._replace(pitch_nm=10**5000)
+    assert info.value.fields == (("pitch_nm", "pitch_nm must be finite and > 0, "
+                                               "got an integer beyond floating-point range"),)
 
 
 def test_beol_out_of_order(asap7):
@@ -186,11 +211,11 @@ def test_beol_out_of_order(asap7):
 
 def test_validate_raises_with_all_violations(asap7):
     broken = _with_layer(asap7, "M5", metal_process="ArFi_LE9")
-    broken = _with_layer(broken, "Gate", pitch_nm=0)
+    broken = _with_layer(broken, "Gate", name="Fin")
     with pytest.raises(StackValidationError) as excinfo:
         validate_stack(broken)
     rules = sorted(v.rule for v in excinfo.value.violations)
-    assert rules == ["bad-pitch", "unknown-process"]
+    assert rules == ["duplicate-name", "unknown-process"]
     assert "M5" in str(excinfo.value)
 
 
