@@ -19,7 +19,7 @@ import math
 
 from .engine import DesignParams, StackMetrics
 from .errors import DomainError, check_type
-from .value import Value, finite
+from .value import Value, finite, shown
 
 
 class CarbonParams(Value):
@@ -34,7 +34,7 @@ class CarbonParams(Value):
     )
 
     def __post_init__(self):
-        DomainError.check([(name, f"{name} must be finite and >= 0, got {value}")
+        DomainError.check([(name, f"{name} must be finite and >= 0, got {shown(value)}")
                            for name, value in zip(self.__slots__, self._astuple())
                            if not (finite(value) and value >= 0)])
 
@@ -76,7 +76,8 @@ def embodied_carbon(
 def validate_ci_band(low: float, high: float) -> tuple[float, float]:
     """``(low, high)`` if both are finite and >= 0 and low <= high, else DomainError."""
     DomainError.check([
-        (name, f"carbon-intensity band bound {name} must be finite and >= 0, got {value}")
+        (name, f"carbon-intensity band bound {name} must be finite and >= 0, "
+               f"got {shown(value)}")
         for name, value in (("low", low), ("high", high))
         if not (finite(value) and value >= 0)
     ])

@@ -19,7 +19,7 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from .errors import InvalidProcessError, ProcessCollisionError, UnknownProcessError
-from .value import Value, finite
+from .value import Value, finite, shown
 
 
 class ExposureClass(Enum):
@@ -56,7 +56,8 @@ class StepCounts(Value):
                 or self.metrology < 0 or self.wet_etch < 0 or self.deposition < 0):
             for name, value in zip(STEP_FIELDS, self._astuple()):
                 if value < 0:
-                    raise InvalidProcessError(f"step count {name} must be >= 0, got {value}")
+                    raise InvalidProcessError(
+                        f"step count {name} must be >= 0, got {shown(value)}")
 
     def as_dict(self) -> dict[str, int]:
         return dict(zip(STEP_FIELDS, self._astuple()))
@@ -95,16 +96,18 @@ class ProcessClass(Value):
     __dataclass_fields__ = _DataclassFields()
 
     def __post_init__(self):
+        pid = shown(self.id)
         # StepCounts checks only ``< 0``, as it is built on the hot path; the
         # finite test runs here, once per process class.
         InvalidProcessError.check([
-            (f"steps.{name}", f"process {self.id!r}: step count {name} must be finite, got {value}")
+            (f"steps.{name}", f"process {pid}: step count {name} must be finite, "
+                              f"got {shown(value)}")
             for name, value in zip(STEP_FIELDS, self.steps._astuple())
             if not finite(value)
         ])
         if not (finite(self.masks) and self.masks >= 1):
             raise InvalidProcessError(
-                f"process {self.id!r}: masks must be >= 1, got {self.masks}"
+                f"process {pid}: masks must be >= 1, got {shown(self.masks)}"
             )
         # Masks and steps are counts, so every total summed from them is exact.
         counts = [("masks", "masks", self.masks)] + [
@@ -112,7 +115,7 @@ class ProcessClass(Value):
             for name, value in zip(STEP_FIELDS, self.steps._astuple())
         ]
         InvalidProcessError.check([
-            (field, f"process {self.id!r}: {what} must be an integer, got {value!r}")
+            (field, f"process {pid}: {what} must be an integer, got {shown(value)}")
             for field, what, value in counts
             if not isinstance(value, int) or isinstance(value, bool)
         ])
@@ -131,7 +134,7 @@ class EnergyWeights(Value):
 
     def __post_init__(self):
         InvalidProcessError.check([
-            (name, f"energy weight {name} must be finite and > 0, got {value}")
+            (name, f"energy weight {name} must be finite and > 0, got {shown(value)}")
             for name, value in zip(self.__slots__, self._astuple())
             if not (finite(value) and value > 0)
         ])

@@ -26,7 +26,7 @@ from .errors import DomainError, check_type
 from .stack import (
     COUNTS_END, REGIONS_END, STEPS_END, LayerMetrics, Region, StackSpec, beol_index, layer_table,
 )
-from .value import Value, finite
+from .value import Value, finite, shown
 
 
 class DesignParams(Value):
@@ -37,10 +37,11 @@ class DesignParams(Value):
     def __post_init__(self):
         failed = []
         if not (finite(self.area_cm2) and self.area_cm2 > 0):
-            failed.append(("area_cm2", f"area_cm2 must be finite and > 0, got {self.area_cm2!r}"))
+            failed.append(("area_cm2",
+                           f"area_cm2 must be finite and > 0, got {shown(self.area_cm2)}"))
         if not (finite(self.yield_fraction) and 0 < self.yield_fraction <= 1):
             failed.append(("yield_fraction", "yield must be within (0, 1] (the 0 - 1 range "
-                           f"with zero excluded), got {self.yield_fraction!r}"))
+                           f"with zero excluded), got {shown(self.yield_fraction)}"))
         DomainError.check(failed)
 
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from .value import shown
+
 
 class PfasfabError(Exception):
     """Base class for all library errors. An error that gathers several
@@ -15,7 +17,7 @@ class UnknownProcessError(PfasfabError):
         self.process_id = process_id
         self.known_ids = tuple(known_ids)
         super().__init__(
-            f"unknown process {process_id!r}; known processes: "
+            f"unknown process {shown(process_id)}; known processes: "
             + ", ".join(self.known_ids)
         )
 
@@ -44,7 +46,7 @@ def check_type(ok: bool, field: str, what: str, value):
     """A DomainError at ``field`` unless ``ok``: an argument of the wrong type,
     checked once per call, before it is read."""
     if not ok:
-        DomainError.check([(field, f"{field} must be {what}, got {value!r}")])
+        DomainError.check([(field, f"{field} must be {what}, got {shown(value)}")])
 
 
 class InvalidProcessError(DomainError):

@@ -19,7 +19,7 @@ from .engine import DesignParams, capper, chip_pfas, metrics_from_rows, stack_me
 from .errors import DomainError, DuplicateTargetError, MissingOverheadError, TrendReferenceError
 from .errors import UnknownTargetError, check_type
 from .stack import Region, StackSpec, beol_index, layer_table
-from .value import Value, finite, set_field
+from .value import Value, finite, set_field, shown
 
 
 def _ratio(a: float, b: float) -> float | None:
@@ -164,32 +164,33 @@ class SocBlock(Value):
     def __post_init__(self):
         if self.area_overhead is None:
             set_field(self, "area_overhead", {})
-        name = self.name
+        block = f"block {shown(self.name)}"
         failed = []
         if not (finite(self.baseline_area_cm2) and self.baseline_area_cm2 > 0):
-            failed.append(("baseline_area_cm2", f"block {name!r}: baseline_area_cm2 must "
-                           f"be finite and > 0, got {self.baseline_area_cm2}"))
+            failed.append(("baseline_area_cm2", f"{block}: baseline_area_cm2 must "
+                           f"be finite and > 0, got {shown(self.baseline_area_cm2)}"))
         if beol_index(self.required_top_layer) is None:
-            failed.append(("required_top_layer", f"block {name!r}: required_top_layer must "
-                           f"be a BEOL label M<k>, got {self.required_top_layer!r}"))
+            failed.append(("required_top_layer", f"{block}: required_top_layer must "
+                           f"be a BEOL label M<k>, got {shown(self.required_top_layer)}"))
         overhead = self.area_overhead
         if not isinstance(overhead, dict):
-            failed.append(("area_overhead", f"block {name!r}: area_overhead must be a dict of "
-                           f"BEOL labels to factors, got {overhead!r}"))
+            failed.append(("area_overhead", f"{block}: area_overhead must be a dict of "
+                           f"BEOL labels to factors, got {shown(overhead)}"))
             overhead = {}
         for target, factor in overhead.items():
             if beol_index(target) is None:
-                failed.append((f"area_overhead.{target}", f"block {name!r}: area_overhead "
-                               f"keys must be BEOL labels M<k>, got {target!r}"))
+                field = f"area_overhead.{target}" if isinstance(target, str) else "area_overhead"
+                failed.append((field, f"{block}: area_overhead keys must be BEOL labels M<k>, "
+                               f"got {shown(target)}"))
             elif not (finite(factor) and factor >= 1):
-                failed.append((f"area_overhead.{target}", f"block {name!r}: overhead factor "
-                               f"for {target} must be finite and >= 1, got {factor}"))
+                failed.append((f"area_overhead.{target}", f"{block}: overhead factor "
+                               f"for {target} must be finite and >= 1, got {shown(factor)}"))
         DomainError.check(failed)
 
     def overhead_factor(self, target: str) -> float:
         target_index = beol_index(target)
         if target_index is None:
-            raise DomainError(f"target must be a BEOL label M<k>, got {target!r}")
+            raise DomainError(f"target must be a BEOL label M<k>, got {shown(target)}")
         if target_index >= beol_index(self.required_top_layer):
             return 1.0
         try:
@@ -320,7 +321,7 @@ class TrendSeries(Value):
             raise DomainError("trend series has duplicate node labels")
         for node, value in points:
             if not finite(value):
-                raise DomainError(f"trend value for {node!r} must be finite, got {value}")
+                raise DomainError(f"trend value for {node!r} must be finite, got {shown(value)}")
         set_field(self, "points", tuple([(n, float(v)) for n, v in points]))
 
     def values(self) -> dict[str, float]:
@@ -337,7 +338,7 @@ def normalize_trend(series: TrendSeries, reference: str) -> TrendSeries:
     values = series.values()
     if reference not in values:
         raise TrendReferenceError(
-            f"reference node {reference!r} not in series; nodes: "
+            f"reference node {shown(reference)} not in series; nodes: "
             + ", ".join(values)
         )
     ref_value = values[reference]

@@ -21,7 +21,7 @@ from .catalog import (
     ProcessCatalog,
 )
 from .errors import DomainError, StackValidationError, check_type
-from .value import Value, finite, set_field
+from .value import Value, finite, set_field, shown
 
 TAG_ROUTING = "routing"
 TAG_POWER_GRID = "power_grid"
@@ -83,19 +83,19 @@ class LayerSpec(Value):
             failed.append(("name", f"layer name must be a string, not {type(self.name).__name__}"))
         if not isinstance(self.region, Region):
             failed.append(("region", "region must be a Region (FEOL, MOL or BEOL), "
-                                     f"got {_shown(self.region)}"))
+                                     f"got {shown(self.region)}"))
         pitch = self.pitch_nm
         if pitch is not None and not (finite(pitch) and pitch > 0):
-            failed.append(("pitch_nm", f"pitch_nm must be finite and > 0, got {_shown(pitch)}"))
+            failed.append(("pitch_nm", f"pitch_nm must be finite and > 0, got {shown(pitch)}"))
         for field, process in (("metal_process", self.metal_process),
                                ("via_process", self.via_process)):
             if process is not None and not isinstance(process, str):
                 failed.append((field, f"{field} must be a process id string or None, "
-                                      f"got {_shown(process)}"))
+                                      f"got {shown(process)}"))
         tags = self.tags
         if not (isinstance(tags, (frozenset, set)) and tags <= KNOWN_TAGS):
             failed.append(("tags", f"tags must be a set of {', '.join(sorted(KNOWN_TAGS))}, "
-                                   f"got {_shown(tags)}"))
+                                   f"got {shown(tags)}"))
         DomainError.check(failed)
         if tags.__class__ is not frozenset:
             set_field(self, "tags", frozenset(tags))
@@ -118,7 +118,7 @@ class StackSpec(Value):
             layers = None
         if layers is None or not all([isinstance(layer, LayerSpec) for layer in layers]):
             DomainError.check([("layers", "layers must be an iterable of LayerSpec, "
-                                          f"got {_shown(self.layers)}")])
+                                          f"got {shown(self.layers)}")])
         set_field(self, "layers", layers)
 
     def layer(self, name: str) -> LayerSpec:
@@ -126,17 +126,6 @@ class StackSpec(Value):
             if layer.name == name:
                 return layer
         raise KeyError(name)
-
-
-def _shown(value) -> str:
-    """``repr(value)`` for a message, without the decimal form of an integer
-    beyond floating-point range, which can be too long to print."""
-    if isinstance(value, int) and not finite(value):
-        return "an integer beyond floating-point range"
-    try:
-        return repr(value)
-    except ValueError:  # holds an integer past int's string-conversion limit
-        return f"a {type(value).__name__} holding an integer too long to print"
 
 
 class Violation(Value):

@@ -16,7 +16,8 @@ a field, ``_replace(**changes)`` for a variant (checked again by the
 constructor), and a ``__reduce__`` that rebuilds the value through its
 constructor, so that ``copy``, ``deepcopy`` and ``pickle`` work.
 
-``finite`` is the one test of whether an input number is usable.
+``finite`` is the one test of whether an input number is usable, and
+``shown`` the one printable form of an input in a message.
 ``SCHEMA_VERSION`` is the version of the config and report documents; it
 lives in this leaf module so that reports need not import the config parser.
 """
@@ -35,6 +36,17 @@ def finite(value) -> bool:
         return math.isfinite(value)
     except (OverflowError, TypeError):
         return False
+
+
+def shown(value) -> str:
+    """``repr(value)`` for a message, without the decimal form of an integer
+    beyond floating-point range, which can be too long to print."""
+    if isinstance(value, int) and not finite(value):
+        return "an integer beyond floating-point range"
+    try:
+        return repr(value)
+    except ValueError:  # holds an integer past int's string-conversion limit
+        return f"a {type(value).__name__} holding an integer too long to print"
 
 
 def _compile_init(cls):

@@ -87,7 +87,10 @@ CHECKED = [
 ]
 
 
-@pytest.mark.parametrize("value", [10**400, math.inf, math.nan], ids=["huge_int", "inf", "nan"])
+# 10**5000 has more digits than int's string conversion allows: its message
+# must still print.
+@pytest.mark.parametrize("value", [10**400, math.inf, math.nan, 10**5000],
+                         ids=["huge_int", "inf", "nan", "huge_digits"])
 @pytest.mark.parametrize("build, error, field, message", [c[1:] for c in CHECKED],
                          ids=[c[0] for c in CHECKED])
 def test_non_finite_input_is_a_domain_error_at_its_field(build, error, field, message, value):

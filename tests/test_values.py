@@ -388,8 +388,8 @@ def test_constructor_error_fields():
                              "got 'm4'"),
     )
     assert _fields_of(DomainError, lambda: SocBlock("b", 1.0, "M3", {"M2": 10**400})) == (
-        ("area_overhead.M2", f"block 'b': overhead factor for M2 must be finite and >= 1, "
-                             f"got {10**400}"),
+        ("area_overhead.M2", "block 'b': overhead factor for M2 must be finite and >= 1, "
+                             "got an integer beyond floating-point range"),
     )
     assert _fields_of(InvalidProcessError, lambda: StepCounts(litho=-1)) == ()
     assert _fields_of(DomainError, lambda: TrendSeries((("a", 1.0), ("a", 2.0)))) == ()
