@@ -19,7 +19,7 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from .errors import InvalidProcessError, ProcessCollisionError, UnknownProcessError
-from .value import Value, finite, shown
+from .value import Value, finite, set_field, shown
 
 
 class ExposureClass(Enum):
@@ -138,6 +138,9 @@ class EnergyWeights(Value):
             for name, value in zip(self.__slots__, self._astuple())
             if not (finite(value) and value > 0)
         ])
+        # Floats, so that every energy computed from them is a float.
+        set_field(self, "per_euv_mask", float(self.per_euv_mask))
+        set_field(self, "per_duv_mask", float(self.per_duv_mask))
 
     def per_mask(self, exposure: ExposureClass) -> float:
         return self.per_euv_mask if exposure.is_euv else self.per_duv_mask

@@ -77,11 +77,11 @@ def metrics_from_totals(node: str, counts: Sequence[int], per_layer: tuple[Layer
     """The one StackMetrics builder, from a stack's rows' column sums
     (``layer_table`` ``counts`` layout) and per-layer metrics. The one place
     a stack's litho energy is computed: DUV (dry and immersion) masks times
-    the DUV weight plus EUV masks times the EUV weight, from 0.0 so that it
-    is a float for integer weights too; beyond float range, DomainError."""
+    the DUV weight plus EUV masks times the EUV weight, a float as the
+    weights are; beyond float range, DomainError."""
     dry, immersion, euv = by_exposure = counts[REGIONS_END:]
     try:
-        litho_energy = 0.0 + (dry + immersion) * weights.per_duv_mask + euv * weights.per_euv_mask
+        litho_energy = (dry + immersion) * weights.per_duv_mask + euv * weights.per_euv_mask
     except OverflowError:  # a mask total too large to convert to a float
         litho_energy = math.inf
     if not math.isfinite(litho_energy):

@@ -298,8 +298,7 @@ def layer_table(
         # A valid layer names a metal process, a via process or both.
         proc = lookup(via if metal is None else metal)
         steps, masks, slot = proc.steps, proc.masks, proc.exposure.slot
-        # From 0.0, as a layer-by-layer sum: a float even for integer weights.
-        energy = 0.0 + masks * per_mask[slot]
+        energy = masks * per_mask[slot]
         by_exposure = [0, 0, 0]  # by ExposureClass.slot
         by_exposure[slot] = masks
         if metal is not None and via is not None:

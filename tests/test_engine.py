@@ -276,6 +276,7 @@ def test_integer_weights_give_the_float_totals_of_the_same_float_weights(stack, 
 
 
 def test_integer_weights_give_a_float_energy(asap7):
+    assert repr(EnergyWeights(10, 1)) == "EnergyWeights(per_euv_mask=10.0, per_duv_mask=1.0)"
     assert repr(stack_metrics(asap7, weights=EnergyWeights(10, 1)).total_litho_energy) == "128.0"
 
 
@@ -302,6 +303,16 @@ def test_a_mask_total_beyond_float_range_is_a_litho_energy_domain_error():
                                          catalog=_HUGE_CATALOG, weights=weights)):
             with pytest.raises(DomainError, match="^total litho energy of x overflows to inf$"):
                 call()
+
+
+def test_a_layer_energy_beyond_float_range_is_a_litho_energy_domain_error():
+    # 10**308 EUV masks times a weight of 10 overflow to inf as a float product;
+    # integer weights are stored as floats, so no int product is converted.
+    stack = StackSpec("x", (LayerSpec("M1", Region.BEOL, None, "BIG", None,
+                                      frozenset({"routing"})),))
+    for weights in (EnergyWeights(10, 1), EnergyWeights(10.0, 1.0)):
+        with pytest.raises(DomainError, match="^total litho energy of x overflows to inf$"):
+            stack_metrics(stack, _HUGE_CATALOG, weights)
 
 
 def test_a_pfas_total_beyond_float_range_is_a_chip_pfas_domain_error():
