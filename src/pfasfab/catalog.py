@@ -51,13 +51,21 @@ class StepCounts(Value):
     def __post_init__(self):
         # A method of its own, so that perfbench's tracer can count the
         # StepCounts built per operation by wrapping it. One chained test of
-        # all six fields; the loop runs only to name the field that failed.
-        if (self.dry_etch < 0 or self.litho < 0 or self.metallization < 0
-                or self.metrology < 0 or self.wet_etch < 0 or self.deposition < 0):
-            for name, value in zip(STEP_FIELDS, self._astuple()):
+        # all six fields; the loop runs only to name each field that failed.
+        try:
+            if not (self.dry_etch < 0 or self.litho < 0 or self.metallization < 0
+                    or self.metrology < 0 or self.wet_etch < 0 or self.deposition < 0):
+                return
+        except TypeError:  # a field that cannot be compared with 0
+            pass
+        failed = []
+        for name, value in zip(STEP_FIELDS, self._astuple()):
+            try:
                 if value < 0:
-                    raise InvalidProcessError(
-                        f"step count {name} must be >= 0, got {shown(value)}")
+                    failed.append((name, f"step count {name} must be >= 0, got {shown(value)}"))
+            except TypeError:
+                failed.append((name, f"step count {name} must be a number, got {shown(value)}"))
+        InvalidProcessError.check(failed)
 
     def as_dict(self) -> dict[str, int]:
         return dict(zip(STEP_FIELDS, self._astuple()))
@@ -97,6 +105,14 @@ class ProcessClass(Value):
 
     def __post_init__(self):
         pid = shown(self.id)
+        InvalidProcessError.check([
+            (field, f"process {pid}: {field} must be {what}, got {shown(value)}")
+            for field, value, kind, what in (
+                ("id", self.id, str, "a string"),
+                ("steps", self.steps, StepCounts, "a StepCounts"),
+                ("exposure", self.exposure, ExposureClass, "an ExposureClass"))
+            if not isinstance(value, kind)
+        ])
         # StepCounts checks only ``< 0``, as it is built on the hot path; the
         # finite test runs here, once per process class.
         InvalidProcessError.check([

@@ -166,6 +166,8 @@ class SocBlock(Value):
             set_field(self, "area_overhead", {})
         block = f"block {shown(self.name)}"
         failed = []
+        if not isinstance(self.name, str):
+            failed.append(("name", f"block name must be a string, got {shown(self.name)}"))
         if not (finite(self.baseline_area_cm2) and self.baseline_area_cm2 > 0):
             failed.append(("baseline_area_cm2", f"{block}: baseline_area_cm2 must "
                            f"be finite and > 0, got {shown(self.baseline_area_cm2)}"))

@@ -126,13 +126,30 @@ def test_process_counts_are_integers(masks, steps, field, got):
     (lambda: TrendSeries(points=(("7nm",),)), "points"),
     (lambda: StackSpec("x", None), "layers"),
     (lambda: StackSpec("x", ["M1"]), "layers"),
+    (lambda: SocBlock(5, 1.0, "M3"), "name"),
 ], ids=["yield-None", "yield-str", "area-str", "overhead-list", "points-int", "points-single",
-        "layers-None", "layers-str-entry"])
+        "layers-None", "layers-str-entry", "block-name-int"])
 def test_a_malformed_constructor_argument_is_a_domain_error_naming_its_field(build, field):
     with pytest.raises(DomainError) as info:
         build()
     assert type(info.value) is DomainError
     assert [f for f, _ in info.value.fields] == [field]
+
+
+@pytest.mark.parametrize("build, field, message", [
+    (lambda: StepCounts(litho="x"), "litho", "step count litho must be a number, got 'x'"),
+    (lambda: StepCounts(litho=None), "litho", "step count litho must be a number, got None"),
+    (lambda: ProcessClass("X", "s", 1, ExposureClass.EUV), "steps",
+     "process 'X': steps must be a StepCounts, got 's'"),
+    (lambda: ProcessClass("X", StepCounts(), 1, "EUV"), "exposure",
+     "process 'X': exposure must be an ExposureClass, got 'EUV'"),
+    (lambda: ProcessClass(["X"], StepCounts(), 1, ExposureClass.EUV), "id",
+     "process ['X']: id must be a string, got ['X']"),
+], ids=["steps-str", "steps-None", "process-steps-str", "process-exposure-str", "process-id-list"])
+def test_a_malformed_process_field_is_an_invalid_process_error_naming_it(build, field, message):
+    with pytest.raises(InvalidProcessError) as info:
+        build()
+    assert info.value.fields == ((field, message),)
 
 
 def test_huge_ints_that_used_to_overflow_raise_domain_errors():

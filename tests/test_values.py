@@ -391,7 +391,10 @@ def test_constructor_error_fields():
         ("area_overhead.M2", "block 'b': overhead factor for M2 must be finite and >= 1, "
                              "got an integer beyond floating-point range"),
     )
-    assert _fields_of(InvalidProcessError, lambda: StepCounts(litho=-1)) == ()
+    assert _fields_of(InvalidProcessError, lambda: StepCounts(litho=-1, deposition="2")) == (
+        ("litho", "step count litho must be >= 0, got -1"),
+        ("deposition", "step count deposition must be a number, got '2'"),
+    )
     assert _fields_of(DomainError, lambda: TrendSeries((("a", 1.0), ("a", 2.0)))) == ()
     assert _fields_of(DomainError, lambda: TrendSeries((("a", math.nan),))) == ()
 
