@@ -72,6 +72,12 @@ def n7_duv():
     return n7_fixture("duv")
 
 
+_HUGE = st.sampled_from([10**400, -(10**400), 10**5000])
+# Values of every type a field can be given by mistake; a list is unhashable,
+# and 10**5000 has more digits than int's string conversion allows.
+MIXED = (_HUGE | st.integers() | st.floats() | st.text(max_size=4)
+         | st.lists(_HUGE | st.integers() | st.text(max_size=3), max_size=3) | st.none())
+
 _PROCESSES = st.sampled_from(DEFAULT_CATALOG.ids())
 # No pitch, or a positive int or finite float, as perfbench's stacks draw them.
 _PITCHES = st.none() | st.integers(1, 400) | st.floats(min_value=0.5, max_value=400.0)

@@ -37,7 +37,7 @@ from pfasfab import (
     step_totals,
     sweep_beol,
 )
-from conftest import NON_INTEGER_WEIGHTS, random_stacks
+from conftest import MIXED, NON_INTEGER_WEIGHTS, random_stacks
 from pfasfab.stack import KNOWN_TAGS, TAG_POWER_GRID, TAG_ROUTING
 
 
@@ -432,23 +432,17 @@ def test_every_figure_of_an_invalid_stack_raises_its_violations(stack):
         assert excinfo.value.violations == violations, name
 
 
-_HUGE = st.sampled_from([10**400, -(10**400), 10**5000])
-# Values of every type a field can be given by mistake; a list is unhashable.
-_MIXED = (_HUGE | st.integers() | st.floats() | st.text(max_size=4)
-          | st.lists(_HUGE | st.integers() | st.text(max_size=3), max_size=3) | st.none())
-
-
 @st.composite
 def mistyped_stacks(draw):
-    """A valid stack with one layer's fields, at least one, drawn from _MIXED.
-    LayerSpec rejects a drawn value that breaks its field's own rule, and
-    that value is not kept, so the stack rules see only the values
-    LayerSpec accepts."""
+    """A valid stack with one layer's fields, at least one, drawn from MIXED.
+    LayerSpec rejects a drawn value that breaks its field's own rule (the
+    guard in test_values.py checks that it does), and that value is not
+    kept, so the stack rules see only the values LayerSpec accepts."""
     stack = draw(random_stacks())
     layers = list(stack.layers)
     i = draw(st.integers(0, len(layers) - 1))
     fields = draw(st.sets(st.sampled_from(LayerSpec.__slots__), min_size=1))
-    changes = {f: draw(_MIXED) for f in sorted(fields)}
+    changes = {f: draw(MIXED) for f in sorted(fields)}
     try:
         layers[i] = layers[i]._replace(**changes)
     except DomainError as exc:
@@ -460,16 +454,16 @@ def mistyped_stacks(draw):
 
 @st.composite
 def layer_lists_with_a_stranger(draw):
-    """The layers of a valid stack with one entry, at any place, drawn from _MIXED."""
+    """The layers of a valid stack with one entry, at any place, drawn from MIXED."""
     layers = list(draw(random_stacks()).layers)
-    layers.insert(draw(st.integers(0, len(layers))), draw(_MIXED))
+    layers.insert(draw(st.integers(0, len(layers))), draw(MIXED))
     return layers
 
 
 @pytest.mark.guard
-@given(layers=_MIXED | layer_lists_with_a_stranger())
+@given(layers=MIXED | layer_lists_with_a_stranger())
 def test_layers_that_are_not_layer_specs_are_a_domain_error_naming_layers(layers):
-    # No _MIXED value is a LayerSpec, so only an empty sequence holds none.
+    # No MIXED value is a LayerSpec, so only an empty sequence holds none.
     if isinstance(layers, (str, list)) and len(layers) == 0:
         assert StackSpec("x", layers).layers == ()
         return

@@ -10,8 +10,11 @@ import itertools
 import json
 import math
 import pickle
+import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pfasfab import (
     CarbonParams,
@@ -49,7 +52,7 @@ from pfasfab import (
 from pfasfab.scenarios import SocBlockResult
 from pfasfab.value import Value
 
-from conftest import GOLDEN
+from conftest import GOLDEN, MIXED
 
 DESIGN = DesignParams(1.0, 0.8)
 PARAMS = CarbonParams(0.4, 0.05, 5.0, 0.3, 0.5)
@@ -397,6 +400,35 @@ def test_constructor_error_fields():
     )
     assert _fields_of(DomainError, lambda: TrendSeries((("a", 1.0), ("a", 2.0)))) == ()
     assert _fields_of(DomainError, lambda: TrendSeries((("a", math.nan),))) == ()
+
+
+# A valid value of each input type, whose fields the guard below replaces.
+INPUTS = (
+    LayerSpec("M1", Region.BEOL, 36, "EUV_LE", "EUV_LE", frozenset({"routing"})),
+    StepCounts(1, 3, 1, 3, 3, 0),
+    ProcessClass("X", StepCounts(1, 3, 1, 3, 3, 0), 1, ExposureClass.EUV),
+    EnergyWeights(10.0, 1.0),
+    DesignParams(1.0, 0.875),
+    CarbonParams(0.5, 1.0, 1.0, 0.1, 0.1),
+    SocBlock("a", 0.5, "M7", {"M4": 1.2}),
+    TrendSeries((("7nm", 1.0), ("5nm", 2.0)), "7nm"),
+    asap7_preset(),
+)
+
+
+@pytest.mark.guard
+@pytest.mark.parametrize("valid", INPUTS, ids=lambda value: type(value).__name__)
+@given(data=st.data())
+def test_an_input_with_mistyped_fields_is_built_or_names_them(valid, data):
+    # Any other exception, from a check or from printing a value in its
+    # message, fails here.
+    fields = data.draw(st.sets(st.sampled_from(type(valid).__slots__), min_size=1))
+    changes = {field: data.draw(MIXED) for field in sorted(fields)}
+    try:
+        valid._replace(**changes)
+    except DomainError as exc:
+        named = [re.split(r"[.\[]", field, maxsplit=1)[0] for field, _ in exc.fields]
+        assert set(named) <= fields, (exc.fields, changes)
 
 
 def test_constructor_error_messages():
