@@ -15,8 +15,8 @@ registered into a catalog instance without touching the built-ins.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from enum import Enum
-from typing import Iterable, Iterator
 
 from .errors import InvalidProcessError, ProcessCollisionError, UnknownProcessError
 from .value import Value, finite, set_field, shown

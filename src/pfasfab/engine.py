@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from typing import Sequence
+from collections.abc import Sequence
 
 from .catalog import (
     DEFAULT_CATALOG,

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import io
 import json
-from typing import TYPE_CHECKING, NamedTuple
+from collections import namedtuple
 
 from . import __version__
 from .catalog import STEP_FIELDS, ExposureClass, ProcessCatalog
 from .stack import Region
 from .value import SCHEMA_VERSION
 
+TYPE_CHECKING = False  # a type checker reads True; importing typing costs start-up
 if TYPE_CHECKING:
     from .carbon import CarbonResult
     from .engine import ChipPfas, StackMetrics
@@ -211,14 +212,10 @@ def _table(headers, rows) -> str:
     return "\n".join("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() for line in lines)
 
 
-class _Grid(NamedTuple):
-    """A block of rows: ``columns`` pairs each CSV header with its table
-    header, or None for a CSV-only column; ``csv_tail`` rows follow ``rows``
-    in the CSV only."""
-
-    columns: tuple
-    rows: list
-    csv_tail: tuple = ()
+# A block of rows: ``columns`` pairs each CSV header with its table header,
+# or None for a CSV-only column; ``csv_tail`` rows follow ``rows`` in the CSV
+# only.
+_Grid = namedtuple("_Grid", ("columns", "rows", "csv_tail"), defaults=((),))
 
 
 def _pick(columns, records) -> list:

@@ -11,7 +11,7 @@ sums the rows, and ``engine.capper`` maps each routing layer to its index.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from collections.abc import Sequence
 
 from .carbon import CarbonParams, estimate_carbon
 from .catalog import DEFAULT_CATALOG, DEFAULT_WEIGHTS, EnergyWeights, ProcessCatalog

@@ -4,6 +4,7 @@ timed."""
 
 import importlib
 import importlib.util
+import os
 import subprocess
 import sys
 
@@ -12,11 +13,13 @@ import pfasfab
 from conftest import GOLDEN, REPO_ROOT
 
 
-def _loaded(module: str) -> set[str]:
-    """The names in ``sys.modules`` after ``import <module>`` in a fresh interpreter."""
+def _loaded(module: str, *flags: str) -> set[str]:
+    """The names in ``sys.modules`` after ``import <module>`` in a fresh
+    interpreter started with ``flags``, with ``src`` on its path."""
     code = f"import sys; import {module}; print(*sys.modules, sep='\\n')"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          cwd=REPO_ROOT, check=True)
+    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True,
+                          cwd=REPO_ROOT, check=True, env={**os.environ, "PYTHONPATH": path})
     return set(proc.stdout.split())
 
 
@@ -41,6 +44,12 @@ def test_cli_loads_no_module_only_some_calls_use():
     # dataclasses (and inspect, which it imports) load only for a caller of
     # the dataclasses functions on a process; csv only to render CSV.
     assert {"dataclasses", "inspect", "csv"}.isdisjoint(_loaded("pfasfab.cli"))
+
+
+def test_cli_loads_no_typing():
+    # Without site (-S): a .pth hook of an installed package may import typing
+    # into every process that runs site.
+    assert "typing" not in _loaded("pfasfab.cli", "-S")
 
 
 def test_cli_loads_every_traced_layer():
