@@ -17,8 +17,8 @@ _EXPORTS = {
         "ExposureClass", "ProcessCatalog", "ProcessClass", "StepCounts", "lookup_process",
     ], "catalog"),
     **dict.fromkeys([
-        "LayerMetrics", "LayerSpec", "Region", "StackSpec", "Violation", "asap7_preset",
-        "beol_index", "derive_layer_metrics", "n7_fixture", "stack_violations",
+        "PRESETS", "LayerMetrics", "LayerSpec", "Region", "StackSpec", "Violation",
+        "asap7_preset", "beol_index", "derive_layer_metrics", "n7_fixture", "stack_violations",
         "validate_stack",
     ], "stack"),
     **dict.fromkeys([
@@ -34,7 +34,7 @@ _EXPORTS = {
         "compare_stacks", "compose_soc", "normalize_trend", "sweep_beol",
     ], "scenarios"),
     **dict.fromkeys([
-        "PRESETS", "ConfigDocument", "load_stack_document", "parse_carbon_profile",
+        "ConfigDocument", "load_stack_document", "parse_carbon_profile",
         "parse_config", "stack_to_dict",
     ], "config"),
     **dict.fromkeys([

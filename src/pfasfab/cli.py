@@ -26,13 +26,13 @@ from pathlib import Path
 
 from . import report as rpt
 from .catalog import DEFAULT_CATALOG
-from .config import PRESETS, ConfigDocument, load_stack_document, parse_carbon_profile
+from .config import ConfigDocument, load_stack_document, parse_carbon_profile
 from .config import parse_config, stack_to_dict, to_dict
 from .engine import DesignParams, chip_pfas, stack_metrics
 from .carbon import estimate_carbon
 from .errors import ConfigError, PfasfabError
 from .scenarios import compare_stacks, compose_soc, normalize_trend, sweep_beol
-from .stack import StackSpec
+from .stack import PRESETS, StackSpec
 
 
 class _CliError(PfasfabError):
@@ -89,7 +89,7 @@ def _resolve_stack(ref: str | None, fallback: StackSpec | None, args) -> StackSp
                             f"stack section (presets: {', '.join(PRESETS)})")
         return fallback
     if ref in PRESETS:
-        return PRESETS[ref]()
+        return PRESETS[ref]
     if ref and Path(ref).exists():
         warnings = []
         stack = _parse_file(ref, load_stack_document, strict=args.strict, warnings=warnings)

@@ -28,22 +28,8 @@ from .catalog import DEFAULT_WEIGHTS, EnergyWeights
 from .engine import DesignParams
 from .errors import ConfigError, DomainError
 from .scenarios import SocBlock, TrendSeries
-from .stack import (
-    KNOWN_TAGS,
-    LayerSpec,
-    Region,
-    StackSpec,
-    asap7_preset,
-    n7_fixture,
-    validate_stack,
-)
+from .stack import KNOWN_TAGS, PRESETS, LayerSpec, Region, StackSpec, validate_stack
 from .value import SCHEMA_VERSION, Value, finite
-
-PRESETS = {
-    "asap7": asap7_preset,
-    "n7_euv": lambda: n7_fixture("euv"),
-    "n7_duv": lambda: n7_fixture("duv"),
-}
 
 
 class ConfigDocument(Value):
@@ -305,7 +291,7 @@ def _parse_pair(value, path, col):
 
 def _parse_preset(value, path, col):
     if isinstance(value, str) and value in PRESETS:
-        return PRESETS[value]()
+        return PRESETS[value]
     if isinstance(value, str):
         col.error(path, f"unknown preset {value!r}; presets: {', '.join(PRESETS)}")
     else:  # the value of a {"preset": ...} reference

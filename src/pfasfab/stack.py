@@ -346,37 +346,25 @@ def _beol(name, pitch, metal, via, tag):
     )
 
 
-def asap7_preset() -> StackSpec:
-    """Sixteen-layer 7 nm stack modeled on the academic ASAP7 PDK.
-
-    SAQP fins and SADP gates with EUV single exposure elsewhere in the
-    front end and local interconnect; M1-M3 pattern metal and vias with
-    EUV, M4-M7 pair SADP metals with immersion LE-2 vias, and M8-M9 are
-    relaxed-pitch single-exposure power-grid metals. FEOL doping masks are
-    not modeled; add extra FEOL layers to account for them if needed.
-    """
-    return StackSpec(
-        technology_node="7nm-ASAP7",
-        layers=(
-            _feol("Fin", 27, "ArFi_SAQP"),
-            _feol("Active", 108, "EUV_LE"),
-            _feol("Gate", 54, "ArFi_SADP"),
-            _feol("SDT", 54, "EUV_LE"),
-            _mol("LISD", 54, metal="EUV_LE"),
-            _mol("LIG", 54, metal="EUV_LE"),
-            _mol("VIA0", 25, via="EUV_LE"),
-            _beol("M1", 36, "EUV_LE", "EUV_LE", TAG_ROUTING),
-            _beol("M2", 36, "EUV_LE", "EUV_LE", TAG_ROUTING),
-            _beol("M3", 36, "EUV_LE", "EUV_LE", TAG_ROUTING),
-            _beol("M4", 48, "ArFi_SADP", "ArFi_LE2", TAG_ROUTING),
-            _beol("M5", 48, "ArFi_SADP", "ArFi_LE2", TAG_ROUTING),
-            _beol("M6", 64, "ArFi_SADP", "ArFi_LE2", TAG_ROUTING),
-            _beol("M7", 64, "ArFi_SADP", "ArFi_LE2", TAG_ROUTING),
-            _beol("M8", 80, "ArFi_LE", "ArFi_LE", TAG_POWER_GRID),
-            _beol("M9", 80, "ArFi_LE", "ArFi_LE", TAG_POWER_GRID),
-        ),
-    )
-
+# Sixteen-layer 7 nm stack modeled on the academic ASAP7 PDK (``asap7_preset``).
+_ASAP7 = StackSpec("7nm-ASAP7", (
+    _feol("Fin", 27, "ArFi_SAQP"),
+    _feol("Active", 108, "EUV_LE"),
+    _feol("Gate", 54, "ArFi_SADP"),
+    _feol("SDT", 54, "EUV_LE"),
+    _mol("LISD", 54, metal="EUV_LE"),
+    _mol("LIG", 54, metal="EUV_LE"),
+    _mol("VIA0", 25, via="EUV_LE"),
+    _beol("M1", 36, "EUV_LE", "EUV_LE", TAG_ROUTING),
+    _beol("M2", 36, "EUV_LE", "EUV_LE", TAG_ROUTING),
+    _beol("M3", 36, "EUV_LE", "EUV_LE", TAG_ROUTING),
+    _beol("M4", 48, "ArFi_SADP", "ArFi_LE2", TAG_ROUTING),
+    _beol("M5", 48, "ArFi_SADP", "ArFi_LE2", TAG_ROUTING),
+    _beol("M6", 64, "ArFi_SADP", "ArFi_LE2", TAG_ROUTING),
+    _beol("M7", 64, "ArFi_SADP", "ArFi_LE2", TAG_ROUTING),
+    _beol("M8", 80, "ArFi_LE", "ArFi_LE", TAG_POWER_GRID),
+    _beol("M9", 80, "ArFi_LE", "ArFi_LE", TAG_POWER_GRID),
+))
 
 # Immersion-DUV substitutions applied to the EUV layers of the 7 nm stack:
 # the ``_replace`` keywords of each layer that changes.
@@ -391,6 +379,30 @@ _N7_DUV_SUBSTITUTIONS = {
     "M3": {"metal_process": "ArFi_SADP", "via_process": "ArFi_LE2"},
 }
 
+# The built-in stacks by name, each an immutable value built once, at import:
+# constant data, as ``_BEOL_INDEX`` is. ``n7_euv`` is the ASAP7 stack itself.
+PRESETS = {
+    "asap7": _ASAP7,
+    "n7_euv": _ASAP7,
+    "n7_duv": StackSpec("7nm-DUV", tuple([
+        layer._replace(**_N7_DUV_SUBSTITUTIONS[layer.name])
+        if layer.name in _N7_DUV_SUBSTITUTIONS else layer
+        for layer in _ASAP7.layers
+    ])),
+}
+
+
+def asap7_preset() -> StackSpec:
+    """Sixteen-layer 7 nm stack modeled on the academic ASAP7 PDK.
+
+    SAQP fins and SADP gates with EUV single exposure elsewhere in the
+    front end and local interconnect; M1-M3 pattern metal and vias with
+    EUV, M4-M7 pair SADP metals with immersion LE-2 vias, and M8-M9 are
+    relaxed-pitch single-exposure power-grid metals. FEOL doping masks are
+    not modeled; add extra FEOL layers to account for them if needed.
+    """
+    return PRESETS["asap7"]
+
 
 def n7_fixture(variant: str) -> StackSpec:
     """7 nm comparison stacks: ``euv`` is the ASAP7 preset, ``duv`` swaps
@@ -400,11 +412,7 @@ def n7_fixture(variant: str) -> StackSpec:
     comparisons at the same metal stack, not a published foundry flow.
     """
     if variant == "euv":
-        return asap7_preset()
+        return PRESETS["n7_euv"]
     if variant != "duv":
         raise ValueError(f"variant must be 'euv' or 'duv', got {variant!r}")
-    return StackSpec("7nm-DUV", tuple([
-        layer._replace(**_N7_DUV_SUBSTITUTIONS[layer.name])
-        if layer.name in _N7_DUV_SUBSTITUTIONS else layer
-        for layer in asap7_preset().layers
-    ]))
+    return PRESETS["n7_duv"]

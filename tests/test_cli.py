@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pfasfab import cli
+from pfasfab import PRESETS, LayerSpec, cli, parse_config
 from pfasfab.report import render_json
 
 from conftest import CONFIGS, GOLDEN, REPO_ROOT, run_cli, run_main
@@ -67,6 +67,25 @@ def test_compare_positional_stacks():
     report = _json_report("compare", "n7_duv", "n7_euv", "--format", "json")
     reduction = report["result"]["percent_reduction"]
     assert 0.16 <= reduction <= 0.20
+
+
+def test_a_named_preset_builds_no_layer(monkeypatch):
+    # Each preset is one value, built when pfasfab.stack is imported: a config
+    # or a command line that names one takes that value and builds no layer.
+    built = []
+    check = LayerSpec.__post_init__
+
+    def counted(layer):
+        built.append(layer.name)
+        check(layer)
+
+    monkeypatch.setattr(LayerSpec, "__post_init__", counted)
+    doc = parse_config(json.dumps({"compare": {"stack_a": "n7_duv", "stack_b": "n7_euv"}}))
+    report = _json_report("compare", "n7_duv", "n7_euv", "--format", "json")
+    assert built == []
+    assert doc.compare["stack_a"] is PRESETS["n7_duv"]
+    assert doc.compare["stack_b"] is PRESETS["n7_euv"]
+    assert report["result"]["a"]["total_pfas_layers"] == 36
 
 
 def test_compare_from_config():

@@ -13,10 +13,10 @@ import pfasfab
 from conftest import GOLDEN, REPO_ROOT
 
 
-def _loaded(module: str, *flags: str) -> set[str]:
-    """The names in ``sys.modules`` after ``import <module>`` in a fresh
-    interpreter started with ``flags``, with ``src`` on its path."""
-    code = f"import sys; import {module}; print(*sys.modules, sep='\\n')"
+def _loaded(statement: str, *flags: str) -> set[str]:
+    """The names in ``sys.modules`` after ``statement`` (an import) in a
+    fresh interpreter started with ``flags``, with ``src`` on its path."""
+    code = f"import sys; {statement}; print(*sys.modules, sep='\\n')"
     path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True,
                           cwd=REPO_ROOT, check=True, env={**os.environ, "PYTHONPATH": path})
@@ -28,13 +28,18 @@ def _pfasfab(modules: set[str]) -> set[str]:
 
 
 def test_package_import_loads_no_submodule():
-    loaded = _loaded("pfasfab")
+    loaded = _loaded("import pfasfab")
     assert _pfasfab(loaded) == {"pfasfab"}
     assert "dataclasses" not in loaded
 
 
+def test_presets_load_no_parser_or_scenario_module():
+    loaded = _loaded("from pfasfab import PRESETS")
+    assert {"pfasfab.config", "pfasfab.scenarios"}.isdisjoint(loaded)
+
+
 def test_report_loads_no_model_or_config_module():
-    assert _pfasfab(_loaded("pfasfab.report")) == {
+    assert _pfasfab(_loaded("import pfasfab.report")) == {
         "pfasfab", "pfasfab.report", "pfasfab.catalog", "pfasfab.stack", "pfasfab.value",
         "pfasfab.errors",
     }
@@ -43,13 +48,13 @@ def test_report_loads_no_model_or_config_module():
 def test_cli_loads_no_module_only_some_calls_use():
     # dataclasses (and inspect, which it imports) load only for a caller of
     # the dataclasses functions on a process; csv only to render CSV.
-    assert {"dataclasses", "inspect", "csv"}.isdisjoint(_loaded("pfasfab.cli"))
+    assert {"dataclasses", "inspect", "csv"}.isdisjoint(_loaded("import pfasfab.cli"))
 
 
 def test_cli_loads_no_typing():
     # Without site (-S): a .pth hook of an installed package may import typing
     # into every process that runs site.
-    assert "typing" not in _loaded("pfasfab.cli", "-S")
+    assert "typing" not in _loaded("import pfasfab.cli", "-S")
 
 
 def test_cli_loads_every_traced_layer():
@@ -59,7 +64,7 @@ def test_cli_loads_every_traced_layer():
     spec = importlib.util.spec_from_file_location("tracing", REPO_ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    assert {f"pfasfab.{layer}" for layer in tracing.SPANS} <= _loaded("pfasfab.cli")
+    assert {f"pfasfab.{layer}" for layer in tracing.SPANS} <= _loaded("import pfasfab.cli")
 
 
 def test_public_names_resolve_and_are_pinned():

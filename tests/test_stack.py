@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from pfasfab import (
     DEFAULT_CATALOG,
     DEFAULT_WEIGHTS,
+    PRESETS,
     DomainError,
     LayerMetrics,
     LayerSpec,
@@ -95,6 +96,12 @@ def test_beol_index_is_the_m_k_rule(name):
 
 def test_euv_fixture_is_the_preset():
     assert n7_fixture("euv") == asap7_preset()
+
+
+def test_each_preset_is_one_shared_value():
+    assert asap7_preset() is n7_fixture("euv") is PRESETS["asap7"] is PRESETS["n7_euv"]
+    assert n7_fixture("duv") is PRESETS["n7_duv"]
+    assert list(PRESETS) == ["asap7", "n7_euv", "n7_duv"]
 
 
 def test_duv_fixture_matches_golden(n7_duv):
