@@ -318,6 +318,8 @@ class TrendSeries(Value):
             points = None
         check_type(points is not None, "points", "an iterable of (node label, value) pairs",
                    self.points)
+        check_type(self.reference is None or isinstance(self.reference, str), "reference",
+                   "None or a string", self.reference)
         labels = [n for n, _ in points]
         if len(labels) != len(set(labels)):
             raise DomainError("trend series has duplicate node labels")
@@ -337,6 +339,7 @@ def normalize_trend(series: TrendSeries, reference: str) -> TrendSeries:
     idempotent for a fixed reference.
     """
     check_type(isinstance(series, TrendSeries), "series", "a TrendSeries", series)
+    check_type(isinstance(reference, str), "reference", "a string", reference)
     values = series.values()
     if reference not in values:
         raise TrendReferenceError(

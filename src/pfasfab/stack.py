@@ -111,6 +111,8 @@ class StackSpec(Value):
     __slots__ = ("technology_node", "layers")
 
     def __post_init__(self):
+        check_type(isinstance(self.technology_node, str), "technology_node", "a string",
+                   self.technology_node)
         # Checked here, once, so that the stack rules can read every layer's fields.
         try:
             layers = tuple(self.layers)
@@ -414,5 +416,5 @@ def n7_fixture(variant: str) -> StackSpec:
     if variant == "euv":
         return PRESETS["n7_euv"]
     if variant != "duv":
-        raise ValueError(f"variant must be 'euv' or 'duv', got {variant!r}")
+        DomainError.check([("variant", f"variant must be 'euv' or 'duv', got {shown(variant)}")])
     return PRESETS["n7_duv"]

@@ -33,6 +33,7 @@ from pfasfab import (
     derive_layer_metrics,
     embodied_carbon,
     estimate_carbon,
+    n7_fixture,
     normalize_trend,
     stack_metrics,
     stack_violations,
@@ -127,13 +128,27 @@ def test_process_counts_are_integers(masks, steps, field, got):
     (lambda: StackSpec("x", None), "layers"),
     (lambda: StackSpec("x", ["M1"]), "layers"),
     (lambda: SocBlock(5, 1.0, "M3"), "name"),
+    (lambda: StackSpec(5, asap7_preset().layers), "technology_node"),
+    (lambda: TrendSeries((("a", 1.0),), reference=[1]), "reference"),
 ], ids=["yield-None", "yield-str", "area-str", "overhead-list", "points-int", "points-single",
-        "layers-None", "layers-str-entry", "block-name-int"])
+        "layers-None", "layers-str-entry", "block-name-int", "node-int", "reference-list"])
 def test_a_malformed_constructor_argument_is_a_domain_error_naming_its_field(build, field):
     with pytest.raises(DomainError) as info:
         build()
     assert type(info.value) is DomainError
     assert [f for f, _ in info.value.fields] == [field]
+
+
+@pytest.mark.parametrize("call, field, message", [
+    (lambda: normalize_trend(TrendSeries((("a", 1.0),)), [1]), "reference",
+     "reference must be a string, got [1]"),
+    (lambda: n7_fixture("arf"), "variant", "variant must be 'euv' or 'duv', got 'arf'"),
+], ids=["normalize-reference-list", "variant-arf"])
+def test_a_mistyped_reference_or_variant_is_a_domain_error_naming_it(call, field, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert type(info.value) is DomainError
+    assert info.value.fields == ((field, message),)
 
 
 @pytest.mark.parametrize("build, field, message", [
