@@ -65,13 +65,16 @@ def _warn(path: str, warnings):
         print(f"warning: {path}: {warning}", file=sys.stderr)
 
 
-def _parse_file(path: str, parse, *args, **options):
-    """``parse(text of path, ...)``, each ConfigError entry located in the file,
-    as its warnings are (``--config`` errors keep their bare locations)."""
+def _parse_file(path: str, parse, strict: bool) -> list:
+    """``parse(text of path, strict)`` without the warnings it returns last,
+    which are printed; each warning and ConfigError entry is located in the
+    file (``--config`` errors keep their bare locations)."""
     try:
-        return parse(_read_text(path), *args, **options)
+        *result, warnings = parse(_read_text(path), strict)
     except ConfigError as exc:
         raise ConfigError([(f"{path}: {loc}", msg) for loc, msg in exc.entries]) from None
+    _warn(path, warnings)
+    return result
 
 
 def _load_config(args) -> ConfigDocument:
@@ -91,9 +94,7 @@ def _resolve_stack(ref: str | None, fallback: StackSpec | None, args) -> StackSp
     if ref in PRESETS:
         return PRESETS[ref]
     if ref and Path(ref).exists():
-        warnings = []
-        stack = _parse_file(ref, load_stack_document, strict=args.strict, warnings=warnings)
-        _warn(ref, warnings)
+        (stack,) = _parse_file(ref, load_stack_document, args.strict)
         return stack
     raise _CliError(f"stack {ref!r} is neither a preset ({', '.join(PRESETS)}) nor an "
                     "existing file")
@@ -128,8 +129,7 @@ def _model(args, cfg: ConfigDocument, design) -> tuple[dict, dict]:
     band, from --carbon-profile if given) and their echo in a report's inputs."""
     if args.carbon_profile is not None:
         path = _path("--carbon-profile", args.carbon_profile)
-        params, ci_band, warnings = _parse_file(path, parse_carbon_profile, strict=args.strict)
-        _warn(args.carbon_profile, warnings)
+        params, ci_band = _parse_file(path, parse_carbon_profile, args.strict)
     else:
         params, ci_band = cfg.carbon, cfg.ci_band
     model = {"weights": cfg.weights, "design": design, "carbon_params": params, "ci_band": ci_band}

@@ -29,7 +29,7 @@ from .engine import DesignParams
 from .errors import ConfigError, DomainError
 from .scenarios import SocBlock, TrendSeries
 from .stack import KNOWN_TAGS, PRESETS, LayerSpec, Region, StackSpec, validate_stack
-from .value import SCHEMA_VERSION, Value, finite
+from .value import SCHEMA_VERSION, Value, finite, shown
 
 
 class ConfigDocument(Value):
@@ -70,7 +70,7 @@ class _Collector:
     def check_keys(self, obj: dict, section: _Section, path: str):
         for key in obj:
             if key not in section.keys:
-                note = f"unknown key {key!r} (known: {section.known})"
+                note = f"unknown key {shown(key)} (known: {section.known})"
                 if self.strict:
                     self.error(_at(path, key), note)
                 else:
@@ -142,7 +142,7 @@ class _Section(_Kind):
     def values(self, obj, path: str, col: _Collector):
         """The checked fields of ``obj`` by domain name, or _BAD."""
         if not isinstance(obj, dict):
-            col.error(path, f"{self.what}must be an object, got {obj!r}")
+            col.error(path, f"{self.what}must be an object, got {shown(obj)}")
             return _BAD
         col.check_keys(obj, self, path)
         values, failed = {}, False
@@ -205,7 +205,7 @@ def _scalar(name: str, types, convert=None, nullable=False) -> _Kind:
         if value is None and nullable:
             return None
         if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
-            col.error(path, f"{expected}{value!r}")
+            col.error(path, f"{expected}{shown(value)}")
             return _BAD
         if name == "number" and not finite(value):
             col.error(path, "must be a finite number within floating-point range")
@@ -229,7 +229,7 @@ def _numbers(make, *keys: str) -> _Section:
 
 def _parse_version(value, path, col):
     if value is not None and str(value) != SCHEMA_VERSION:
-        col.error(path, f"unsupported version {value!r}; expected {SCHEMA_VERSION}")
+        col.error(path, f"unsupported version {shown(value)}; expected {SCHEMA_VERSION}")
         return _BAD
     return value
 
@@ -241,18 +241,18 @@ def _parse_region(value, path, col):
     try:
         return Region(name)
     except ValueError:
-        col.error(path, f"must be one of {', '.join(r.value for r in Region)}, got {name!r}")
+        col.error(path, f"must be one of {', '.join(r.value for r in Region)}, got {shown(name)}")
         return _BAD
 
 
 def _parse_tags(value, path, col):
     """The known tags of a list of strings; each unknown one is an error."""
     if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
-        col.error(path, f"must be a list of strings, got {value!r}")
+        col.error(path, f"must be a list of strings, got {shown(value)}")
         return _BAD
     for tag in value:
         if tag not in KNOWN_TAGS:
-            col.error(path, f"unknown tag {tag!r} (known: {', '.join(sorted(KNOWN_TAGS))})")
+            col.error(path, f"unknown tag {shown(tag)} (known: {', '.join(sorted(KNOWN_TAGS))})")
     return frozenset([t for t in value if t in KNOWN_TAGS])
 
 
@@ -269,7 +269,7 @@ def _parse_labels(value, path, col):
 def _parse_factors(value, path, col):
     """An object of ``<M-label>: number`` area-overhead factors."""
     if not isinstance(value, dict):
-        col.error(path, f"must be an object, got {value!r}")
+        col.error(path, f"must be an object, got {shown(value)}")
         return _BAD
     factors = {key: _number.parse(factor, f"{path}.{key}", col) for key, factor in value.items()}
     return _BAD if any(f is _BAD for f in factors.values()) else factors
@@ -284,7 +284,7 @@ def _parse_pair(value, path, col):
         or not isinstance(value[1], (int, float))
         or not finite(value[1])
     ):
-        col.error(path, f"must be a [node, finite number] pair, got {value!r}")
+        col.error(path, f"must be a [node, finite number] pair, got {shown(value)}")
         return _BAD
     return (value[0], float(value[1]))
 
@@ -293,9 +293,9 @@ def _parse_preset(value, path, col):
     if isinstance(value, str) and value in PRESETS:
         return PRESETS[value]
     if isinstance(value, str):
-        col.error(path, f"unknown preset {value!r}; presets: {', '.join(PRESETS)}")
+        col.error(path, f"unknown preset {shown(value)}; presets: {', '.join(PRESETS)}")
     else:  # the value of a {"preset": ...} reference
-        got = "an object" if isinstance(value, dict) else repr(value)
+        got = "an object" if isinstance(value, dict) else shown(value)
         col.error(path, f"must be a preset name ({', '.join(PRESETS)}), got {got}")
     return _BAD
 
@@ -305,7 +305,7 @@ def _parse_stack_ref(value, path, col):
     if isinstance(value, str):
         return _parse_preset(value, path, col)
     if not isinstance(value, dict):
-        col.error(path, f"stack must be a preset name or an object, got {value!r}")
+        col.error(path, f"stack must be a preset name or an object, got {shown(value)}")
         return _BAD
     sources = [key for key in ("preset", "layers") if key in value]
     if len(sources) == 1:
@@ -356,7 +356,7 @@ _FAB = _Section(dict, [
 # A carbon profile file: the carbon fields and ci_band at its top level,
 # read into (CarbonParams, ci_band).
 _PROFILE = _Section(lambda ci_band, **carbon: (CarbonParams(**carbon), ci_band),
-                    [*_CARBON.fields, _CI_BAND])
+                    [*_CARBON.fields, _CI_BAND], what="carbon profile ")
 
 _COMPARE = _Section(dict, [_Field("stack_a", _stack_ref), _Field("stack_b", _stack_ref)])
 
@@ -397,7 +397,7 @@ _DOCUMENT = _Section(None, [
     _Field("sweep", _SWEEP, None),
     _Field("soc", _SOC, None),
     _Field("trend", _TREND, None),
-])
+], what="config ")
 
 # The config section that writes each echoed domain type.
 _ECHOED = {
@@ -420,8 +420,6 @@ def stack_to_dict(stack: StackSpec) -> dict:
 
 
 def parse_config_dict(raw, strict: bool = False) -> ConfigDocument:
-    if not isinstance(raw, dict):
-        raise ConfigError([("<document>", f"config must be a JSON object, got {raw!r}")])
     col = _Collector(strict)
     sections = col.done(_DOCUMENT.values(raw, "", col))
     fab = sections.pop("fab") or {}
@@ -451,27 +449,18 @@ def parse_config(text: str, strict: bool = False) -> ConfigDocument:
 def parse_carbon_profile(text: str, strict: bool = False):
     """Parse a standalone carbon profile file: CarbonParams fields plus an
     optional ci_band. Returns (params, ci_band, warnings)."""
-    raw = _load_json(text)
-    if not isinstance(raw, dict):
-        raise ConfigError([("<document>", "carbon profile must be a JSON object")])
     col = _Collector(strict)
-    params, ci_band = col.done(_PROFILE.parse(raw, "", col))
+    params, ci_band = col.done(_PROFILE.parse(_load_json(text), "", col))
     return params, ci_band, tuple(col.warnings)
 
 
-def load_stack_document(
-    text: str, strict: bool = False, warnings: list | None = None
-) -> StackSpec:
+def load_stack_document(text: str, strict: bool = False):
     """Parse a standalone stack document or {"preset": name} reference,
-    reporting its keys at their paths from the top of the document. In
-    lenient mode its unknown-key warnings are appended to ``warnings`` when
-    that list is given."""
+    reporting its keys at their paths from the top of the document. Returns
+    (stack, warnings); in lenient mode ``warnings`` holds its unknown keys."""
     raw = _load_json(text)
     col = _Collector(strict)
     stack = _stack_ref.parse(raw, "", col)
     if col.errors and isinstance(raw, dict) and "stack" in raw:
         col.error("<document>", "a config document with a stack section; pass it with --config")
-    stack = col.done(stack)
-    if warnings is not None:
-        warnings.extend(col.warnings)
-    return stack
+    return col.done(stack), tuple(col.warnings)

@@ -436,6 +436,21 @@ def test_stack_file_unknown_keys_warn_or_fail_in_strict_mode(tmp_path):
     assert strict.stderr == f"error: {path}: colour: unknown key 'colour' {known}\n"
 
 
+def test_carbon_profile_unknown_keys_warn_naming_the_file(tmp_path):
+    profile = json.loads((CONFIGS / "carbon_profile_example.json").read_text(encoding="utf-8"))
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({**profile, "colour": 1}), encoding="utf-8")
+    args = ("analyze", "--stack", "asap7", "--area", "1", "--yield", "1", "--carbon-profile",
+            str(path))
+    lenient = run_main(*args)
+    assert lenient.returncode == 0
+    assert lenient.stderr.startswith(f"warning: {path}: colour: unknown key 'colour' (known: ")
+    assert lenient.stderr.count("\n") == 1
+    strict = run_main(*args, "--strict")
+    assert strict.returncode == 1
+    assert strict.stderr.startswith(f"error: {path}: colour: unknown key 'colour' (known: ")
+
+
 def test_stack_file_errors_are_located_from_its_top_level(tmp_path):
     path = tmp_path / "stack.json"
     layer = {"name": "M1", "region": "BEOL", "metal_process": "EUV_LE", "pitch_nm": "x"}

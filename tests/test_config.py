@@ -115,14 +115,58 @@ def test_errors_are_aggregated():
 def test_stack_roundtrip_through_document(preset, weights):
     original = {"asap7": asap7_preset(), "n7_euv": n7_fixture("euv"), "n7_duv": n7_fixture("duv")}[preset]
     text = json.dumps(stack_to_dict(original))
-    restored = load_stack_document(text)
+    restored, _ = load_stack_document(text)
     assert restored == original
     assert stack_metrics(restored, weights=weights) == stack_metrics(original, weights=weights)
 
 
 def test_load_stack_document_preset_reference():
-    assert load_stack_document('{"preset": "asap7"}') == asap7_preset()
-    assert load_stack_document('"n7_duv"') == n7_fixture("duv")
+    assert load_stack_document('{"preset": "asap7"}') == (asap7_preset(), ())
+    assert load_stack_document('"n7_duv"') == (n7_fixture("duv"), ())
+
+
+def test_load_stack_document_returns_its_warnings_last():
+    text = '{"preset": "asap7", "colour": 1}'
+    assert load_stack_document(text) == (
+        asap7_preset(), ("colour: unknown key 'colour' (known: preset)",))
+    with pytest.raises(ConfigError) as excinfo:
+        load_stack_document(text, strict=True)
+    assert excinfo.value.entries == (("colour", "unknown key 'colour' (known: preset)"),)
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_config, "null", "config must be an object, got None"),
+    (parse_config, "[1]", "config must be an object, got [1]"),
+    (parse_carbon_profile, "[1]", "carbon profile must be an object, got [1]"),
+    (parse_carbon_profile, '"x"', "carbon profile must be an object, got 'x'"),
+], ids=["config-null", "config-list", "profile-list", "profile-string"])
+def test_a_document_that_is_not_an_object_is_named_with_its_value(parse, text, message):
+    with pytest.raises(ConfigError) as excinfo:
+        parse(text)
+    assert excinfo.value.entries == (("<document>", message),)
+
+
+_BEYOND = "an integer beyond floating-point range"
+
+
+@pytest.mark.parametrize("parse, document, location, message", [
+    (parse_config, '{"stack": {"technology_node": %s, "layers": []}}', "stack.technology_node",
+     f"must be a string, got {_BEYOND}"),
+    (load_stack_document, '{"technology_node": %s, "layers": []}', "technology_node",
+     f"must be a string, got {_BEYOND}"),
+    (parse_config, '{"stack": %s}', "stack",
+     f"stack must be a preset name or an object, got {_BEYOND}"),
+    (parse_config, '{"schema_version": %s}', "schema_version",
+     f"unsupported version {_BEYOND}; expected 1"),
+    (parse_config, '{"design": %s}', "design", f"must be an object, got {_BEYOND}"),
+    (parse_config, '{"stack": {"preset": %s}}', "stack.preset",
+     f"must be a preset name (asap7, n7_euv, n7_duv), got {_BEYOND}"),
+], ids=["node", "stack-file-node", "stack", "version", "section", "preset"])
+def test_an_integer_beyond_float_range_is_never_printed_digit_by_digit(parse, document,
+                                                                        location, message):
+    with pytest.raises(ConfigError) as excinfo:
+        parse(document % HUGE)
+    assert excinfo.value.entries == ((location, message),)
 
 
 _NOT_PRESET_NAMES = {

@@ -67,7 +67,7 @@ _BLOCKS = st.lists(
 
 @given(stack=_stacks())
 def test_stack_document_round_trips(stack):
-    assert load_stack_document(json.dumps(stack_to_dict(stack))) == stack
+    assert load_stack_document(json.dumps(stack_to_dict(stack))) == (stack, ())
 
 
 @given(design=_DESIGNS, weights=_WEIGHTS, carbon=_CARBON, blocks=_BLOCKS)
@@ -95,4 +95,4 @@ def test_report_stack_echo_loads_back(tmp_path, stack):
                     "--format", "json")
     assert proc.returncode == 0, proc.stderr
     echoed = json.loads(proc.stdout)["inputs"]["stack"]
-    assert load_stack_document(json.dumps(echoed), strict=True) == stack
+    assert load_stack_document(json.dumps(echoed), strict=True) == (stack, ())
