@@ -435,6 +435,8 @@ def _load_json(text: str):
         ) from None
     except ValueError as exc:  # an integer literal longer than int-to-str conversion allows
         raise ConfigError([("<document>", f"invalid JSON: {exc}")]) from None
+    except RecursionError:
+        raise ConfigError([("<document>", "invalid JSON: nested too deeply")]) from None
 
 
 def parse_config(text: str, strict: bool = False) -> ConfigDocument:

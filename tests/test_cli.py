@@ -333,6 +333,21 @@ def test_a_stack_file_that_is_not_json_is_named(tmp_path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("args, prefix", [
+    (("analyze", "--config", "{path}"), "error: <document>: "),
+    (("compare", "{path}", "asap7"), "error: {path}: <document>: "),
+    (("analyze", "--stack", "asap7", "--area", "1", "--yield", "1", "--carbon-profile",
+      "{path}"), "error: {path}: <document>: "),
+], ids=["config", "stack", "carbon-profile"])
+def test_a_document_nested_too_deeply_exits_one_naming_it(tmp_path, args, prefix):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    proc = run_main(*(arg.format(path=path) for arg in args))
+    assert proc.returncode == 1
+    assert proc.stderr == prefix.format(path=path) + "invalid JSON: nested too deeply\n"
+    assert proc.stdout == ""
+
+
 def test_carbon_profile_errors_name_the_file(monkeypatch):
     monkeypatch.chdir(REPO_ROOT)
     profile = "configs/soc_trainer.json"  # a config document, not a profile
