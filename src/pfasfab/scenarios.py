@@ -306,7 +306,8 @@ def compose_soc(
 
 
 class TrendSeries(Value):
-    """Ordered (node label, value) pairs, optionally normalized to a node."""
+    """Ordered (node label, value) pairs, optionally normalized to a node: a
+    ``reference`` names a node whose value is 1.0."""
 
     __slots__ = ("points", "reference")
     _defaults = {"reference": None}
@@ -326,6 +327,9 @@ class TrendSeries(Value):
         for node, value in points:
             if not finite(value):
                 raise DomainError(f"trend value for {node!r} must be finite, got {shown(value)}")
+        if self.reference is not None and dict(points).get(self.reference) != 1.0:
+            raise DomainError(f"trend series reference {shown(self.reference)} must be a node "
+                              "whose value is 1.0")
         set_field(self, "points", tuple([(n, float(v)) for n, v in points]))
 
     def values(self) -> dict[str, float]:

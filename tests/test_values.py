@@ -72,7 +72,7 @@ def _samples() -> dict:
     asap7 = asap7_preset()
     metrics = stack_metrics(asap7)
     soc = _soc_report()
-    series = TrendSeries((("7nm", 2.0), ("5nm", 1.0)), "7nm")
+    series = TrendSeries((("7nm", 2.0), ("5nm", 1.0)), "5nm")
     return {
         StepCounts: StepCounts(1, 2, 3, 4, 5, 6),
         EnergyWeights: EnergyWeights(5.0, 2.0),
@@ -429,6 +429,17 @@ def test_an_input_with_mistyped_fields_is_built_or_names_them(valid, data):
     except DomainError as exc:
         named = [re.split(r"[.\[]", field, maxsplit=1)[0] for field, _ in exc.fields]
         assert set(named) <= fields, (exc.fields, changes)
+
+
+@pytest.mark.parametrize("reference", ["zz", "a"], ids=["not-a-node", "value-not-one"])
+def test_a_trend_reference_names_a_node_whose_value_is_one(reference):
+    with pytest.raises(DomainError) as info:
+        TrendSeries((("a", 2.0), ("b", 4.0)), reference=reference)
+    assert type(info.value) is DomainError
+    assert info.value.fields == ()
+    assert str(info.value) == (f"trend series reference {reference!r} must be a node whose "
+                               "value is 1.0")
+    assert TrendSeries((("a", 2), ("b", 1)), reference="b").reference == "b"
 
 
 def test_constructor_error_messages():
