@@ -65,11 +65,17 @@ def _embodied_kg(
     return embodied_kg
 
 
+def _check_inputs(metrics, design, params):
+    check_type(isinstance(metrics, StackMetrics), "metrics", "a StackMetrics", metrics)
+    check_type(isinstance(design, DesignParams), "design", "a DesignParams", design)
+    check_type(isinstance(params, CarbonParams), "params", "a CarbonParams", params)
+
+
 def embodied_carbon(
     metrics: StackMetrics, design: DesignParams, params: CarbonParams
 ) -> CarbonResult:
     """Embodied kg CO2e for one good chip of the given stack and design."""
-    check_type(isinstance(params, CarbonParams), "params", "a CarbonParams", params)
+    _check_inputs(metrics, design, params)
     return CarbonResult(_embodied_kg(metrics, design, params, params.carbon_intensity))
 
 
@@ -97,7 +103,7 @@ def carbon_band(
     band spanned between a low and a high grid intensity. The three figures
     share ``embodied_carbon``'s expression, with only the intensity changed;
     the band's bounds are checked once, by ``validate_ci_band``."""
-    check_type(isinstance(params, CarbonParams), "params", "a CarbonParams", params)
+    _check_inputs(metrics, design, params)
     validate_ci_band(ci_low, ci_high)
     return CarbonResult(
         _embodied_kg(metrics, design, params, params.carbon_intensity),
@@ -116,6 +122,8 @@ def estimate_carbon(
     None without a design or carbon parameters."""
     check_type(params is None or isinstance(params, CarbonParams), "params",
                "a CarbonParams or None", params)
+    check_type(band is None or (isinstance(band, (list, tuple)) and len(band) == 2), "band",
+               "None or a two-item list or tuple", band)
     if design is None or params is None:
         return None
     if band is None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from enum import Enum
 
-from .errors import InvalidProcessError, ProcessCollisionError, UnknownProcessError
+from .errors import InvalidProcessError, ProcessCollisionError, UnknownProcessError, check_type
 from .value import Value, finite, set_field, shown
 
 
@@ -197,8 +197,14 @@ class ProcessCatalog:
     """
 
     def __init__(self, processes: Iterable[ProcessClass] = BUILTIN_PROCESSES):
+        try:
+            items = tuple(processes)
+        except TypeError:  # not iterable
+            items = None
+        check_type(items is not None and all([isinstance(p, ProcessClass) for p in items]),
+                   "processes", "an iterable of ProcessClass", processes)
         self._processes = {}
-        for p in processes:
+        for p in items:
             if p.id in self._processes:
                 raise ProcessCollisionError(f"process id {p.id!r} is already registered")
             self._processes[p.id] = p
@@ -213,6 +219,7 @@ class ProcessCatalog:
             raise UnknownProcessError(process_id, self.ids()) from None
 
     def register(self, custom: ProcessClass) -> "ProcessCatalog":
+        check_type(isinstance(custom, ProcessClass), "custom", "a ProcessClass", custom)
         return ProcessCatalog((*self._processes.values(), custom))
 
     def __contains__(self, process_id: str) -> bool:
@@ -230,4 +237,5 @@ DEFAULT_CATALOG = ProcessCatalog()
 
 def lookup_process(process_id: str, catalog: ProcessCatalog = DEFAULT_CATALOG) -> ProcessClass:
     """Resolve a process id to its full record."""
+    check_type(isinstance(catalog, ProcessCatalog), "catalog", "a ProcessCatalog", catalog)
     return catalog.lookup(process_id)

@@ -26,7 +26,7 @@ import json
 from .carbon import CarbonParams, validate_ci_band
 from .catalog import DEFAULT_WEIGHTS, EnergyWeights
 from .engine import DesignParams
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_type
 from .scenarios import SocBlock, TrendSeries
 from .stack import KNOWN_TAGS, PRESETS, LayerSpec, Region, StackSpec, validate_stack
 from .value import SCHEMA_VERSION, Value, finite, shown
@@ -416,6 +416,7 @@ def to_dict(value) -> dict | None:
 
 def stack_to_dict(stack: StackSpec) -> dict:
     """Serialize a stack to the config document schema."""
+    check_type(isinstance(stack, StackSpec), "stack", "a StackSpec", stack)
     return _STACK.dump(stack)
 
 
@@ -427,6 +428,8 @@ def parse_config_dict(raw, strict: bool = False) -> ConfigDocument:
 
 
 def _load_json(text: str):
+    check_type(isinstance(text, (str, bytes, bytearray)), "text", "a str, bytes or bytearray",
+               text)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

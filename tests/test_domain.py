@@ -16,6 +16,7 @@ from pfasfab import (
     ExposureClass,
     InvalidProcessError,
     LayerSpec,
+    ProcessCatalog,
     Region,
     SocBlock,
     StackSpec,
@@ -33,9 +34,14 @@ from pfasfab import (
     derive_layer_metrics,
     embodied_carbon,
     estimate_carbon,
+    load_stack_document,
+    lookup_process,
     n7_fixture,
     normalize_trend,
+    parse_carbon_profile,
+    parse_config,
     stack_metrics,
+    stack_to_dict,
     stack_violations,
     sweep_beol,
     validate_ci_band,
@@ -299,6 +305,28 @@ PARAMETERS = {
                            False, "a CarbonParams"),
     "estimate_carbon.params": (lambda x: estimate_carbon(_METRICS, _DESIGN, x), _DESIGN, True,
                                "a CarbonParams or None"),
+    "embodied_carbon.metrics": (lambda x: embodied_carbon(x, _DESIGN, _PROFILE), _DESIGN, False,
+                                "a StackMetrics"),
+    "embodied_carbon.design": (lambda x: embodied_carbon(_METRICS, x, _PROFILE), _METRICS,
+                               False, "a DesignParams"),
+    "carbon_band.metrics": (lambda x: carbon_band(x, _DESIGN, _PROFILE, 0.1, 0.5), _DESIGN,
+                            False, "a StackMetrics"),
+    "carbon_band.design": (lambda x: carbon_band(_METRICS, x, _PROFILE, 0.1, 0.5), _METRICS,
+                           False, "a DesignParams"),
+    "estimate_carbon.metrics": (lambda x: estimate_carbon(x, _DESIGN, _PROFILE), _DESIGN, False,
+                                "a StackMetrics"),
+    "estimate_carbon.band": (lambda x: estimate_carbon(_METRICS, _DESIGN, _PROFILE, x),
+                             {"low": 0.1, "high": 0.5}, True, "None or a two-item list or tuple"),
+    "lookup_process.catalog": (lambda x: lookup_process("EUV_LE", x), DEFAULT_WEIGHTS, False,
+                               "a ProcessCatalog"),
+    "ProcessCatalog.processes": (ProcessCatalog, _ASAP7, False, "an iterable of ProcessClass"),
+    "register.custom": (DEFAULT_CATALOG.register, _ASAP7.layers[0], False, "a ProcessClass"),
+    "stack_to_dict.stack": (stack_to_dict, _ASAP7.layers[0], False, "a StackSpec"),
+    "parse_config.text": (parse_config, {"stack": "asap7"}, False, "a str, bytes or bytearray"),
+    "parse_carbon_profile.text": (parse_carbon_profile, {"carbon_intensity": 0.4}, False,
+                                  "a str, bytes or bytearray"),
+    "load_stack_document.text": (load_stack_document, {"preset": "asap7"}, False,
+                                 "a str, bytes or bytearray"),
     "normalize_trend.series": (lambda x: normalize_trend(x, "7nm"), {"7nm": 1.0}, False,
                                "a TrendSeries"),
     "sweep_beol.carbon_params": (lambda x: sweep_beol(_ASAP7, ["M3"], design=_DESIGN,
@@ -325,6 +353,13 @@ PARAMETERS = {
 # drawn here never have two items.
 _JUNK = (st.text(max_size=4) | st.lists(st.integers(), max_size=4).filter(lambda v: len(v) != 2)
          | st.integers() | st.floats())
+# The drawn values that a parameter accepts: any text, or no processes at all.
+_ACCEPTED = {
+    "ProcessCatalog.processes": lambda value: value in ("", []),
+    "parse_config.text": lambda value: isinstance(value, str),
+    "parse_carbon_profile.text": lambda value: isinstance(value, str),
+    "load_stack_document.text": lambda value: isinstance(value, str),
+}
 
 
 @pytest.mark.guard
@@ -332,7 +367,8 @@ _JUNK = (st.text(max_size=4) | st.lists(st.integers(), max_size=4).filter(lambda
 @given(data=st.data())
 def test_a_wrong_typed_argument_is_a_domain_error_naming_its_parameter(case, data):
     call, other_type, none_allowed, wanted = PARAMETERS[case]
-    junk = _JUNK | st.just(other_type)
+    accepted = _ACCEPTED.get(case, lambda value: False)
+    junk = _JUNK.filter(lambda value: not accepted(value)) | st.just(other_type)
     value = data.draw(junk if none_allowed else junk | st.none())
     field = case.split(".")[1]
     with pytest.raises(DomainError) as info:
