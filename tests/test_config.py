@@ -134,18 +134,6 @@ def test_load_stack_document_returns_its_warnings_last():
     assert excinfo.value.entries == (("colour", "unknown key 'colour' (known: preset)"),)
 
 
-@pytest.mark.parametrize("parse, text, message", [
-    (parse_config, "null", "config must be an object, got None"),
-    (parse_config, "[1]", "config must be an object, got [1]"),
-    (parse_carbon_profile, "[1]", "carbon profile must be an object, got [1]"),
-    (parse_carbon_profile, '"x"', "carbon profile must be an object, got 'x'"),
-], ids=["config-null", "config-list", "profile-list", "profile-string"])
-def test_a_document_that_is_not_an_object_is_named_with_its_value(parse, text, message):
-    with pytest.raises(ConfigError) as excinfo:
-        parse(text)
-    assert excinfo.value.entries == (("<document>", message),)
-
-
 _BEYOND = "an integer beyond floating-point range"
 
 
@@ -226,6 +214,9 @@ def test_carbon_profile_errors_name_top_level_keys():
     assert excinfo.value.entries == (
         ("carbon_intensity", "carbon_intensity must be finite and >= 0, got -1.0"),
     )
+    with pytest.raises(ConfigError) as excinfo:
+        parse_carbon_profile("[1]")
+    assert excinfo.value.entries == (("<document>", "carbon profile must be an object, got [1]"),)
 
 
 def test_inverted_ci_band_rejected():
