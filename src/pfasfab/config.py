@@ -12,11 +12,13 @@ exactly one stack source may be given.
 One walker, ``_Section.parse``, reads every section from its table (a
 scenario section into a dict keyed by its config keys), and
 ``_Section.dump`` writes an echoed domain value back in the same shape. The
-parser checks shape only; range rules are those of the domain types, whose
-DomainError fields are reported at their config paths. Unknown keys are
-rejected in strict mode and collected as warnings otherwise. All violations
-are reported together with field paths. A required field that fails its
-check fails its object; an optional one falls back to its default.
+walker checks only what JSON adds: each value's JSON kind, the conversions
+JSON needs, the names only a document has (version, preset, region), the
+section structure and unknown keys. Every other rule is the domain type's,
+whose DomainError fields are reported at their config paths. Unknown keys
+are rejected in strict mode and collected as warnings otherwise. All
+violations are reported together with field paths. A required field that
+fails its check fails its object; an optional one falls back to its default.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .catalog import DEFAULT_WEIGHTS, EnergyWeights
 from .engine import DesignParams
 from .errors import ConfigError, DomainError, check_type
 from .scenarios import SocBlock, TrendSeries
-from .stack import KNOWN_TAGS, PRESETS, LayerSpec, Region, StackSpec, validate_stack
+from .stack import PRESETS, LayerSpec, Region, StackSpec, validate_stack
 from .value import SCHEMA_VERSION, Value, finite, shown
 
 
@@ -178,8 +180,10 @@ class _List(_Kind):
     the error for a missing or non-list value (or an empty one when
     ``nonempty``)."""
 
-    def __init__(self, item: _Kind, message: str, make=tuple, nonempty=False):
+    def __init__(self, item: _Kind, message: str, make=tuple, nonempty=False, dump=None):
         self.item, self.missing, self.make, self.nonempty = item, message, make, nonempty
+        if dump is not None:
+            self.dump = dump
 
     def parse(self, value, path: str, col: _Collector):
         if not isinstance(value, list) or (self.nonempty and not value):
@@ -197,8 +201,8 @@ class _List(_Kind):
 
 
 def _scalar(name: str, types, convert=None, nullable=False) -> _Kind:
-    """A JSON string, boolean or number (finite, fitting a float), or null
-    when ``nullable``; ``convert`` is applied to the value."""
+    """A JSON string, boolean or number, or null when ``nullable``;
+    ``convert`` is applied to the value."""
     expected = f"must be a {name}{' or null' if nullable else ''}, got "
 
     def parse(value, path, col):
@@ -207,19 +211,17 @@ def _scalar(name: str, types, convert=None, nullable=False) -> _Kind:
         if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
             col.error(path, f"{expected}{shown(value)}")
             return _BAD
-        if name == "number" and not finite(value):
-            col.error(path, "must be a finite number within floating-point range")
-            return _BAD
         return value if convert is None else convert(value)
 
     return _Kind(parse)
 
 
 _string = _scalar("string", str)
-_number = _scalar("number", (int, float), convert=float)
+# A number beyond floating-point range is passed on for its domain type to reject.
+_number = _scalar("number", (int, float), convert=lambda n: float(n) if finite(n) else n)
 _boolean = _scalar("boolean", bool)
-_string_or_null = _scalar("string", str, nullable=True)
 _number_or_null = _scalar("number", (int, float), nullable=True)
+_checked = _Kind(lambda value, path, col: value)  # the domain type checks the value
 
 
 def _numbers(make, *keys: str) -> _Section:
@@ -243,27 +245,6 @@ def _parse_region(value, path, col):
     except ValueError:
         col.error(path, f"must be one of {', '.join(r.value for r in Region)}, got {shown(name)}")
         return _BAD
-
-
-def _parse_tags(value, path, col):
-    """The known tags of a list of strings; each unknown one is an error."""
-    if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
-        col.error(path, f"must be a list of strings, got {shown(value)}")
-        return _BAD
-    for tag in value:
-        if tag not in KNOWN_TAGS:
-            col.error(path, f"unknown tag {shown(tag)} (known: {', '.join(sorted(KNOWN_TAGS))})")
-    return frozenset([t for t in value if t in KNOWN_TAGS])
-
-
-_LABELS_MESSAGE = "required field must be a non-empty list of layer labels"
-
-
-def _parse_labels(value, path, col):
-    if not isinstance(value, list) or not value or not all(isinstance(t, str) for t in value):
-        col.error(path, _LABELS_MESSAGE)
-        return _BAD
-    return tuple(value)
 
 
 def _parse_factors(value, path, col):
@@ -318,18 +299,19 @@ def _parse_stack_ref(value, path, col):
 _version = _Kind(_parse_version, dump=lambda _: SCHEMA_VERSION)
 
 _LAYER = _Section(LayerSpec, [
-    _Field("name", _string),
+    _Field("name", _checked),
     _Field("region", _Kind(_parse_region, dump=lambda region: region.value)),
     _Field("pitch_nm", _number_or_null, None),
-    _Field("metal_process", _string_or_null, None),
-    _Field("via_process", _string_or_null, None),
-    _Field("tags", _Kind(_parse_tags, dump=sorted), frozenset()),
+    _Field("metal_process", _checked, None),
+    _Field("via_process", _checked, None),
+    _Field("tags", _List(_string, "must be a list of strings", make=frozenset, dump=sorted),
+           frozenset()),
 ], what="layer ")
 
 # Each stack violation is reported at ``<path>.layers``.
 _STACK = _Section(lambda **fields: validate_stack(StackSpec(**fields)), [
     _Field("schema_version", _version, None, attr=""),
-    _Field("technology_node", _string),
+    _Field("technology_node", _checked),
     _Field("layers", _List(_LAYER, "required field must be a list of layers")),
 ])
 
@@ -361,15 +343,16 @@ _PROFILE = _Section(lambda ci_band, **carbon: (CarbonParams(**carbon), ci_band),
 _COMPARE = _Section(dict, [_Field("stack_a", _stack_ref), _Field("stack_b", _stack_ref)])
 
 _SWEEP = _Section(dict, [
-    _Field("targets", _Kind(_parse_labels, missing=_LABELS_MESSAGE)),
+    _Field("targets", _List(_string, "required field must be a non-empty list of layer "
+                            "labels", nonempty=True)),
     _Field("retain_power_grid", _boolean, False),
     _Field("beol_only", _boolean, False),
 ])
 
 _BLOCK = _Section(SocBlock, [
-    _Field("name", _string),
+    _Field("name", _checked),
     _Field("area_cm2", _number, attr="baseline_area_cm2"),
-    _Field("required_top", _string, attr="required_top_layer"),
+    _Field("required_top", _checked, attr="required_top_layer"),
     _Field("area_overhead", _Kind(_parse_factors, dump=lambda f: dict(sorted(f.items()))),
            None),
 ], what="block ")

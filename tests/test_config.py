@@ -1,9 +1,11 @@
 import json
+import math
 
 import pytest
 
 from pfasfab import (
     ConfigError,
+    DesignParams,
     DomainError,
     asap7_preset,
     load_stack_document,
@@ -139,9 +141,9 @@ _BEYOND = "an integer beyond floating-point range"
 
 @pytest.mark.parametrize("parse, document, location, message", [
     (parse_config, '{"stack": {"technology_node": %s, "layers": []}}', "stack.technology_node",
-     f"must be a string, got {_BEYOND}"),
+     f"technology_node must be a string, got {_BEYOND}"),
     (load_stack_document, '{"technology_node": %s, "layers": []}', "technology_node",
-     f"must be a string, got {_BEYOND}"),
+     f"technology_node must be a string, got {_BEYOND}"),
     (parse_config, '{"stack": %s}', "stack",
      f"stack must be a preset name or an object, got {_BEYOND}"),
     (parse_config, '{"schema_version": %s}', "schema_version",
@@ -282,6 +284,28 @@ def test_overflowing_integer_rejected_at_its_field(document, location):
     with pytest.raises(ConfigError) as excinfo:
         parse_config(document % HUGE)
     assert [loc for loc, _ in excinfo.value.entries] == [location]
+
+
+def test_a_number_beyond_float_range_is_rejected_by_its_domain_type():
+    with pytest.raises(DomainError) as domain:
+        DesignParams(math.inf, 1.0)
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config('{"design": {"area_cm2": 1e400, "yield": 1}}')
+    assert excinfo.value.entries == (("design.area_cm2", str(domain.value)),)
+
+
+def test_a_mistyped_optional_layer_field_is_reported_once_at_its_field():
+    layer = {"name": "Fin", "region": "FEOL", "metal_process": 1.5}
+    document = {"stack": {"technology_node": "t", "layers": [layer]}}
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(json.dumps(document))
+    assert [loc for loc, _ in excinfo.value.entries] == ["stack.layers[0].metal_process"]
+
+
+def test_a_list_element_is_named_at_its_index():
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(json.dumps({"stack": "asap7", "sweep": {"targets": ["M3", 5]}}))
+    assert excinfo.value.entries == (("sweep.targets[1]", "must be a string, got 5"),)
 
 
 def test_scenario_sections_parse():
