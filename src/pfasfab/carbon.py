@@ -120,6 +120,9 @@ def estimate_carbon(
 ) -> CarbonResult | None:
     """Embodied carbon, with the low and high figures of ``band`` when given;
     None without a design or carbon parameters."""
+    check_type(isinstance(metrics, StackMetrics), "metrics", "a StackMetrics", metrics)
+    check_type(design is None or isinstance(design, DesignParams), "design",
+               "a DesignParams or None", design)
     check_type(params is None or isinstance(params, CarbonParams), "params",
                "a CarbonParams or None", params)
     check_type(band is None or (isinstance(band, (list, tuple)) and len(band) == 2), "band",

@@ -38,6 +38,8 @@ class ExposureClass(Enum):
     __hash__ = object.__hash__
 
 
+EXPOSURES = tuple(ExposureClass)  # for loops on every call: a tuple iterates faster
+
 # The step categories, in StepCounts field order.
 STEP_FIELDS = ("dry_etch", "litho", "metallization", "metrology", "wet_etch", "deposition")
 
@@ -206,7 +208,7 @@ class ProcessCatalog:
         self._processes = {}
         for p in items:
             if p.id in self._processes:
-                raise ProcessCollisionError(f"process id {p.id!r} is already registered")
+                raise ProcessCollisionError(f"process id {shown(p.id)} is already registered")
             self._processes[p.id] = p
 
     def ids(self) -> tuple[str, ...]:

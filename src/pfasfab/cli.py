@@ -33,6 +33,7 @@ from .carbon import estimate_carbon
 from .errors import ConfigError, PfasfabError
 from .scenarios import compare_stacks, compose_soc, normalize_trend, sweep_beol
 from .stack import PRESETS, StackSpec
+from .value import shown
 
 
 class _CliError(PfasfabError):
@@ -96,7 +97,7 @@ def _resolve_stack(ref: str | None, fallback: StackSpec | None, args) -> StackSp
     if ref and Path(ref).exists():
         (stack,) = _parse_file(ref, load_stack_document, args.strict)
         return stack
-    raise _CliError(f"stack {ref!r} is neither a preset ({', '.join(PRESETS)}) nor an "
+    raise _CliError(f"stack {shown(ref)} is neither a preset ({', '.join(PRESETS)}) nor an "
                     "existing file")
 
 

@@ -104,12 +104,10 @@ class _Kind:
 
     missing = "required field is missing"
 
-    def __init__(self, parse, dump=None, missing=None):
+    def __init__(self, parse, dump=None):
         self.parse = parse
         if dump is not None:
             self.dump = dump
-        if missing is not None:
-            self.missing = missing
 
     @staticmethod
     def dump(value):
@@ -176,14 +174,12 @@ class _Section(_Kind):
 
 
 class _List(_Kind):
-    """A JSON list of ``item``s, read into ``make(items)``; ``message`` is
-    the error for a missing or non-list value (or an empty one when
-    ``nonempty``)."""
+    """A JSON list of ``item``s, read into ``make(items)`` and written back
+    in order, or sorted when ``make`` is frozenset; ``message`` is the error
+    for a missing or non-list value (or an empty one when ``nonempty``)."""
 
-    def __init__(self, item: _Kind, message: str, make=tuple, nonempty=False, dump=None):
+    def __init__(self, item: _Kind, message: str, make=tuple, nonempty=False):
         self.item, self.missing, self.make, self.nonempty = item, message, make, nonempty
-        if dump is not None:
-            self.dump = dump
 
     def parse(self, value, path: str, col: _Collector):
         if not isinstance(value, list) or (self.nonempty and not value):
@@ -197,7 +193,8 @@ class _List(_Kind):
         return _BAD if failed else col.built(path, {}, self.make, items)
 
     def dump(self, value) -> list:
-        return [self.item.dump(item) for item in value]
+        items = [self.item.dump(item) for item in value]
+        return sorted(items) if self.make is frozenset else items
 
 
 def _scalar(name: str, types, convert=None, nullable=False) -> _Kind:
@@ -304,8 +301,7 @@ _LAYER = _Section(LayerSpec, [
     _Field("pitch_nm", _number_or_null, None),
     _Field("metal_process", _checked, None),
     _Field("via_process", _checked, None),
-    _Field("tags", _List(_string, "must be a list of strings", make=frozenset, dump=sorted),
-           frozenset()),
+    _Field("tags", _List(_string, "must be a list of strings", make=frozenset), frozenset()),
 ], what="layer ")
 
 # Each stack violation is reported at ``<path>.layers``.

@@ -18,14 +18,14 @@ from .catalog import (
     DEFAULT_CATALOG,
     DEFAULT_WEIGHTS,
     EnergyWeights,
+    EXPOSURES,
     ExposureClass,
     ProcessCatalog,
     StepCounts,
 )
 from .errors import DomainError, check_type
-from .stack import (
-    COUNTS_END, REGIONS_END, STEPS_END, LayerMetrics, Region, StackSpec, beol_index, layer_table,
-)
+from .stack import COUNTS_END, REGIONS, REGIONS_END, STEPS_END, LayerMetrics, Region, StackSpec
+from .stack import beol_index, layer_table
 from .value import Value, finite, shown
 
 
@@ -68,10 +68,6 @@ class ChipPfas(Value):
     __slots__ = ("value", "stack", "area_cm2", "yield_fraction")
 
 
-_REGIONS = tuple(Region)
-_EXPOSURES = tuple(ExposureClass)
-
-
 def metrics_from_totals(node: str, counts: Sequence[int], per_layer: tuple[LayerMetrics, ...],
                         weights: EnergyWeights) -> StackMetrics:
     """The one StackMetrics builder, from a stack's rows' column sums
@@ -91,8 +87,8 @@ def metrics_from_totals(node: str, counts: Sequence[int], per_layer: tuple[Layer
     return StackMetrics(
         technology_node=node,
         total_pfas_layers=sum(by_region),
-        by_region=dict(zip(_REGIONS, by_region)),
-        by_exposure=dict(zip(_EXPOSURES, by_exposure)),
+        by_region=dict(zip(REGIONS, by_region)),
+        by_exposure=dict(zip(EXPOSURES, by_exposure)),
         total_steps=total_steps,
         total_litho_steps=total_steps.litho,
         total_litho_energy=litho_energy,

@@ -15,8 +15,8 @@ import json
 from collections import namedtuple
 
 from . import __version__
-from .catalog import STEP_FIELDS, ExposureClass, ProcessCatalog
-from .stack import Region
+from .catalog import EXPOSURES, STEP_FIELDS, ProcessCatalog
+from .stack import REGIONS
 from .value import SCHEMA_VERSION
 
 TYPE_CHECKING = False  # a type checker reads True; importing typing costs start-up
@@ -51,8 +51,8 @@ def metrics_summary_dict(metrics: StackMetrics) -> dict:
     return {
         "technology_node": metrics.technology_node,
         "total_pfas_layers": metrics.total_pfas_layers,
-        "by_region": {r.value: metrics.by_region[r] for r in Region},
-        "by_exposure": {e.value: metrics.by_exposure[e] for e in ExposureClass},
+        "by_region": {r.value: metrics.by_region[r] for r in REGIONS},
+        "by_exposure": {e.value: metrics.by_exposure[e] for e in EXPOSURES},
         "euv_masks": metrics.euv_masks,
         "duv_masks": metrics.duv_masks,
         "total_steps": metrics.total_steps.as_dict(),
@@ -88,7 +88,7 @@ def comparison_to_dict(cmp: ComparisonResult) -> dict:
         "ratio_litho_steps": cmp.ratio_litho_steps,
         "ratio_total_steps": cmp.ratio_total_steps,
         "ratio_energy": cmp.ratio_energy,
-        "pfas_ratio_by_region": {r.value: cmp.pfas_ratio_by_region[r] for r in Region},
+        "pfas_ratio_by_region": {r.value: cmp.pfas_ratio_by_region[r] for r in REGIONS},
         "percent_reduction": cmp.percent_reduction,
     }
 

@@ -18,7 +18,7 @@ from .catalog import DEFAULT_CATALOG, DEFAULT_WEIGHTS, EnergyWeights, ProcessCat
 from .engine import DesignParams, capper, chip_pfas, metrics_from_rows, stack_metrics
 from .errors import DomainError, DuplicateTargetError, MissingOverheadError, TrendReferenceError
 from .errors import UnknownTargetError, check_type
-from .stack import Region, StackSpec, beol_index, layer_table
+from .stack import REGIONS, Region, StackSpec, beol_index, layer_table
 from .value import Value, finite, set_field, shown
 
 
@@ -59,7 +59,7 @@ def compare_stacks(
         ratio_energy=_ratio(ma.total_litho_energy, mb.total_litho_energy),
         pfas_ratio_by_region={
             region: _ratio(ma.by_region[region], mb.by_region[region])
-            for region in Region
+            for region in REGIONS
         },
         percent_reduction=(
             (ma.total_pfas_layers - mb.total_pfas_layers) / ma.total_pfas_layers
@@ -99,15 +99,15 @@ def _resolve_targets(stack: StackSpec, routing: dict, targets: Sequence[str]) ->
             beol = [l.name for l in stack.layers if l.region is Region.BEOL]
             if target in beol:
                 raise UnknownTargetError(
-                    f"target {target!r} is a power-grid layer of {stack.technology_node}, "
+                    f"target {shown(target)} is a power-grid layer of {stack.technology_node}, "
                     f"not a routing layer; routing layers: {', '.join(routing) or 'none'}"
                 )
             raise UnknownTargetError(
-                f"target {target!r} is not a BEOL layer of {stack.technology_node}; "
+                f"target {shown(target)} is not a BEOL layer of {stack.technology_node}; "
                 f"BEOL layers: {', '.join(beol) or 'none'}"
             )
         if target in resolved:
-            raise DuplicateTargetError(f"target {target!r} is given more than once")
+            raise DuplicateTargetError(f"target {shown(target)} is given more than once")
         resolved[target] = routing[target]
     return resolved
 
@@ -199,7 +199,7 @@ class SocBlock(Value):
             return float(self.area_overhead[target])
         except KeyError:
             raise MissingOverheadError(
-                f"block {self.name!r} has no area-overhead factor for target {target} "
+                f"block {shown(self.name)} has no area-overhead factor for target {target} "
                 f"(requires {self.required_top_layer})"
             ) from None
 
@@ -326,7 +326,8 @@ class TrendSeries(Value):
             raise DomainError("trend series has duplicate node labels")
         for node, value in points:
             if not finite(value):
-                raise DomainError(f"trend value for {node!r} must be finite, got {shown(value)}")
+                raise DomainError(f"trend value for {shown(node)} must be finite, "
+                                  f"got {shown(value)}")
         if self.reference is not None and dict(points).get(self.reference) != 1.0:
             raise DomainError(f"trend series reference {shown(self.reference)} must be a node "
                               "whose value is 1.0")
@@ -352,12 +353,13 @@ def normalize_trend(series: TrendSeries, reference: str) -> TrendSeries:
         )
     ref_value = values[reference]
     if ref_value == 0:
-        raise TrendReferenceError(f"reference node {reference!r} has value 0")
+        raise TrendReferenceError(f"reference node {shown(reference)} has value 0")
     points = []
     for node, value in series.points:
         normalized = 1.0 if node == reference else value / ref_value
         if not math.isfinite(normalized):
-            raise DomainError(f"trend value for {node!r} normalized to reference {reference!r} "
-                              f"overflows: {value} / {ref_value} is {normalized}")
+            raise DomainError(f"trend value for {shown(node)} normalized to reference "
+                              f"{shown(reference)} overflows: {value} / {ref_value} is "
+                              f"{normalized}")
         points.append((node, normalized))
     return TrendSeries(points=tuple(points), reference=reference)

@@ -16,7 +16,7 @@ from .catalog import (
     DEFAULT_CATALOG,
     DEFAULT_WEIGHTS,
     EnergyWeights,
-    ExposureClass,
+    EXPOSURES,
     STEP_FIELDS,
     ProcessCatalog,
 )
@@ -38,6 +38,9 @@ class Region(Enum):
 
     # Identity hash, as for ExposureClass: members key every by_region dict.
     __hash__ = object.__hash__
+
+
+REGIONS = tuple(Region)  # in stack order, as EXPOSURES is
 
 
 def beol_index(name: str) -> int | None:
@@ -134,7 +137,7 @@ class Violation(Value):
     __slots__ = ("layer", "rule", "message")
 
     def __str__(self) -> str:
-        return f"layer {self.layer!r}: [{self.rule}] {self.message}"
+        return f"layer {shown(self.layer)}: [{self.rule}] {self.message}"
 
 
 class LayerMetrics(Value):
@@ -234,7 +237,7 @@ def _explain(stack: StackSpec, catalog: ProcessCatalog) -> list[Violation]:
                     Violation(
                         layer.name,
                         "unknown-process",
-                        f"process {pid!r} not in catalog ({', '.join(catalog.ids())})",
+                        f"process {shown(pid)} not in catalog ({', '.join(catalog.ids())})",
                     )
                 )
 
@@ -272,7 +275,7 @@ def validate_stack(stack: StackSpec, catalog: ProcessCatalog = DEFAULT_CATALOG) 
 # order. Where each group ends:
 STEPS_END = len(STEP_FIELDS)
 REGIONS_END = STEPS_END + len(Region)
-COUNTS_END = REGIONS_END + len(ExposureClass)
+COUNTS_END = REGIONS_END + len(EXPOSURES)
 
 
 def layer_table(
@@ -293,7 +296,7 @@ def layer_table(
     check_type(isinstance(weights, EnergyWeights), "weights", "an EnergyWeights", weights)
     validate_stack(stack, catalog)
     lookup = catalog.lookup
-    per_mask = tuple([weights.per_mask(exposure) for exposure in ExposureClass])
+    per_mask = tuple([weights.per_mask(exposure) for exposure in EXPOSURES])
     rows = []
     for layer in stack.layers:
         metal, via = layer.metal_process, layer.via_process

@@ -17,7 +17,7 @@ constructor), and a ``__reduce__`` that rebuilds the value through its
 constructor, so that ``copy``, ``deepcopy`` and ``pickle`` work.
 
 ``finite`` is the one test of whether an input number is usable, and
-``shown`` the one printable form of an input in a message.
+``shown`` the one bounded printable form of an input in a message.
 ``SCHEMA_VERSION`` is the version of the config and report documents; it
 lives in this leaf module so that reports need not import the config parser.
 """
@@ -38,15 +38,28 @@ def finite(value) -> bool:
         return False
 
 
+SHOWN_LIMIT = 200  # the most characters of an input that a message prints
+
+
 def shown(value) -> str:
-    """``repr(value)`` for a message, without the decimal form of an integer
-    beyond floating-point range, which can be too long to print."""
+    """``repr(value)`` for a message, cut to ``SHOWN_LIMIT`` characters with
+    a note of its full length; an integer beyond floating-point range is
+    named, not printed, and a set's members are sorted, so that a message
+    reads the same in every process."""
     if isinstance(value, int) and not finite(value):
         return "an integer beyond floating-point range"
     try:
-        return repr(value)
+        if isinstance(value, (set, frozenset)) and value:
+            members = "{" + ", ".join(sorted([shown(member) for member in value])) + "}"
+            text = members if type(value) is set else f"{type(value).__name__}({members})"
+        else:
+            text = repr(value)
     except ValueError:  # holds an integer past int's string-conversion limit
         return f"a {type(value).__name__} holding an integer too long to print"
+    except RecursionError:
+        return f"a {type(value).__name__} nested too deeply to print"
+    cut = f"... (cut; {len(text)} characters in all)"
+    return text if len(text) <= SHOWN_LIMIT else text[:SHOWN_LIMIT - len(cut)] + cut
 
 
 def _compile_init(cls):

@@ -49,6 +49,7 @@ from pfasfab import (
 )
 from pfasfab.catalog import ProcessClass
 from pfasfab.stack import layer_table
+from pfasfab.value import shown
 
 CARBON_FIELDS = ("carbon_intensity", "energy_per_unit_litho", "energy_per_area_base",
                  "gas_per_area", "material_per_area")
@@ -253,7 +254,7 @@ def test_wrong_typed_stack_or_design_is_a_domain_error_naming_it(case):
     with pytest.raises(DomainError) as info:
         call(value)
     assert type(info.value) is DomainError
-    assert info.value.fields == ((field, f"{field} must be {wanted}, got {value!r}"),)
+    assert info.value.fields == ((field, f"{field} must be {wanted}, got {shown(value)}"),)
 
 
 def test_a_wrong_typed_design_comes_before_stack_errors():
@@ -289,7 +290,9 @@ _PROFILE = CarbonParams(0.5, 1.0, 1.0, 0.1, 0.1)
 _BLOCKS = [SocBlock("a", 0.5, "M3")]
 
 # Each parameter checked once per call: (call with the bad value x, a value of
-# another library type, whether None is allowed, what its message wants).
+# another library type, whether None is allowed, what its message wants). A
+# case is named <function>.<parameter>, with a third part when a function has
+# more than one case for a parameter.
 PARAMETERS = {
     "stack_violations.stack": (stack_violations, _ASAP7.layers[0], False, "a StackSpec"),
     "stack_violations.catalog": (lambda x: stack_violations(_ASAP7, x), DEFAULT_WEIGHTS,
@@ -315,6 +318,12 @@ PARAMETERS = {
                            False, "a DesignParams"),
     "estimate_carbon.metrics": (lambda x: estimate_carbon(x, _DESIGN, _PROFILE), _DESIGN, False,
                                 "a StackMetrics"),
+    "estimate_carbon.metrics.without-design": (lambda x: estimate_carbon(x, None, _PROFILE),
+                                               _DESIGN, False, "a StackMetrics"),
+    "estimate_carbon.metrics.without-params": (lambda x: estimate_carbon(x, _DESIGN, None),
+                                               _DESIGN, False, "a StackMetrics"),
+    "estimate_carbon.design": (lambda x: estimate_carbon(_METRICS, x, _PROFILE), _METRICS, True,
+                               "a DesignParams or None"),
     "estimate_carbon.band": (lambda x: estimate_carbon(_METRICS, _DESIGN, _PROFILE, x),
                              {"low": 0.1, "high": 0.5}, True, "None or a two-item list or tuple"),
     "lookup_process.catalog": (lambda x: lookup_process("EUV_LE", x), DEFAULT_WEIGHTS, False,
@@ -374,4 +383,4 @@ def test_a_wrong_typed_argument_is_a_domain_error_naming_its_parameter(case, dat
     with pytest.raises(DomainError) as info:
         call(value)
     assert type(info.value) is DomainError
-    assert info.value.fields == ((field, f"{field} must be {wanted}, got {value!r}"),)
+    assert info.value.fields == ((field, f"{field} must be {wanted}, got {shown(value)}"),)
