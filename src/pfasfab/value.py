@@ -25,6 +25,7 @@ lives in this leaf module so that reports need not import the config parser.
 import math
 
 SCHEMA_VERSION = "1"
+SHOWN_LIMIT = 200  # the most characters of an input that a message prints
 
 set_field = object.__setattr__
 
@@ -36,9 +37,6 @@ def finite(value) -> bool:
         return math.isfinite(value)
     except (OverflowError, TypeError):
         return False
-
-
-SHOWN_LIMIT = 200  # the most characters of an input that a message prints
 
 
 def shown(value) -> str:
@@ -58,8 +56,10 @@ def shown(value) -> str:
         return f"a {type(value).__name__} holding an integer too long to print"
     except RecursionError:
         return f"a {type(value).__name__} nested too deeply to print"
-    cut = f"... (cut; {len(text)} characters in all)"
-    return text if len(text) <= SHOWN_LIMIT else text[:SHOWN_LIMIT - len(cut)] + cut
+    if len(text) > SHOWN_LIMIT:
+        cut = f"... (cut; {len(text)} characters in all)"
+        return text[:SHOWN_LIMIT - len(cut)] + cut
+    return text
 
 
 def _compile_init(cls):
