@@ -107,6 +107,12 @@ class ProcessClass(Value):
 
     def __post_init__(self):
         pid = shown(self.id)
+        # Masks and steps are counts, so every total summed from them is exact;
+        # StepCounts checks only ``< 0``, as it is built on the hot path.
+        counts = [("masks", "masks", self.masks, 1)]
+        if isinstance(self.steps, StepCounts):
+            counts += [(f"steps.{name}", f"step count {name}", value, 0)
+                       for name, value in zip(STEP_FIELDS, self.steps._astuple())]
         InvalidProcessError.check([
             (field, f"process {pid}: {field} must be {what}, got {shown(value)}")
             for field, value, kind, what in (
@@ -114,28 +120,11 @@ class ProcessClass(Value):
                 ("steps", self.steps, StepCounts, "a StepCounts"),
                 ("exposure", self.exposure, ExposureClass, "an ExposureClass"))
             if not isinstance(value, kind)
-        ])
-        # StepCounts checks only ``< 0``, as it is built on the hot path; the
-        # finite test runs here, once per process class.
-        InvalidProcessError.check([
-            (f"steps.{name}", f"process {pid}: step count {name} must be finite, "
-                              f"got {shown(value)}")
-            for name, value in zip(STEP_FIELDS, self.steps._astuple())
-            if not finite(value)
-        ])
-        if not (finite(self.masks) and self.masks >= 1):
-            raise InvalidProcessError(
-                f"process {pid}: masks must be >= 1, got {shown(self.masks)}"
-            )
-        # Masks and steps are counts, so every total summed from them is exact.
-        counts = [("masks", "masks", self.masks)] + [
-            (f"steps.{name}", f"step count {name}", value)
-            for name, value in zip(STEP_FIELDS, self.steps._astuple())
-        ]
-        InvalidProcessError.check([
-            (field, f"process {pid}: {what} must be an integer, got {shown(value)}")
-            for field, what, value in counts
-            if not isinstance(value, int) or isinstance(value, bool)
+        ] + [
+            (field, f"process {pid}: {what} must be an integer >= {least}, got {shown(value)}")
+            for field, what, value, least in counts
+            if not (isinstance(value, int) and not isinstance(value, bool) and finite(value)
+                    and value >= least)
         ])
 
 

@@ -53,8 +53,8 @@ _REQUIRED = object()  # the default of a field that has none
 
 
 def _at(path: str, key: str) -> str:
-    """The location of ``key`` in the object at ``path`` ("" for the top level)."""
-    return f"{path}.{key}" if path else key
+    """The location of ``key`` in the object at ``path``; "" is the top level or the object."""
+    return f"{path}.{key}" if path and key else path or key
 
 
 class _Collector:
@@ -80,13 +80,14 @@ class _Collector:
 
     def built(self, path: str, to_key: dict, make, /, *args, **kwargs):
         """``make(*args, **kwargs)``, or _BAD with each failing field of its
-        DomainError reported at ``<path>.<config key>`` (at ``path`` when it
-        names none)."""
+        DomainError reported at ``path`` (when it names none) or below it, the
+        field's first name mapped through ``to_key`` (``area_overhead.M2``)."""
         try:
             return make(*args, **kwargs)
         except DomainError as exc:
-            for field, message in exc.fields or ((None, str(exc)),):
-                self.error(_at(path, to_key.get(field, field)) if field else path, message)
+            for field, message in exc.fields or (("", str(exc)),):
+                name = field.partition(".")[0].partition("[")[0]
+                self.error(_at(path, to_key.get(name, name)) + field[len(name):], message)
             return _BAD
 
     def done(self, result):
@@ -132,7 +133,7 @@ class _Section(_Kind):
         self.make, self.fields, self.what = make, fields, what
         self.keys = frozenset(f.key for f in fields)
         self.known = ", ".join(sorted(self.keys))
-        self.to_key = {f.attr: f.key for f in fields if f.attr != f.key}
+        self.to_key = {f.attr: f.key for f in fields if f.attr not in ("", f.key)}
         # The fields unpacked for the walker, and for dump (whose None writes
         # the value as it is).
         self._in = [(f.key, f.kind.parse, f.default, f.attr, f.kind.missing) for f in fields]
@@ -174,12 +175,13 @@ class _Section(_Kind):
 
 
 class _List(_Kind):
-    """A JSON list of ``item``s, read into ``make(items)`` and written back
-    in order, or sorted when ``make`` is frozenset; ``message`` is the error
-    for a missing or non-list value (or an empty one when ``nonempty``)."""
+    """A JSON list of ``item``s read into ``make(items)`` (whose field ``fills``
+    is reported at the list) and written back in order, sorted for a frozenset;
+    ``message`` is the error for a missing, non-list or (``nonempty``) empty one."""
 
-    def __init__(self, item: _Kind, message: str, make=tuple, nonempty=False):
+    def __init__(self, item: _Kind, message: str, make=tuple, nonempty=False, fills=""):
         self.item, self.missing, self.make, self.nonempty = item, message, make, nonempty
+        self.to_key = {fills: ""}
 
     def parse(self, value, path: str, col: _Collector):
         if not isinstance(value, list) or (self.nonempty and not value):
@@ -190,7 +192,7 @@ class _List(_Kind):
             item = self.item.parse(raw, f"{path}[{i}]", col)
             failed = failed or item is _BAD
             items.append(item)
-        return _BAD if failed else col.built(path, {}, self.make, items)
+        return _BAD if failed else col.built(path, self.to_key, self.make, items)
 
     def dump(self, value) -> list:
         items = [self.item.dump(item) for item in value]
@@ -254,17 +256,12 @@ def _parse_factors(value, path, col):
 
 
 def _parse_pair(value, path, col):
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or not isinstance(value[0], str)
-        or isinstance(value[1], bool)
-        or not isinstance(value[1], (int, float))
-        or not finite(value[1])
-    ):
-        col.error(path, f"must be a [node, finite number] pair, got {shown(value)}")
+    """A ``[node, number]`` pair, passed on for TrendSeries to check the number."""
+    if not (isinstance(value, list) and len(value) == 2 and isinstance(value[0], str)
+            and isinstance(value[1], (int, float)) and not isinstance(value[1], bool)):
+        col.error(path, f"must be a [node, number] pair, got {shown(value)}")
         return _BAD
-    return (value[0], float(value[1]))
+    return tuple(value)
 
 
 def _parse_preset(value, path, col):
@@ -362,7 +359,8 @@ _SOC = _Section(dict, [
 
 _TREND = _Section(dict, [
     _Field("series", _List(_Kind(_parse_pair), "required field must be a non-empty list of "
-                           "[node, value] pairs", make=TrendSeries, nonempty=True)),
+                           "[node, value] pairs", make=TrendSeries, nonempty=True,
+                           fills="points")),
     _Field("reference", _string, None),
 ])
 

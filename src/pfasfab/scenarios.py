@@ -313,21 +313,23 @@ class TrendSeries(Value):
     _defaults = {"reference": None}
 
     def __post_init__(self):
+        failed = []
+        if not (self.reference is None or isinstance(self.reference, str)):
+            failed.append(("reference", "reference must be None or a string, "
+                                        f"got {shown(self.reference)}"))
         try:
             points = [(str(n), v) for n, v in self.points]
         except (TypeError, ValueError):  # not iterable, or an entry that is not a pair
-            points = None
-        check_type(points is not None, "points", "an iterable of (node label, value) pairs",
-                   self.points)
-        check_type(self.reference is None or isinstance(self.reference, str), "reference",
-                   "None or a string", self.reference)
+            failed.append(("points", "points must be an iterable of (node label, value) "
+                                     f"pairs, got {shown(self.points)}"))
+            DomainError.check(failed)
+        DomainError.check(failed + [
+            (f"points[{i}]", f"trend value for {shown(node)} must be finite, got {shown(value)}")
+            for i, (node, value) in enumerate(points) if not finite(value)
+        ])
         labels = [n for n, _ in points]
         if len(labels) != len(set(labels)):
             raise DomainError("trend series has duplicate node labels")
-        for node, value in points:
-            if not finite(value):
-                raise DomainError(f"trend value for {shown(node)} must be finite, "
-                                  f"got {shown(value)}")
         if self.reference is not None and dict(points).get(self.reference) != 1.0:
             raise DomainError(f"trend series reference {shown(self.reference)} must be a node "
                               "whose value is 1.0")

@@ -114,16 +114,19 @@ class StackSpec(Value):
     __slots__ = ("technology_node", "layers")
 
     def __post_init__(self):
-        check_type(isinstance(self.technology_node, str), "technology_node", "a string",
-                   self.technology_node)
+        failed = []
+        if not isinstance(self.technology_node, str):
+            failed.append(("technology_node", "technology_node must be a string, "
+                                              f"got {shown(self.technology_node)}"))
         # Checked here, once, so that the stack rules can read every layer's fields.
         try:
             layers = tuple(self.layers)
         except TypeError:  # not iterable
             layers = None
         if layers is None or not all([isinstance(layer, LayerSpec) for layer in layers]):
-            DomainError.check([("layers", "layers must be an iterable of LayerSpec, "
-                                          f"got {shown(self.layers)}")])
+            failed.append(("layers", "layers must be an iterable of LayerSpec, "
+                                     f"got {shown(self.layers)}"))
+        DomainError.check(failed)
         set_field(self, "layers", layers)
 
     def layer(self, name: str) -> LayerSpec:

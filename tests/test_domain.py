@@ -80,12 +80,12 @@ CHECKED = [
      "baseline_area_cm2", "baseline_area_cm2 must be finite and > 0"),
     ("SocBlock.area_overhead", lambda x: SocBlock("a", 1.0, "M3", {"M2": x}), DomainError,
      "area_overhead.M2", "overhead factor for M2 must be finite and >= 1"),
-    ("TrendSeries value", lambda x: TrendSeries((("a", x),)), DomainError, None,
+    ("TrendSeries value", lambda x: TrendSeries((("a", x),)), DomainError, "points[0]",
      "trend value for 'a' must be finite"),
     ("ProcessClass.masks", lambda x: ProcessClass("X", StepCounts(), x, ExposureClass.EUV),
-     InvalidProcessError, None, "masks must be >= 1"),
+     InvalidProcessError, "masks", "masks must be an integer >= 1"),
     ("ProcessClass.steps", lambda x: ProcessClass("X", StepCounts(litho=x), 1, ExposureClass.EUV),
-     InvalidProcessError, "steps.litho", "step count litho must be finite"),
+     InvalidProcessError, "steps.litho", "step count litho must be an integer >= 0"),
     ("validate_ci_band low", lambda x: validate_ci_band(x, 1.0), DomainError, "low",
      "band bound low must be finite and >= 0"),
     ("validate_ci_band high", lambda x: validate_ci_band(0.0, x), DomainError, "high",
@@ -110,13 +110,15 @@ def test_non_finite_input_is_a_domain_error_at_its_field(build, error, field, me
 
 
 @pytest.mark.parametrize("masks, steps, field, got", [
-    (1.5, {}, "masks", "masks must be an integer, got 1.5"),
-    (2.0, {}, "masks", "masks must be an integer, got 2.0"),
-    (True, {}, "masks", "masks must be an integer, got True"),
-    (1, {"litho": 1.5}, "steps.litho", "step count litho must be an integer, got 1.5"),
+    (1.5, {}, "masks", "masks must be an integer >= 1, got 1.5"),
+    (2.0, {}, "masks", "masks must be an integer >= 1, got 2.0"),
+    (True, {}, "masks", "masks must be an integer >= 1, got True"),
+    (0, {}, "masks", "masks must be an integer >= 1, got 0"),
+    (1, {"litho": 1.5}, "steps.litho", "step count litho must be an integer >= 0, got 1.5"),
     (1, {"deposition": False}, "steps.deposition",
-     "step count deposition must be an integer, got False"),
-], ids=["masks-fraction", "masks-float", "masks-bool", "steps-fraction", "steps-bool"])
+     "step count deposition must be an integer >= 0, got False"),
+], ids=["masks-fraction", "masks-float", "masks-bool", "masks-zero", "steps-fraction",
+        "steps-bool"])
 def test_process_counts_are_integers(masks, steps, field, got):
     # Counts: a stack cannot hold a fraction of a PFAS layer or a step.
     with pytest.raises(InvalidProcessError) as info:
@@ -384,3 +386,4 @@ def test_a_wrong_typed_argument_is_a_domain_error_naming_its_parameter(case, dat
         call(value)
     assert type(info.value) is DomainError
     assert info.value.fields == ((field, f"{field} must be {wanted}, got {shown(value)}"),)
+

@@ -399,10 +399,28 @@ def test_constructor_error_fields():
         ("deposition", "step count deposition must be a number, got '2'"),
     )
     assert _fields_of(DomainError, lambda: TrendSeries((("a", 1.0), ("a", 2.0)))) == ()
-    assert _fields_of(DomainError, lambda: TrendSeries((("a", math.nan),))) == ()
+    assert _fields_of(DomainError, lambda: TrendSeries((("a", math.nan),))) == (
+        ("points[0]", "trend value for 'a' must be finite, got nan"),
+    )
+    assert _fields_of(DomainError, lambda: TrendSeries(
+        (("a", math.nan), ("b", 1.0), ("c", math.inf)))) == (
+        ("points[0]", "trend value for 'a' must be finite, got nan"),
+        ("points[2]", "trend value for 'c' must be finite, got inf"),
+    )
+    assert _fields_of(InvalidProcessError,
+                      lambda: ProcessClass(["X"], StepCounts(), 0, ExposureClass.EUV)) == (
+        ("id", "process ['X']: id must be a string, got ['X']"),
+        ("masks", "process ['X']: masks must be an integer >= 1, got 0"),
+    )
 
 
-# A valid value of each input type, whose fields the guard below replaces.
+def _named(error: DomainError) -> set:
+    """The fields an error names, each by its first name (``points`` of
+    ``points[0]``, ``steps`` of ``steps.litho``)."""
+    return {re.split(r"[.\[]", field, maxsplit=1)[0] for field, _ in error.fields}
+
+
+# A valid value of each input type, whose fields the guards below replace.
 INPUTS = (
     LayerSpec("M1", Region.BEOL, 36, "EUV_LE", "EUV_LE", frozenset({"routing"})),
     StepCounts(1, 3, 1, 3, 3, 0),
@@ -427,8 +445,27 @@ def test_an_input_with_mistyped_fields_is_built_or_names_them(valid, data):
     try:
         valid._replace(**changes)
     except DomainError as exc:
-        named = [re.split(r"[.\[]", field, maxsplit=1)[0] for field, _ in exc.fields]
-        assert set(named) <= fields, (exc.fields, changes)
+        assert _named(exc) <= fields, (exc.fields, changes)
+
+
+@pytest.mark.guard
+@pytest.mark.parametrize("valid", INPUTS, ids=lambda value: type(value).__name__)
+@given(data=st.data())
+def test_an_input_with_several_mistyped_fields_names_each_in_one_error(valid, data):
+    # Each field that fails mistyped alone is named again when several are.
+    fields = data.draw(st.sets(st.sampled_from(type(valid).__slots__), min_size=2))
+    changes = {field: data.draw(MIXED) for field in sorted(fields)}
+    alone = set()
+    for field, value in changes.items():
+        try:
+            valid._replace(**{field: value})
+        except DomainError as exc:
+            alone |= _named(exc) & {field}
+    if not alone:
+        return
+    with pytest.raises(DomainError) as info:
+        valid._replace(**changes)
+    assert alone <= _named(info.value), (info.value.fields, changes)
 
 
 @pytest.mark.parametrize("reference", ["zz", "a"], ids=["not-a-node", "value-not-one"])
