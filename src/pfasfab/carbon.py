@@ -88,7 +88,7 @@ def validate_ci_band(low: float, high: float) -> tuple[float, float]:
         if not (finite(value) and value >= 0)
     ])
     if low > high:
-        raise DomainError(f"inverted carbon-intensity band: low {low} > high {high}")
+        raise DomainError(f"inverted carbon-intensity band: low {shown(low)} > high {shown(high)}")
     return (low, high)
 
 
@@ -119,7 +119,8 @@ def estimate_carbon(
     band: tuple[float, float] | None = None,
 ) -> CarbonResult | None:
     """Embodied carbon, with the low and high figures of ``band`` when given;
-    None without a design or carbon parameters."""
+    None without a design or carbon parameters. A given band is checked
+    either way."""
     check_type(isinstance(metrics, StackMetrics), "metrics", "a StackMetrics", metrics)
     check_type(design is None or isinstance(design, DesignParams), "design",
                "a DesignParams or None", design)
@@ -127,8 +128,10 @@ def estimate_carbon(
                "a CarbonParams or None", params)
     check_type(band is None or (isinstance(band, (list, tuple)) and len(band) == 2), "band",
                "None or a two-item list or tuple", band)
-    if design is None or params is None:
-        return None
-    if band is None:
-        return embodied_carbon(metrics, design, params)
-    return carbon_band(metrics, design, params, *band)
+    if design is not None and params is not None:
+        if band is None:
+            return embodied_carbon(metrics, design, params)
+        return carbon_band(metrics, design, params, *band)
+    if band is not None:  # checked on every call, as carbon_band checks it
+        validate_ci_band(*band)
+    return None

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .carbon import CarbonParams, estimate_carbon
+from .carbon import CarbonParams, estimate_carbon, validate_ci_band
 from .catalog import DEFAULT_CATALOG, DEFAULT_WEIGHTS, EnergyWeights, ProcessCatalog
 from .engine import DesignParams, capper, chip_pfas, metrics_from_rows, stack_metrics
 from .errors import DomainError, DuplicateTargetError, MissingOverheadError, TrendReferenceError
@@ -78,7 +78,7 @@ class SweepPoint(Value):
 
 def _check_model(retain_power_grid, design, carbon_params, ci_band):
     """Before the stack is validated, as its type is; targets come after.
-    ``validate_ci_band`` checks the band's numbers."""
+    ``validate_ci_band`` checks the band's numbers, with or without a design."""
     check_type(isinstance(retain_power_grid, bool), "retain_power_grid", "a bool",
                retain_power_grid)
     check_type(design is None or isinstance(design, DesignParams), "design",
@@ -87,6 +87,8 @@ def _check_model(retain_power_grid, design, carbon_params, ci_band):
                "carbon_params", "a CarbonParams or None", carbon_params)
     check_type(ci_band is None or (isinstance(ci_band, (list, tuple)) and len(ci_band) == 2),
                "ci_band", "None or a two-item list or tuple", ci_band)
+    if ci_band is not None:
+        validate_ci_band(*ci_band)
 
 
 def _resolve_targets(stack: StackSpec, routing: dict, targets: Sequence[str]) -> dict[str, int]:

@@ -90,6 +90,17 @@ CHECKED = [
      "band bound low must be finite and >= 0"),
     ("validate_ci_band high", lambda x: validate_ci_band(0.0, x), DomainError, "high",
      "band bound high must be finite and >= 0"),
+    # A band is checked on every call, also where no carbon figure is computed.
+    *[(f"{name} band {bound}", call, DomainError, bound,
+       f"band bound {bound} must be finite and >= 0") for name, bound, call in (
+        ("estimate_carbon without design", "low",
+         lambda x: estimate_carbon(_METRICS, None, _PROFILE, (x, 1.0))),
+        ("estimate_carbon without params", "high",
+         lambda x: estimate_carbon(_METRICS, _DESIGN, None, (0.0, x))),
+        ("sweep_beol without design", "low",
+         lambda x: sweep_beol(_ASAP7, ["M3"], carbon_params=_PROFILE, ci_band=(x, 1.0))),
+        ("compose_soc without design", "high",
+         lambda x: compose_soc(_BLOCKS, _ASAP7, "M3", ci_band=(0.0, x))))],
     ("LayerSpec.pitch_nm", lambda x: LayerSpec("M1", Region.BEOL, x, "EUV_LE"), DomainError,
      "pitch_nm", "pitch_nm must be finite and > 0"),
 ]
@@ -387,3 +398,13 @@ def test_a_wrong_typed_argument_is_a_domain_error_naming_its_parameter(case, dat
     assert type(info.value) is DomainError
     assert info.value.fields == ((field, f"{field} must be {wanted}, got {shown(value)}"),)
 
+
+@pytest.mark.parametrize("call", [
+    lambda band: estimate_carbon(_METRICS, None, _PROFILE, band),
+    lambda band: sweep_beol(_ASAP7, ["M3"], carbon_params=_PROFILE, ci_band=band),
+    lambda band: compose_soc(_BLOCKS, _ASAP7, "M3", ci_band=band),
+], ids=["estimate_carbon", "sweep_beol", "compose_soc"])
+def test_a_band_names_each_bad_bound_without_a_design(call):
+    with pytest.raises(DomainError) as info:
+        call((math.inf, -1))
+    assert [f for f, _ in info.value.fields] == ["low", "high"]
