@@ -81,7 +81,7 @@ def metrics_from_totals(node: str, counts: Sequence[int], per_layer: tuple[Layer
     except OverflowError:  # a mask total too large to convert to a float
         litho_energy = math.inf
     if not math.isfinite(litho_energy):
-        raise DomainError(f"total litho energy of {node} overflows to {litho_energy}")
+        raise DomainError(f"total litho energy of {shown(node)} overflows to {litho_energy}")
     total_steps = StepCounts(*counts[:STEPS_END])
     by_region = counts[STEPS_END:REGIONS_END]
     return StackMetrics(

@@ -99,13 +99,14 @@ def _resolve_targets(stack: StackSpec, routing: dict, targets: Sequence[str]) ->
     for target in targets:
         if target not in routing:
             beol = [l.name for l in stack.layers if l.region is Region.BEOL]
+            node = shown(stack.technology_node)
             if target in beol:
                 raise UnknownTargetError(
-                    f"target {shown(target)} is a power-grid layer of {stack.technology_node}, "
+                    f"target {shown(target)} is a power-grid layer of {node}, "
                     f"not a routing layer; routing layers: {', '.join(routing) or 'none'}"
                 )
             raise UnknownTargetError(
-                f"target {shown(target)} is not a BEOL layer of {stack.technology_node}; "
+                f"target {shown(target)} is not a BEOL layer of {node}; "
                 f"BEOL layers: {', '.join(beol) or 'none'}"
             )
         if target in resolved:

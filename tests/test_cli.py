@@ -186,10 +186,10 @@ _NO_STACK = "error: stack '' is neither a preset (asap7, n7_euv, n7_duv) nor an 
     (("trend", "--config", str(CONFIGS / "trend_nodes.json"), "--ref", ""),
      "error: reference node '' not in series; nodes: 28nm, 14nm, 7nm\n"),
     (("soc", "--config", str(CONFIGS / "soc_trainer.json"), "--target", ""),
-     "error: target '' is not a BEOL layer of 7nm-ASAP7; BEOL layers: "
+     "error: target '' is not a BEOL layer of '7nm-ASAP7'; BEOL layers: "
      "M1, M2, M3, M4, M5, M6, M7, M8, M9\n"),
     (("sweep", "--config", str(CONFIGS / "sweep_asap7.json"), "--targets", ""),
-     "error: target '' is not a BEOL layer of 7nm-ASAP7; BEOL layers: "
+     "error: target '' is not a BEOL layer of '7nm-ASAP7'; BEOL layers: "
      "M1, M2, M3, M4, M5, M6, M7, M8, M9\n"),
     (("analyze", "--stack", "", "--area", "1", "--yield", "1"), _NO_STACK),
     (("compare", "", "asap7"), _NO_STACK),
@@ -311,7 +311,7 @@ def test_sweep_duplicate_targets_exit_one():
 def test_power_grid_target_exits_one_naming_the_routing_layers(args):
     proc = run_main(*args)
     assert proc.returncode == 1
-    assert proc.stderr == ("error: target 'M8' is a power-grid layer of 7nm-ASAP7, not a "
+    assert proc.stderr == ("error: target 'M8' is a power-grid layer of '7nm-ASAP7', not a "
                            "routing layer; routing layers: M1, M2, M3, M4, M5, M6, M7\n")
     assert proc.stdout == ""
 
@@ -320,7 +320,7 @@ def test_empty_stack_target_error_reads_none():
     proc = run_main("sweep", "--stack", str(REPO_ROOT / "tests/data/empty_stack.json"),
                     "--targets", "M1")
     assert proc.returncode == 1
-    assert proc.stderr == "error: target 'M1' is not a BEOL layer of empty; BEOL layers: none\n"
+    assert proc.stderr == "error: target 'M1' is not a BEOL layer of 'empty'; BEOL layers: none\n"
     assert proc.stdout == ""
 
 

@@ -301,7 +301,7 @@ def test_a_mask_total_beyond_float_range_is_a_litho_energy_domain_error():
                      lambda: sweep_beol(stack, ["M1"], catalog=_HUGE_CATALOG, weights=weights),
                      lambda: compose_soc([SocBlock("b", 1.0, "M2")], stack, "M2",
                                          catalog=_HUGE_CATALOG, weights=weights)):
-            with pytest.raises(DomainError, match="^total litho energy of x overflows to inf$"):
+            with pytest.raises(DomainError, match="^total litho energy of 'x' overflows to inf$"):
                 call()
 
 
@@ -311,7 +311,7 @@ def test_a_layer_energy_beyond_float_range_is_a_litho_energy_domain_error():
     stack = StackSpec("x", (LayerSpec("M1", Region.BEOL, None, "BIG", None,
                                       frozenset({"routing"})),))
     for weights in (EnergyWeights(10, 1), EnergyWeights(10.0, 1.0)):
-        with pytest.raises(DomainError, match="^total litho energy of x overflows to inf$"):
+        with pytest.raises(DomainError, match="^total litho energy of 'x' overflows to inf$"):
             stack_metrics(stack, _HUGE_CATALOG, weights)
 
 

@@ -40,7 +40,7 @@ def test_a_long_target_is_cut_in_its_message():
         sweep_beol(asap7_preset(), ["M" + "9" * 100_000])
     message = str(info.value)
     assert message.startswith("target 'M999")
-    assert "... (cut; 100003 characters in all) is not a BEOL layer of 7nm-ASAP7" in message
+    assert "... (cut; 100003 characters in all) is not a BEOL layer of '7nm-ASAP7'" in message
     assert len(message) < 2 * LIMIT
 
 

@@ -121,7 +121,7 @@ def test_sweep_unknown_target(asap7):
         sweep_beol(asap7, ["Fin"])
 
 
-_GRID_TARGET = ("target 'M8' is a power-grid layer of 7nm-ASAP7, not a routing layer; "
+_GRID_TARGET = ("target 'M8' is a power-grid layer of '7nm-ASAP7', not a routing layer; "
                 "routing layers: M1, M2, M3, M4, M5, M6, M7")
 
 
@@ -130,8 +130,8 @@ _GRID_ONLY = StackSpec("grid", (LayerSpec("M1", Region.BEOL, None, "ArFi_LE", No
 
 
 @pytest.mark.parametrize("stack, message", [
-    (StackSpec("empty", ()), "target 'M1' is not a BEOL layer of empty; BEOL layers: none"),
-    (_GRID_ONLY, "target 'M1' is a power-grid layer of grid, not a routing layer; "
+    (StackSpec("empty", ()), "target 'M1' is not a BEOL layer of 'empty'; BEOL layers: none"),
+    (_GRID_ONLY, "target 'M1' is a power-grid layer of 'grid', not a routing layer; "
                  "routing layers: none"),
 ], ids=["no-beol", "no-routing"])
 def test_a_target_error_reads_none_for_an_empty_layer_list(stack, message):
@@ -365,7 +365,7 @@ def test_an_energy_overflow_at_the_top_point_names_the_stack():
     # One EUV mask of M1 is finite; the two routing masks together overflow.
     stack = StackSpec("big", (_FRONT[0], _beol(1, TAG_ROUTING), _beol(2, TAG_ROUTING)))
     weights = EnergyWeights(per_euv_mask=1e308, per_duv_mask=1.0)
-    message = "total litho energy of big overflows to inf"
+    message = "total litho energy of 'big' overflows to inf"
     capped = stack_metrics(_truncate_beol(stack, 1, False), weights=weights)
     assert math.isfinite(capped.total_litho_energy)
     for call in (lambda: stack_metrics(stack, weights=weights),
