@@ -211,12 +211,11 @@ def _soc(args, cfg: ConfigDocument):
     target = _pick(args.target, section, "target_top")
     retain = _pick(args.retain_power_grid, section, "retain_power_grid")
     yield_fraction = _pick(args.yield_fraction, to_dict(cfg.design), "yield")
-    design = None
-    if yield_fraction is not None:  # compose_soc reads only the yield
-        design = DesignParams(1.0 if cfg.design is None else cfg.design.area_cm2, yield_fraction)
+    # compose_soc reads only the yield; the chip figures use the blocks' area.
+    design = None if yield_fraction is None else DesignParams(1.0, yield_fraction)
     model, echo = _model(args, cfg, design)
     soc = compose_soc(section["blocks"], stack, target, retain_power_grid=retain, **model)
-    if cfg.design is None and design is not None:  # echo the area the chip figures use
+    if design is not None:
         echo["design"] = to_dict(DesignParams(soc.baseline_area_cm2, yield_fraction))
     inputs = {
         "stack": stack_to_dict(stack),

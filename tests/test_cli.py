@@ -650,6 +650,19 @@ def test_soc_yield_flag_applies_without_a_design_section(tmp_path):
     assert ["chip_pfas", "58.0", "40.9588"] in rows
 
 
+def test_soc_echoes_the_design_area_its_figures_use(tmp_path):
+    # The chip figures use the blocks' summed area, whatever design.area_cm2 says.
+    document = json.loads((CONFIGS / "soc_trainer.json").read_text(encoding="utf-8"))
+    document["design"]["area_cm2"] = 5.0
+    path = tmp_path / "soc.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    report = _json_report("soc", "--config", str(path), "--format", "json")
+    expected = _json_report("soc", "--config", str(CONFIGS / "soc_trainer.json"),
+                            "--format", "json")
+    assert report["inputs"]["design"] == {"area_cm2": 1.0, "yield": 0.875}
+    assert report == expected
+
+
 def test_soc_takes_no_area_flag():
     proc = run_main("soc", "--config", str(CONFIGS / "soc_trainer.json"), "--area", "3")
     assert proc.returncode == 2
